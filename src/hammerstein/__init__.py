@@ -8,8 +8,8 @@ and the classical discretize-then-linearize baseline (`dl_solve`).
 
 from .config import ConfigError, RunConfig, config_from_dict, validate_config
 from .linalg import SingularSystemError, solve_dense
-from .newton_dl import DLSettings, DLState, dl_assemble, dl_newton_step, dl_solve, natural_extension
-from .newton_ld import LDSettings, LDState, SingularOperatorError, ld_init, ld_solve, ld_step
+from .newton_dl import DLSettings, dl_solve
+from .newton_ld import LDSettings, SingularOperatorError, ld_solve
 from .problem import (
     FUNCTIONS,
     NONLINEARITIES,
@@ -34,13 +34,10 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureConvergenceError,
     SubtractionPlan,
-    WeightVector,
     adaptive_kernel_batch,
-    apply_tangent_rule,
     eval_operator,
     eval_operator_reference,
     moment0,
-    moment1,
     product_weights,
     weight_matrix,
 )
@@ -52,13 +49,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DLSettings",
-    "DLState",
     "FUNCTIONS",
     "Grid",
     "HammersteinProblem",
     "IterationRecord",
     "LDSettings",
-    "LDState",
     "NONLINEARITIES",
     "Nonlinearity",
     "QuadratureConfig",
@@ -72,29 +67,21 @@ __all__ = [
     "SingularSystemError",
     "SolveReport",
     "SubtractionPlan",
-    "WeightVector",
     "adaptive_kernel_batch",
     "algebraic_kernel",
-    "apply_tangent_rule",
     "compare_csv_text",
     "config_from_dict",
-    "dl_assemble",
-    "dl_newton_step",
     "dl_solve",
     "eval_operator",
     "eval_operator_reference",
     "get_nonlinearity",
-    "ld_init",
     "ld_solve",
-    "ld_step",
     "log_kernel",
     "log_sin_benchmark",
     "make_grid",
     "manufactured_cosine_square",
     "manufactured_problem",
     "moment0",
-    "moment1",
-    "natural_extension",
     "parse_compare_csv",
     "polynomial_nonlinearity",
     "product_weights",

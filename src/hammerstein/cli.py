@@ -113,14 +113,14 @@ def _run_weights_command(args) -> int:
     kernel = log_kernel() if args.kernel == "log" else algebraic_kernel(args.beta)
     try:
         grid = make_grid(a, b, args.n)
-        wv = product_weights(grid, kernel, args.s)
+        w = product_weights(grid, kernel, args.s)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     print(f"kernel={args.kernel} n={args.n} s={args.s} domain=[{a}, {b}]")
-    for j, (t, w) in enumerate(zip(grid.nodes, wv.w)):
-        print(f"  j={j:3d} t={t:+.6f} w={w:+.16e}")
-    total = float(np.sum(wv.w))
+    for j, (t, wj) in enumerate(zip(grid.nodes, w)):
+        print(f"  j={j:3d} t={t:+.6f} w={wj:+.16e}")
+    total = float(np.sum(w))
     m0 = moment0(kernel, args.s, a, b)
     print(f"  sum(w) = {total:+.16e}")
     print(f"  moment = {m0:+.16e}  (integral of the kernel; should match the sum)")

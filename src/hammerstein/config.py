@@ -180,17 +180,18 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
     _expect(solver in ("ld", "dl", "both"), "solver", f"must be ld, dl or both, got {solver!r}")
 
     tol = _as_number(cfg["tol"], "tol")
-    _expect(tol > 0, "tol", "must be positive")
     max_iter = _as_number(cfg["max_iter"], "max_iter", integer=True)
-    _expect(max_iter >= 1, "max_iter", "must be at least 1")
     n_fine = _as_number(cfg["n_fine"], "n_fine", integer=True)
-    _expect(n_fine >= 2, "n_fine", "must be at least 2")
-    mode = cfg["mode"]
-    _expect(mode in ("fine", "subtract"), "mode", f"must be 'fine' or 'subtract', got {mode!r}")
     gl_points = _as_number(cfg["gl_points"], "gl_points", integer=True)
-    _expect(gl_points >= 2, "gl_points", "must be at least 2")
     sample_count = _as_number(cfg["sample_count"], "sample_count", integer=True)
-    _expect(sample_count >= 2, "sample_count", "must be at least 2")
+    # the settings classes check their own ranges; their messages start
+    # with the field name
+    try:
+        quad = QuadratureConfig(n_fine=n_fine, mode=cfg["mode"], gl_points=gl_points)
+        ld = LDSettings(tol=tol, max_iter=max_iter, quad=quad, sample_count=sample_count)
+        dl = DLSettings(tol=tol, max_iter=max_iter, sample_count=sample_count)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     quad_tol = _as_number(cfg["quad_tol"], "quad_tol")
     _expect(quad_tol > 0, "quad_tol", "must be positive")
     target_error = _as_number(cfg["target_error"], "target_error")
@@ -232,10 +233,6 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
         if cfg["exact"] is not None:
             exact = _build_function(cfg["exact"], "exact")
         problem = HammersteinProblem(a, b, kernel, L, nonlin, y_fn, exact=exact)
-
-    quad = QuadratureConfig(n_fine=n_fine, mode=mode, gl_points=gl_points)
-    ld = LDSettings(tol=tol, max_iter=max_iter, quad=quad, sample_count=sample_count)
-    dl = DLSettings(tol=tol, max_iter=max_iter, sample_count=sample_count)
 
     phi0 = cfg["phi0"]
     if phi0 == "y":

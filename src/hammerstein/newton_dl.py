@@ -9,86 +9,79 @@ discretization error of the grid no matter how many Newton steps run.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import SingularSystemError, solve_dense
-from .newton_ld import SingularOperatorError
+from .linalg import solve_dense
+from .newton_ld import _NewtonSettings, _newton, _sample_initial
 from .problem import Grid, HammersteinProblem, SampledFunction
 from .quadrature import weight_matrix
-from .reports import IterationRecord, SolveReport
+from .reports import SolveReport
 
 
 @dataclass(frozen=True)
-class DLSettings:
-    tol: float = 1e-12
-    max_iter: int = 30
-    sample_count: int = 201
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.sample_count < 2:
-            raise ValueError(f"sample_count must be at least 2, got {self.sample_count}")
+class DLSettings(_NewtonSettings):
+    """Settings of dl_solve: the shared stopping rule and output grid."""
 
 
-@dataclass(frozen=True)
-class DLState:
-    """Newton iterate of the discrete system; A and Y are assembled once."""
+class _Workspace:
+    """DL discretization: the system X - A F(X) = Y and its natural extension.
 
-    X: np.ndarray
-    k: int
-    A: np.ndarray
-    Y: np.ndarray
-
-
-def dl_assemble(problem: HammersteinProblem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete operator matrix and right-hand side vector on the grid nodes.
-
-    A[i, j] = w_j(t_i) * L(t_i, t_j); Y[i] = y(t_i).
+    The extension psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j) gives
+    off-grid values defined by the discrete equation itself. It is evaluated
+    on the output samples and the grid nodes, and its rows at the nodes,
+    A[i, j] = w_j(t_i) L(t_i, t_j), are the discrete operator.
     """
-    nodes = grid.nodes
-    W = weight_matrix(grid, problem.kernel, nodes)
-    A = W * np.asarray(problem.L(nodes[:, None], nodes[None, :]), dtype=float)
-    Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape).copy()
-    return A, Y
 
+    def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
+        self.problem = problem
+        self.nodes = nodes = grid.nodes
+        self.Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape).copy()
+        sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
+        self.out_points = np.unique(np.concatenate([sample_points, nodes]))
+        self.WL_out = weight_matrix(grid, problem.kernel, self.out_points) * np.asarray(
+            problem.L(self.out_points[:, None], nodes[None, :]), dtype=float
+        )
+        self.A = self.WL_out[np.searchsorted(self.out_points, nodes)]
+        self.y_out = np.broadcast_to(
+            np.asarray(problem.y(self.out_points), dtype=float), self.out_points.shape
+        )
+        self.sample_sel = np.searchsorted(self.out_points, sample_points)
+        self.exact_samples = None
+        if problem.exact is not None:
+            self.exact_samples = np.asarray(problem.exact(sample_points), dtype=float)
 
-def _residual(state: DLState, problem: HammersteinProblem, nodes) -> np.ndarray:
-    fx = np.asarray(problem.nonlin.F(nodes, state.X), dtype=float)
-    return state.X - state.A @ fx - state.Y
+    def _residual(self, X) -> np.ndarray:
+        fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
+        return X - self.A @ fx - self.Y
 
+    def _extension(self, X) -> np.ndarray:
+        fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
+        return self.y_out + self.WL_out @ fx
 
-def dl_newton_step(state: DLState, problem: HammersteinProblem, grid: Grid) -> DLState:
-    """One Newton step on X - A F(X) = Y."""
-    nodes = grid.nodes
-    res = _residual(state, problem, nodes)
-    df = np.asarray(problem.nonlin.dF(nodes, state.X), dtype=float)
-    J = np.eye(nodes.size) - state.A * df[None, :]
-    delta = solve_dense(J, -res)
-    return DLState(X=state.X + delta, k=state.k + 1, A=state.A, Y=state.Y)
+    def start(self, x0) -> np.ndarray:
+        return _sample_initial(self.problem, x0, self.nodes)
 
+    def step(self, X):
+        """One Newton step on X - A F(X) = Y and its step norm."""
+        res = self._residual(X)
+        df = np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float)
+        J = np.eye(self.nodes.size) - self.A * df[None, :]
+        X_new = X + solve_dense(J, -res)
+        return X_new, float(np.max(np.abs(X_new - X)))
 
-def natural_extension(
-    problem: HammersteinProblem, grid: Grid, X, points
-) -> np.ndarray:
-    """Off-grid values defined by the discrete equation itself.
+    def measure(self, X) -> tuple[float, Optional[float]]:
+        """Residual norm of the discrete system and true error of the extension."""
+        residual_norm = float(np.max(np.abs(self._residual(X))))
+        if self.exact_samples is None:
+            return residual_norm, None
+        ext = self._extension(X)
+        return residual_norm, float(np.max(np.abs(ext[self.sample_sel] - self.exact_samples)))
 
-    psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j).
-    """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    nodes = grid.nodes
-    WL = weight_matrix(grid, problem.kernel, points) * np.asarray(
-        problem.L(points[:, None], nodes[None, :]), dtype=float
-    )
-    fx = np.asarray(problem.nonlin.F(nodes, np.asarray(X, dtype=float)), dtype=float)
-    yv = np.broadcast_to(np.asarray(problem.y(points), dtype=float), points.shape)
-    return yv + WL @ fx
+    def result(self, X) -> SampledFunction:
+        return SampledFunction(self.out_points, self._extension(X))
 
 
 def dl_solve(
@@ -99,74 +92,10 @@ def dl_solve(
 ) -> tuple[SampledFunction, SolveReport]:
     """Newton on the discretized system, reported like the LD solver.
 
-    The true-error column measures the natural extension of the current
-    nodal vector against the exact solution on the output sample grid.
+    x0 (default: y at the nodes) is a number, a callable or a
+    SampledFunction. The true-error column measures the natural extension of
+    the current nodal vector against the exact solution on the output sample
+    grid; the returned function is that extension.
     """
-    nodes = grid.nodes
-    A, Y = dl_assemble(problem, grid)
-    if x0 is None:
-        X = Y.copy()
-    elif callable(x0):
-        X = np.broadcast_to(np.asarray(x0(nodes), dtype=float), nodes.shape).copy()
-    else:
-        X = np.broadcast_to(np.asarray(x0, dtype=float), nodes.shape).astype(float)
-
-    sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
-    out_points = np.unique(np.concatenate([sample_points, nodes]))
-    WL_out = weight_matrix(grid, problem.kernel, out_points) * np.asarray(
-        problem.L(out_points[:, None], nodes[None, :]), dtype=float
-    )
-    y_out = np.broadcast_to(np.asarray(problem.y(out_points), dtype=float), out_points.shape)
-    sample_sel = np.searchsorted(out_points, sample_points)
-    exact_samples = None
-    if problem.exact is not None:
-        exact_samples = np.asarray(problem.exact(sample_points), dtype=float)
-
-    def extension(Xv) -> np.ndarray:
-        fx = np.asarray(problem.nonlin.F(nodes, Xv), dtype=float)
-        return y_out + WL_out @ fx
-
-    def true_error(ext) -> Optional[float]:
-        if exact_samples is None:
-            return None
-        return float(np.max(np.abs(ext[sample_sel] - exact_samples)))
-
-    state = DLState(X=X, k=0, A=A, Y=Y)
     report = SolveReport(method="dl", n=grid.n, n_fine=None, mode=None)
-    tic = time.perf_counter()
-    ext = extension(state.X)
-    report.records.append(
-        IterationRecord(
-            k=0,
-            step_norm=None,
-            residual_norm=float(np.max(np.abs(_residual(state, problem, nodes)))),
-            true_error=true_error(ext),
-            wall_ms=(time.perf_counter() - tic) * 1e3,
-        )
-    )
-    report.status = "max_iter"
-    for k in range(1, settings.max_iter + 1):
-        tic = time.perf_counter()
-        try:
-            new_state = dl_newton_step(state, problem, grid)
-        except SingularSystemError as exc:
-            report.status = "singular"
-            raise SingularOperatorError(
-                f"Newton Jacobian singular at iteration {k}: {exc}", report
-            ) from exc
-        step_norm = float(np.max(np.abs(new_state.X - state.X)))
-        state = new_state
-        ext = extension(state.X)
-        report.records.append(
-            IterationRecord(
-                k=k,
-                step_norm=step_norm,
-                residual_norm=float(np.max(np.abs(_residual(state, problem, nodes)))),
-                true_error=true_error(ext),
-                wall_ms=(time.perf_counter() - tic) * 1e3,
-            )
-        )
-        if step_norm <= settings.tol:
-            report.status = "converged"
-            break
-    return SampledFunction(out_points, extension(state.X)), report
+    return _newton(_Workspace(problem, grid, settings), settings, report, x0)

@@ -9,10 +9,14 @@ values that are never re-interpolated from coarser data.
 
 The limit of the iteration is set by the accuracy of the operator
 evaluation (the quadrature config), not by the Newton grid size n.
+
+The Newton loop itself (`_newton`: records, stopping and failure statuses)
+and the settings it reads are shared with the DL solver in newton_dl.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +30,9 @@ from .reports import IterationRecord, SolveReport
 
 
 class SingularOperatorError(RuntimeError):
-    """The linearized system became numerically singular during a solve."""
+    """The Newton iteration cannot go on: its linear system became numerically
+    singular, or an iterate stopped being finite. ``report`` holds the records
+    so far and the status "singular" or "diverged"."""
 
     def __init__(self, message: str, report: Optional[SolveReport] = None):
         super().__init__(message)
@@ -34,14 +40,15 @@ class SingularOperatorError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LDSettings:
+class _NewtonSettings:
+    """Stopping rule and output grid shared by both solvers."""
+
     tol: float = 1e-12
     max_iter: int = 30
-    quad: QuadratureConfig = QuadratureConfig()
     sample_count: int = 201
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -50,14 +57,8 @@ class LDSettings:
 
 
 @dataclass(frozen=True)
-class LDState:
-    """One Newton iterate: values on the frozen point set plus nodal vector."""
-
-    grid: Grid
-    iterate: SampledFunction
-    nodal: np.ndarray
-    k: int
-    eval_points: np.ndarray
+class LDSettings(_NewtonSettings):
+    quad: QuadratureConfig = QuadratureConfig()
 
 
 def _evaluation_points(problem, grid, settings) -> np.ndarray:
@@ -78,7 +79,12 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 
 
 class _Workspace:
-    """Geometry-dependent factors shared by every step of one solve."""
+    """LD discretization: geometry-dependent factors shared by every step.
+
+    An iterate is the pair (values on the evaluation points, integral-operator
+    values there), so each operator application serves both the residual of
+    one iterate and the step that leaves it.
+    """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: LDSettings):
         self.problem = problem
@@ -91,13 +97,12 @@ class _Workspace:
 
         kernel, L = problem.kernel, problem.L
         nodes = grid.nodes
-        w_nodes = weight_matrix(grid, kernel, nodes)
-        self.G = w_nodes * np.asarray(L(nodes[:, None], nodes[None, :]), dtype=float)
-        # recovery weights at every evaluation point (rows at the nodes are
-        # float-identical to rows of G, which keeps nodal values consistent)
+        # recovery weights at every evaluation point; the rows at the nodes
+        # are the Newton matrix, so nodal values stay consistent with them
         self.WL_coarse = weight_matrix(grid, kernel, self.points) * np.asarray(
             L(self.points[:, None], nodes[None, :]), dtype=float
         )
+        self.G = self.WL_coarse[self.node_idx]
 
         if settings.quad.mode == "fine":
             fine = make_grid(problem.a, problem.b, settings.quad.n_fine)
@@ -136,8 +141,13 @@ class _Workspace:
             return self.WL_fine @ ft
         return self.plan.apply(lambda t: np.interp(t, self.points, values))
 
-    def step(self, values: np.ndarray, K_points: np.ndarray):
-        """One Newton step from the given iterate; K_points belongs to it."""
+    def start(self, phi0):
+        values = _sample_initial(self.problem, phi0, self.points)
+        return values, self.operator_values(values)
+
+    def step(self, iterate):
+        """One Newton step: the next iterate and the nodal step norm."""
+        values, K_points = iterate
         nl = self.problem.nonlin
         nodes = self.grid.nodes
         nodal_old = values[self.node_idx]
@@ -149,53 +159,72 @@ class _Workspace:
         correction = self.WL_coarse @ (df * (nodal_new - nodal_old))
         values_new = correction + K_points + self.y_points
         step_norm = float(np.max(np.abs(nodal_new - nodal_old)))
-        return values_new, step_norm
+        return (values_new, self.operator_values(values_new)), step_norm
 
-    def residual_norm(self, values: np.ndarray, K_points: np.ndarray) -> float:
+    def measure(self, iterate) -> tuple[float, Optional[float]]:
+        """Nodal residual norm and sampled true error (None without exact)."""
+        values, K_points = iterate
         r = values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
-        return float(np.max(np.abs(r)))
-
-    def true_error(self, values: np.ndarray) -> Optional[float]:
+        residual_norm = float(np.max(np.abs(r)))
         if self.exact_samples is None:
-            return None
-        return float(np.max(np.abs(values[self.sample_idx] - self.exact_samples)))
+            return residual_norm, None
+        return residual_norm, float(np.max(np.abs(values[self.sample_idx] - self.exact_samples)))
+
+    def result(self, iterate) -> SampledFunction:
+        return SampledFunction(self.points, iterate[0])
 
 
-def ld_init(
-    problem: HammersteinProblem,
-    grid: Grid,
-    phi0=None,
-    settings: LDSettings = LDSettings(),
-) -> LDState:
-    """Initial state; phi0 defaults to the right-hand side y."""
-    points = _evaluation_points(problem, grid, settings)
-    values = _sample_initial(problem, phi0, points)
-    return LDState(
-        grid=grid,
-        iterate=SampledFunction(points, values),
-        nodal=values[np.searchsorted(points, grid.nodes)],
-        k=0,
-        eval_points=points,
+def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
+    """The Newton loop of both solvers over one discretization ``disc``.
+
+    ``disc`` provides start(phi0) -> iterate, step(iterate) -> (iterate,
+    step_norm), measure(iterate) -> (residual_norm, true_error) and
+    result(iterate) -> SampledFunction. The loop stops when the step norm
+    drops to settings.tol ("converged") or after settings.max_iter steps
+    ("max_iter", not fatal). A numerically singular linear system
+    ("singular") or a non-finite residual or step norm ("diverged") raises
+    SingularOperatorError carrying the partial report.
+    """
+    tic = time.perf_counter()
+    iterate = disc.start(phi0)
+    _record(disc, report, 0, None, iterate, tic)
+    for k in range(1, settings.max_iter + 1):
+        tic = time.perf_counter()
+        try:
+            iterate, step_norm = disc.step(iterate)
+        except SingularSystemError as exc:
+            report.status = "singular"
+            raise SingularOperatorError(
+                f"{report.method}: linearized system singular at iteration {k}: {exc}", report
+            ) from exc
+        _record(disc, report, k, step_norm, iterate, tic)
+        if step_norm <= settings.tol:
+            report.status = "converged"
+            break
+    else:
+        report.status = "max_iter"
+    return disc.result(iterate), report
+
+
+def _record(disc, report: SolveReport, k: int, step_norm, iterate, tic: float) -> None:
+    residual_norm, true_error = disc.measure(iterate)
+    report.records.append(
+        IterationRecord(
+            k=k,
+            step_norm=step_norm,
+            residual_norm=residual_norm,
+            true_error=true_error,
+            wall_ms=(time.perf_counter() - tic) * 1e3,
+        )
     )
-
-
-def ld_step(
-    state: LDState, problem: HammersteinProblem, settings: LDSettings = LDSettings()
-) -> LDState:
-    """One Newton step (standalone convenience; ld_solve reuses the workspace)."""
-    ws = _Workspace(problem, state.grid, settings)
-    if not np.array_equal(ws.points, state.eval_points):
-        raise ValueError("state evaluation points do not match the settings")
-    values = state.iterate.values
-    K_points = ws.operator_values(values)
-    values_new, _ = ws.step(values, K_points)
-    return LDState(
-        grid=state.grid,
-        iterate=SampledFunction(ws.points, values_new),
-        nodal=values_new[ws.node_idx],
-        k=state.k + 1,
-        eval_points=ws.points,
-    )
+    step_finite = step_norm is None or math.isfinite(step_norm)
+    if not (math.isfinite(residual_norm) and step_finite):
+        report.status = "diverged"
+        raise SingularOperatorError(
+            f"{report.method}: non-finite residual or step norm at iteration {k} "
+            f"(residual norm {residual_norm}, step norm {step_norm})",
+            report,
+        )
 
 
 def ld_solve(
@@ -206,53 +235,15 @@ def ld_solve(
 ) -> tuple[SampledFunction, SolveReport]:
     """Newton iteration on the operator equation, product-rule discretized.
 
-    Stops when the nodal step norm drops to settings.tol or after max_iter
-    steps (flagged in the report, not fatal). A numerically singular
-    linearized system raises SingularOperatorError carrying the partial
-    report.
+    phi0 (default: the right-hand side y) is a number, a callable or a
+    SampledFunction. Stopping and failure follow the shared Newton loop:
+    "converged" or "max_iter" return; "singular" or "diverged" raise
+    SingularOperatorError carrying the partial report.
     """
-    ws = _Workspace(problem, grid, settings)
-    values = _sample_initial(problem, phi0, ws.points)
-
     report = SolveReport(
         method="ld",
         n=grid.n,
         n_fine=settings.quad.n_fine if settings.quad.mode == "fine" else None,
         mode=settings.quad.mode,
     )
-    tic = time.perf_counter()
-    K_points = ws.operator_values(values)
-    report.records.append(
-        IterationRecord(
-            k=0,
-            step_norm=None,
-            residual_norm=ws.residual_norm(values, K_points),
-            true_error=ws.true_error(values),
-            wall_ms=(time.perf_counter() - tic) * 1e3,
-        )
-    )
-    report.status = "max_iter"
-    for k in range(1, settings.max_iter + 1):
-        tic = time.perf_counter()
-        try:
-            values_new, step_norm = ws.step(values, K_points)
-        except SingularSystemError as exc:
-            report.status = "singular"
-            raise SingularOperatorError(
-                f"linearized system singular at iteration {k}: {exc}", report
-            ) from exc
-        K_new = ws.operator_values(values_new)
-        report.records.append(
-            IterationRecord(
-                k=k,
-                step_norm=step_norm,
-                residual_norm=ws.residual_norm(values_new, K_new),
-                true_error=ws.true_error(values_new),
-                wall_ms=(time.perf_counter() - tic) * 1e3,
-            )
-        )
-        values, K_points = values_new, K_new
-        if step_norm <= settings.tol:
-            report.status = "converged"
-            break
-    return SampledFunction(ws.points, values), report
+    return _newton(_Workspace(problem, grid, settings), settings, report, phi0)

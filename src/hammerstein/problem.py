@@ -101,12 +101,11 @@ def smooth_kernel(func: Callable) -> SingularKernel:
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Pointwise nonlinearity F(t, u) with first and second u-derivatives."""
+    """Pointwise nonlinearity F(t, u) with its u-derivative dF."""
 
     name: str
     F: Callable
     dF: Callable
-    d2F: Callable
 
 
 def _const(value):
@@ -117,25 +116,22 @@ def _const(value):
 
 
 NONLINEARITIES: dict[str, Nonlinearity] = {
-    "identity": Nonlinearity("identity", lambda t, u: u + 0.0 * t, _const(1.0), _const(0.0)),
-    "zero": Nonlinearity("zero", _const(0.0), _const(0.0), _const(0.0)),
+    "identity": Nonlinearity("identity", lambda t, u: u + 0.0 * t, _const(1.0)),
+    "zero": Nonlinearity("zero", _const(0.0), _const(0.0)),
     "sin_pi": Nonlinearity(
         "sin_pi",
         lambda t, u: np.sin(np.pi * u) + 0.0 * t,
         lambda t, u: np.pi * np.cos(np.pi * u) + 0.0 * t,
-        lambda t, u: -np.pi**2 * np.sin(np.pi * u) + 0.0 * t,
     ),
     "square": Nonlinearity(
         "square",
         lambda t, u: u**2 + 0.0 * t,
         lambda t, u: 2.0 * u + 0.0 * t,
-        _const(2.0),
     ),
     "cubic": Nonlinearity(
         "cubic",
         lambda t, u: u**3 + 0.0 * t,
         lambda t, u: 3.0 * u**2 + 0.0 * t,
-        lambda t, u: 6.0 * u + 0.0 * t,
     ),
 }
 
@@ -149,18 +145,16 @@ def get_nonlinearity(name: str) -> Nonlinearity:
 
 
 def polynomial_nonlinearity(coeffs: Sequence[float]) -> Nonlinearity:
-    """Nonlinearity F(t, u) = sum_i coeffs[i] * u**i with exact derivatives."""
+    """Nonlinearity F(t, u) = sum_i coeffs[i] * u**i with its exact derivative."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("polynomial coefficients must be a nonempty 1-D sequence")
     dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-    d2c = np.polynomial.polynomial.polyder(dc) if dc.size > 1 else np.zeros(1)
     pv = np.polynomial.polynomial.polyval
     return Nonlinearity(
         name="poly",
         F=lambda t, u: pv(u, c) + 0.0 * t,
         dF=lambda t, u: pv(u, dc) + 0.0 * t,
-        d2F=lambda t, u: pv(u, d2c) + 0.0 * t,
     )
 
 
@@ -173,23 +167,22 @@ def verify_derivatives(
     step: float = 1e-5,
     rel_tol: float = 1e-6,
 ) -> None:
-    """Spot-check dF against centered differences of F, and d2F against dF.
+    """Spot-check dF against centered differences of F.
 
-    Raises ValueError on disagreement. The comparison scale is max(1, |deriv|)
+    Raises ValueError on disagreement. The comparison scale is max(1, |dF|)
     so that isolated zeros of the derivative do not trip the check.
     """
     t = rng.uniform(*t_range, size=n_samples)
     u = rng.uniform(*u_range, size=n_samples)
-    for fun, dfun, label in ((nonlin.F, nonlin.dF, "dF"), (nonlin.dF, nonlin.d2F, "d2F")):
-        fd = (np.asarray(fun(t, u + step)) - np.asarray(fun(t, u - step))) / (2.0 * step)
-        exact = np.asarray(dfun(t, u))
-        err = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
-        if not np.all(err <= rel_tol):
-            i = int(np.argmax(err))
-            raise ValueError(
-                f"nonlinearity {nonlin.name!r}: {label} disagrees with finite "
-                f"differences at (t={t[i]:.6g}, u={u[i]:.6g}): rel err {err[i]:.3e}"
-            )
+    fd = (np.asarray(nonlin.F(t, u + step)) - np.asarray(nonlin.F(t, u - step))) / (2.0 * step)
+    exact = np.asarray(nonlin.dF(t, u))
+    err = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
+    if not np.all(err <= rel_tol):
+        i = int(np.argmax(err))
+        raise ValueError(
+            f"nonlinearity {nonlin.name!r}: dF disagrees with finite "
+            f"differences at (t={t[i]:.6g}, u={u[i]:.6g}): rel err {err[i]:.3e}"
+        )
 
 
 @dataclass(frozen=True)

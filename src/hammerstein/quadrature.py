@@ -61,14 +61,6 @@ class QuadratureConfig:
             raise ValueError(f"gl_points must be at least 2, got {self.gl_points}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Product-rule weights w_j(s), one per grid node, for a fixed point s."""
-
-    s: float
-    w: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # analytic antiderivatives and moments
 
@@ -137,21 +129,6 @@ def moment0(kernel: SingularKernel, s: float, c: float, d: float) -> float:
     u = np.array([c - s, d - s], dtype=float)
     f = _antideriv0(kernel, u)
     return float(f[1] - f[0])
-
-
-def moment1(kernel: SingularKernel, s: float, c: float, d: float) -> float:
-    """int_c^d H(s,t) * t dt, exact for the built-in singular kernels."""
-    _check_subinterval(c, d)
-    if c == d:
-        return 0.0
-    if kernel.kind == KERNEL_SMOOTH:
-        edges = np.linspace(c, d, 9)
-        lo, hi = edges[:-1], edges[1:]
-        vals = _smooth_panel_integrals(kernel, np.full(8, float(s)), lo, hi, lambda t: t)
-        return float(np.sum(vals))
-    u = np.array([c - s, d - s], dtype=float)
-    f1 = _antideriv1(kernel, u)
-    return float(f1[1] - f1[0]) + s * moment0(kernel, s, c, d)
 
 
 def _check_subinterval(c, d):
@@ -226,39 +203,12 @@ def _smooth_weight_rows(grid, kernel, svals, npts=16):
     return w / grid.h
 
 
-def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> WeightVector:
-    """Weight vector at a single evaluation point s in [a, b]."""
+def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
+    """Weight row w_j(s), one weight per grid node, at a point s in [a, b]."""
     s = float(s)
     if not (grid.a <= s <= grid.b):
         raise ValueError(f"s={s} outside [{grid.a}, {grid.b}]")
-    return WeightVector(s=s, w=weight_matrix(grid, kernel, [s])[0])
-
-
-def apply_tangent_rule(
-    grid: Grid,
-    problem: HammersteinProblem,
-    x: SampledFunction,
-    h_values,
-    s: float,
-) -> float:
-    """Product-rule value of the linearized operator applied to nodal data.
-
-    Computes sum_j w_j(s) * L(s, t_j) * dF(t_j, x(t_j)) * h_values[j].
-    The grid nodes must be contained in x.points so x(t_j) is exact.
-    """
-    h_values = np.asarray(h_values, dtype=float)
-    if h_values.shape != (grid.n + 1,):
-        raise ValueError("h_values must have one entry per grid node")
-    idx = np.searchsorted(x.points, grid.nodes)
-    if not (
-        np.all(idx < x.points.size) and np.array_equal(x.points[idx], grid.nodes)
-    ):
-        raise ValueError("grid nodes must be a subset of x.points")
-    w = weight_matrix(grid, problem.kernel, [s])[0]
-    xt = x.values[idx]
-    lv = np.asarray(problem.L(float(s), grid.nodes), dtype=float)
-    fv = np.asarray(problem.nonlin.dF(grid.nodes, xt), dtype=float)
-    return float(np.sum(w * lv * fv * h_values))
+    return weight_matrix(grid, kernel, [s])[0]
 
 
 # ---------------------------------------------------------------------------

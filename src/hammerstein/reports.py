@@ -29,7 +29,7 @@ class SolveReport:
 
     method: str  # "ld" | "dl"
     records: list[IterationRecord] = field(default_factory=list)
-    status: str = "max_iter"  # "converged" | "max_iter" | "singular"
+    status: str = "max_iter"  # "converged" | "max_iter" | "singular" | "diverged"
     n: int = 0
     n_fine: Optional[int] = None
     mode: Optional[str] = None

@@ -2,7 +2,7 @@
 
 Both entry points write CSV data plus a gnuplot script next to it, echo the
 effective configuration, and keep partial results when a solver dies on a
-singular system.
+singular system or a non-finite iterate.
 """
 
 from __future__ import annotations

@@ -52,8 +52,16 @@ def oracle_weight_rows(kernel, grid, svals, tol=1e-12):
 
 
 def direct_nystrom_solution(problem, grid):
-    """Nodal solution of the linear (identity-nonlinearity) discrete system."""
-    from hammerstein import dl_assemble, solve_dense
+    """Nodal solution of the linear (identity-nonlinearity) discrete system.
 
-    A, Y = dl_assemble(problem, grid)
+    The matrix A[i, j] = w_j(t_i) L(t_i, t_j) is built here from the weight
+    rows and L, independently of the solvers' own assembly.
+    """
+    from hammerstein import solve_dense, weight_matrix
+
+    nodes = grid.nodes
+    A = weight_matrix(grid, problem.kernel, nodes) * np.asarray(
+        problem.L(nodes[:, None], nodes[None, :]), dtype=float
+    )
+    Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape)
     return solve_dense(np.eye(grid.n + 1) - A, Y)

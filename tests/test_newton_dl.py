@@ -3,22 +3,22 @@ import pytest
 
 from hammerstein import (
     DLSettings,
-    DLState,
     FUNCTIONS,
     HammersteinProblem,
-    dl_assemble,
-    dl_newton_step,
+    SingularOperatorError,
     dl_solve,
     get_nonlinearity,
     log_kernel,
     make_grid,
     moment0,
-    natural_extension,
+    polynomial_nonlinearity,
     smooth_kernel,
+    weight_matrix,
 )
 from hammerstein.problem import L_one, L_zero
 
 FAST = DLSettings(sample_count=41)
+ONE_STEP = DLSettings(max_iter=1, sample_count=41)
 
 
 def ones_kernel():
@@ -27,50 +27,61 @@ def ones_kernel():
     )
 
 
+def operator_rows(prob, grid):
+    """A[i, j] = w_j(t_i) L(t_i, t_j), the discrete operator of dl_solve."""
+    nodes = grid.nodes
+    return weight_matrix(grid, prob.kernel, nodes) * prob.L(nodes[:, None], nodes[None, :])
+
+
 class TestAssemble:
     def test_trapezoid_rows(self):
         prob = HammersteinProblem(
             0.0, 1.0, ones_kernel(), L_one, get_nonlinearity("zero"), FUNCTIONS["one"]
         )
         grid = make_grid(0, 1, 2)
-        A, Y = dl_assemble(prob, grid)
-        for row in A:
+        for row in operator_rows(prob, grid):
             np.testing.assert_allclose(row, [0.25, 0.5, 0.25], rtol=0, atol=2e-16)
-        np.testing.assert_array_equal(Y, 1.0)
+        # with F = 0 one step from zero lands on Y, and the extension is y
+        fn, report = dl_solve(prob, grid, ONE_STEP, x0=0.0)
+        assert report.records[1].step_norm == 1.0
+        assert report.records[1].residual_norm == 0.0
+        np.testing.assert_array_equal(fn.values, 1.0)
 
     def test_row_sums_equal_kernel_moment(self, benchmark_problem):
         grid = make_grid(0, 1, 50)
-        A, _ = dl_assemble(benchmark_problem, grid)
+        A = operator_rows(benchmark_problem, grid)
         m0 = np.array([moment0(log_kernel(), s, 0.0, 1.0) for s in grid.nodes])
         assert np.max(np.abs(A.sum(axis=1) - m0) / (1 + np.abs(m0))) <= 1e-12
 
     def test_zero_smooth_factor_gives_zero_matrix(self):
+        # F(0.5) = 1 is nonzero, so only A == 0 lets one step from 0.5 land
+        # exactly on Y == 1 and leaves the extension equal to y
         prob = HammersteinProblem(
-            0.0, 1.0, log_kernel(), L_zero, get_nonlinearity("zero"), FUNCTIONS["one"]
+            0.0, 1.0, log_kernel(), L_zero, get_nonlinearity("sin_pi"), FUNCTIONS["one"]
         )
         grid = make_grid(0, 1, 5)
-        A, _ = dl_assemble(prob, grid)
-        np.testing.assert_array_equal(A, 0.0)
+        fn, report = dl_solve(prob, grid, ONE_STEP, x0=0.5)
+        assert report.records[1].step_norm == 0.5
+        assert report.records[1].residual_norm == 0.0
+        np.testing.assert_array_equal(fn.values, 1.0)
 
 
 class TestNewtonStep:
     def test_benchmark_all_ones_is_discrete_solution(self, benchmark_problem):
         grid = make_grid(0, 1, 10)
-        A, Y = dl_assemble(benchmark_problem, grid)
-        state = DLState(X=np.ones(11), k=0, A=A, Y=Y)
-        new = dl_newton_step(state, benchmark_problem, grid)
-        assert np.max(np.abs(new.X - 1.0)) <= 1e-14
-        assert new.k == 1
+        _, report = dl_solve(benchmark_problem, grid, ONE_STEP, x0=1.0)
+        assert report.records[1].step_norm <= 1e-14
+        assert report.records[-1].k == 1
 
     def test_zero_nonlinearity_one_step(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("zero"), np.cos
         )
         grid = make_grid(0, 1, 8)
-        A, Y = dl_assemble(prob, grid)
-        state = DLState(X=np.zeros(9), k=0, A=A, Y=Y)
-        new = dl_newton_step(state, prob, grid)
-        np.testing.assert_allclose(new.X, Y, rtol=0, atol=1e-15)
+        _, report = dl_solve(prob, grid, ONE_STEP, x0=0.0)
+        # the step from 0 is Y itself, and X = Y solves X - A F(X) = Y
+        assert report.records[1].step_norm == np.max(np.abs(np.cos(grid.nodes)))
+        assert report.records[1].residual_norm <= 1e-15
 
     def test_quadratic_residual_decay(self, cosine_problem):
         grid = make_grid(0, 1, 16)
@@ -122,11 +133,22 @@ class TestSolve:
         assert errs[16] < errs[8]
 
     def test_natural_extension_interpolates_discrete_solution(self, benchmark_problem):
+        # X == 1 solves the discrete system, so one step keeps it and the
+        # returned extension reproduces it at the nodes
         grid = make_grid(0, 1, 10)
-        X = np.ones(11)
-        ext = natural_extension(benchmark_problem, grid, X, grid.nodes)
-        # at the nodes the extension satisfies the discrete equation
-        np.testing.assert_allclose(ext, X, rtol=0, atol=1e-12)
+        fn, _ = dl_solve(benchmark_problem, grid, ONE_STEP, x0=1.0)
+        np.testing.assert_allclose(fn(grid.nodes), 1.0, rtol=0, atol=1e-12)
+
+    def test_non_finite_iterate_diverges_with_partial_report(self):
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_one, polynomial_nonlinearity([0] * 20 + [1]),
+            lambda s: np.full(np.shape(s), 1e20),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularOperatorError) as info:
+                dl_solve(prob, make_grid(0, 1, 8), FAST)
+        assert info.value.report.status == "diverged"
+        assert [r.k for r in info.value.report.records] == [0]
 
     def test_callable_start(self, benchmark_problem):
         grid = make_grid(0, 1, 10)

@@ -9,9 +9,7 @@ from hammerstein import (
     SingularOperatorError,
     eval_operator_reference,
     get_nonlinearity,
-    ld_init,
     ld_solve,
-    ld_step,
     log_kernel,
     make_grid,
     smooth_kernel,
@@ -28,69 +26,80 @@ def linear_problem(y=np.cos):
     )
 
 
+ONE_STEP = LDSettings(max_iter=1, quad=QuadratureConfig(n_fine=256), sample_count=41)
+
+
 class TestInit:
     def test_default_start_is_rhs_on_benchmark(self, benchmark_problem):
+        # y == 1 is the exact solution, so the k = 0 record of the default
+        # start shows zero error and, with sin(pi) at the nodes, a tiny residual
         grid = make_grid(0, 1, 10)
-        state = ld_init(benchmark_problem, grid, settings=FAST)
-        np.testing.assert_array_equal(state.iterate.values, 1.0)
-        np.testing.assert_array_equal(state.nodal, np.ones(11))
-        assert state.k == 0
+        _, report = ld_solve(benchmark_problem, grid, ONE_STEP)
+        assert report.records[0].k == 0
+        assert report.records[0].true_error == 0.0
+        assert report.records[0].residual_norm <= 1e-15
 
     def test_zero_start(self, benchmark_problem):
+        # from u == 0 the operator term sin(0) vanishes: residual and error are 1
         grid = make_grid(0, 1, 10)
-        state = ld_init(benchmark_problem, grid, phi0=0.0, settings=FAST)
-        np.testing.assert_array_equal(state.nodal, 0.0)
+        _, report = ld_solve(benchmark_problem, grid, ONE_STEP, phi0=0.0)
+        assert report.records[0].residual_norm == 1.0
+        assert report.records[0].true_error == 1.0
 
     def test_default_start_on_manufactured_problem(self, cosine_problem):
         grid = make_grid(0, 1, 6)
-        state = ld_init(cosine_problem, grid, settings=FAST)
-        np.testing.assert_array_equal(
-            state.iterate.values, cosine_problem.y(state.eval_points)
-        )
+        _, default = ld_solve(cosine_problem, grid, ONE_STEP)
+        _, explicit = ld_solve(cosine_problem, grid, ONE_STEP, phi0=cosine_problem.y)
+        samples = np.linspace(0.0, 1.0, ONE_STEP.sample_count)
+        start_error = np.max(np.abs(cosine_problem.y(samples) - np.cos(samples)))
+        assert default.records[0].true_error == start_error
+        assert [r.residual_norm for r in default.records] == [
+            r.residual_norm for r in explicit.records
+        ]
 
     def test_nodal_matches_iterate_exactly(self, cosine_problem):
+        # the grid nodes belong to the iterate's point set, so nodal values
+        # are stored samples, never interpolated
         grid = make_grid(0, 1, 6)
-        state = ld_init(cosine_problem, grid, phi0=np.sin, settings=FAST)
-        np.testing.assert_array_equal(state.nodal, state.iterate(grid.nodes))
+        fn, _ = ld_solve(cosine_problem, grid, ONE_STEP, phi0=np.sin)
+        idx = np.searchsorted(fn.points, grid.nodes)
+        np.testing.assert_array_equal(fn.points[idx], grid.nodes)
+        np.testing.assert_array_equal(fn(grid.nodes), fn.values[idx])
 
 
 class TestStep:
     def test_benchmark_fixed_point(self, benchmark_problem):
         grid = make_grid(0, 1, 10)
-        state = ld_init(benchmark_problem, grid, settings=FAST)
-        new = ld_step(state, benchmark_problem, FAST)
-        assert new.k == 1
-        assert np.max(np.abs(new.nodal - 1.0)) <= 1e-13
-        assert np.max(np.abs(new.iterate.values - 1.0)) <= 1e-13
+        fn, report = ld_solve(benchmark_problem, grid, ONE_STEP)
+        assert report.records[-1].k == 1
+        assert report.records[1].step_norm <= 1e-13
+        assert np.max(np.abs(fn.values - 1.0)) <= 1e-13
 
     def test_zero_nonlinearity_reaches_rhs_exactly(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("zero"), np.cos
         )
         grid = make_grid(0, 1, 8)
-        state = ld_init(prob, grid, phi0=FUNCTIONS["one"], settings=FAST)
-        new = ld_step(state, prob, FAST)
-        np.testing.assert_array_equal(new.iterate.values, np.cos(new.eval_points))
+        fn, _ = ld_solve(prob, grid, ONE_STEP, phi0=FUNCTIONS["one"])
+        np.testing.assert_array_equal(fn.values, np.cos(fn.points))
 
     def test_affine_one_step_equals_direct_solve_from_zero(self):
         prob = linear_problem()
         grid = make_grid(0, 1, 20)
         x_direct = direct_nystrom_solution(prob, grid)
-        state = ld_init(prob, grid, phi0=0.0, settings=FAST)
-        new = ld_step(state, prob, FAST)
-        assert np.max(np.abs(new.nodal - x_direct)) <= 1e-12
+        fn, _ = ld_solve(prob, grid, ONE_STEP, phi0=0.0)
+        assert np.max(np.abs(fn(grid.nodes) - x_direct)) <= 1e-12
 
     def test_affine_one_step_any_start_with_matched_rule(self):
         # with the operator quadrature on the Newton grid itself, one step
         # from any start reproduces the direct solve of the linear system
         prob = linear_problem()
         grid = make_grid(0, 1, 20)
-        settings = LDSettings(quad=QuadratureConfig(n_fine=20), sample_count=41)
+        settings = LDSettings(max_iter=1, quad=QuadratureConfig(n_fine=20), sample_count=41)
         x_direct = direct_nystrom_solution(prob, grid)
         for phi0 in (np.sin, 0.7, np.exp):
-            state = ld_init(prob, grid, phi0=phi0, settings=settings)
-            new = ld_step(state, prob, settings)
-            assert np.max(np.abs(new.nodal - x_direct)) <= 1e-12
+            fn, _ = ld_solve(prob, grid, settings, phi0=phi0)
+            assert np.max(np.abs(fn(grid.nodes) - x_direct)) <= 1e-12
 
 
 class TestSolve:
@@ -129,8 +138,7 @@ class TestSolve:
         # starting at the exact solution, one step moves the nodal values by
         # no more than a small multiple of quadrature floor + solver tolerance
         grid = make_grid(0, 1, 12)
-        settings = LDSettings(quad=QuadratureConfig(n_fine=1024), sample_count=41)
-        state = ld_init(cosine_problem, grid, phi0=np.cos, settings=settings)
+        settings = LDSettings(max_iter=1, quad=QuadratureConfig(n_fine=1024), sample_count=41)
         # the residual of the exact solution measures the quadrature floor
         ws_floor = np.max(
             np.abs(
@@ -144,8 +152,8 @@ class TestSolve:
                 - cosine_problem.y(grid.nodes)
             )
         )
-        new = ld_step(state, cosine_problem, settings)
-        moved = np.max(np.abs(new.nodal - state.nodal))
+        _, report = ld_solve(cosine_problem, grid, settings, phi0=np.cos)
+        moved = report.records[1].step_norm  # max nodal change of the one step
         quad_floor = max(ws_floor, 3e-8)  # fine-rule error scale at n_fine=1024
         assert moved <= 10 * (quad_floor + settings.tol)
 

@@ -79,7 +79,6 @@ class TestNonlinearities:
         u = np.array([-1.0, 0.0, 2.0])
         np.testing.assert_allclose(nl.F(0.0, u), 1 - 2 * u + 0.5 * u**2 + 3 * u**3)
         np.testing.assert_allclose(nl.dF(0.0, u), -2 + u + 9 * u**2)
-        np.testing.assert_allclose(nl.d2F(0.0, u), 1 + 18 * u)
 
     def test_polynomial_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -88,7 +87,7 @@ class TestNonlinearities:
     def test_verify_catches_wrong_derivative(self, rng):
         from hammerstein import Nonlinearity
 
-        bad = Nonlinearity("bad", lambda t, u: u**2, lambda t, u: 3.0 * u, lambda t, u: 0 * u)
+        bad = Nonlinearity("bad", lambda t, u: u**2, lambda t, u: 3.0 * u)
         with pytest.raises(ValueError, match="dF"):
             verify_derivatives(bad, rng)
 

@@ -11,14 +11,12 @@ from hammerstein import (
     SampledFunction,
     adaptive_kernel_batch,
     algebraic_kernel,
-    apply_tangent_rule,
     eval_operator,
     eval_operator_reference,
     get_nonlinearity,
     log_kernel,
     make_grid,
     moment0,
-    moment1,
     product_weights,
     smooth_kernel,
     weight_matrix,
@@ -30,6 +28,13 @@ from oracles import oracle_weight_rows
 # singular point; independently confirmed by the adaptive engine)
 MOMENT1_LOG_QUARTER = -0.5531726702467689
 RAMP0_LOG_HALF_N2 = -0.29828679513998633
+
+
+def moment1(kernel, s, c, d):
+    """int_c^d H(s,t) t dt from one product-rule row on the single panel
+    [c, d]: the rule is exact on linear data, so w_0 c + w_1 d is the moment."""
+    grid = make_grid(c, d, 1)
+    return float(weight_matrix(grid, kernel, [s])[0] @ grid.nodes)
 
 
 def smooth_one():
@@ -48,7 +53,6 @@ class TestMoments:
 
     def test_empty_interval(self):
         assert moment0(log_kernel(), 0.3, 0.7, 0.7) == 0.0
-        assert moment1(algebraic_kernel(0.25), 0.3, 0.7, 0.7) == 0.0
 
     def test_algebraic_moment0_endpoint(self):
         assert moment0(algebraic_kernel(0.5), 0.0, 0.0, 1.0) == pytest.approx(2.0, abs=1e-14)
@@ -78,30 +82,31 @@ class TestMoments:
         for kernel in (log_kernel(), algebraic_kernel(beta)):
             ref0 = adaptive_kernel_batch(kernel, lambda t, i: np.ones_like(t), [s], c, d, tol=1e-12)
             assert moment0(kernel, s, c, d) == pytest.approx(float(ref0[0]), abs=1e-10)
-            ref1 = adaptive_kernel_batch(kernel, lambda t, i: t, [s], c, d, tol=1e-12)
-            assert moment1(kernel, s, c, d) == pytest.approx(float(ref1[0]), abs=1e-10)
+            if c < d:
+                ref1 = adaptive_kernel_batch(kernel, lambda t, i: t, [s], c, d, tol=1e-12)
+                assert moment1(kernel, s, c, d) == pytest.approx(float(ref1[0]), abs=1e-10)
 
 
 class TestProductWeights:
     def test_trapezoidal_degeneration(self):
         grid = make_grid(0.0, 1.0, 4)
-        w = product_weights(grid, smooth_one(), 0.37).w
+        w = product_weights(grid, smooth_one(), 0.37)
         expected = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
         assert np.all(np.abs(w - expected) <= 2 * np.spacing(expected))
 
     def test_log_weights_match_oracle_n2(self):
         grid = make_grid(0.0, 1.0, 2)
-        wv = product_weights(grid, log_kernel(), 0.5)
+        w = product_weights(grid, log_kernel(), 0.5)
         W_ref = oracle_weight_rows(log_kernel(), grid, [0.5], tol=1e-12)[0]
-        np.testing.assert_allclose(wv.w, W_ref, rtol=0, atol=1e-10)
-        assert wv.w[0] == pytest.approx(RAMP0_LOG_HALF_N2, abs=1e-14)
+        np.testing.assert_allclose(w, W_ref, rtol=0, atol=1e-10)
+        assert w[0] == pytest.approx(RAMP0_LOG_HALF_N2, abs=1e-14)
 
     def test_reflection_symmetry(self, rng):
         grid = make_grid(0.0, 1.0, 7)
         for kernel in (log_kernel(), algebraic_kernel(0.5)):
             for s in rng.uniform(0, 1, 10):
-                w = product_weights(grid, kernel, s).w
-                w_ref = product_weights(grid, kernel, 1.0 - s).w
+                w = product_weights(grid, kernel, s)
+                w_ref = product_weights(grid, kernel, 1.0 - s)
                 np.testing.assert_allclose(w, w_ref[::-1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50])
@@ -131,22 +136,18 @@ class TestProductWeights:
 
 
 class TestTangentRule:
-    def _problem(self, nonlin="identity"):
-        return HammersteinProblem(
-            0.0, 1.0, smooth_one(), L_one, get_nonlinearity(nonlin), FUNCTIONS["zero"]
-        )
+    """Weight rows applied to nodal data, as the LD step applies them to the
+    data of the linearized operator; with L = dF = 1 that is the row itself."""
 
     def test_zero_data(self):
         grid = make_grid(0.0, 1.0, 4)
-        x = SampledFunction(grid.nodes, np.ones(5))
-        assert apply_tangent_rule(grid, self._problem(), x, np.zeros(5), 0.3) == 0.0
+        assert weight_matrix(grid, smooth_one(), [0.3])[0] @ np.zeros(5) == 0.0
 
     def test_trapezoidal_exactness_on_linear_data(self):
         # H = L = dF = 1 and nodal data from h(t) = t: the rule integrates
         # piecewise-linear data exactly, so the value is 1/2
         grid = make_grid(0.0, 1.0, 4)
-        x = SampledFunction(grid.nodes, np.ones(5))
-        val = apply_tangent_rule(grid, self._problem(), x, grid.nodes, 0.3)
+        val = weight_matrix(grid, smooth_one(), [0.3])[0] @ grid.nodes
         assert val == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_reference_on_interpolated_data(self, rng):
@@ -155,18 +156,11 @@ class TestTangentRule:
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("identity"), FUNCTIONS["zero"]
         )
         h_vals = rng.standard_normal(9)
-        x = SampledFunction(grid.nodes, np.ones(9))
         interp = SampledFunction(grid.nodes, h_vals)
         for s in (0.0, 0.3, 0.5, 1.0):
-            val = apply_tangent_rule(grid, prob, x, h_vals, s)
+            val = weight_matrix(grid, prob.kernel, [s])[0] @ h_vals
             ref = eval_operator_reference(prob, interp, s, tol=1e-12)
             assert val == pytest.approx(ref, abs=1e-10)
-
-    def test_requires_nodes_in_points(self):
-        grid = make_grid(0.0, 1.0, 4)
-        x = SampledFunction([0.0, 0.3, 1.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="subset"):
-            apply_tangent_rule(grid, self._problem(), x, np.zeros(5), 0.3)
 
 
 class TestEvalOperator:

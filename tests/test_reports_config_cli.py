@@ -31,6 +31,10 @@ FAST_BENCH = {
     "sample_count": 21,
 }
 
+# F = u**20 at u = 1e20 overflows: the very first iterate is not finite
+OVERFLOW = {**MINIMAL, "F": {"poly": [0] * 20 + [1]}, "y": 1e20, "n": 8, "n_fine": 64,
+            "solver": "ld"}
+
 
 def record_strategy():
     f = st.floats(
@@ -173,9 +177,7 @@ class TestValidateConfig:
         # expressed via the config registry, so patch one in directly
         import hammerstein.problem as pm
 
-        broken = pm.Nonlinearity(
-            "broken", lambda t, u: u**2, lambda t, u: 3.0 * u, lambda t, u: 0.0 * u
-        )
+        broken = pm.Nonlinearity("broken", lambda t, u: u**2, lambda t, u: 3.0 * u)
         try:
             pm.NONLINEARITIES["broken"] = broken
             with pytest.raises(ConfigError, match="F"):
@@ -284,6 +286,18 @@ class TestCli:
         assert text.startswith("method,k,")
         assert "ld,0," in text
         assert "synthetic failure" in capsys.readouterr().err
+
+    def test_non_finite_iterate_diverges_with_partial_csv(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, OVERFLOW)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+            assert cli_main(["nsweep", "--config", cfg, "--out", str(out), "--n", "4,8"]) == 3
+            outcome = run_nsweep(config_from_dict(OVERFLOW, out_dir_override=tmp_path), [4, 8])
+        assert "ld: status=diverged" in capsys.readouterr().out
+        assert "\nld,0," in (out / "solve.csv").read_text()
+        assert (out / "nsweep.csv").read_text().startswith("n,k,true_error\n4,0,")
+        assert [r.status for r in outcome.reports] == ["diverged"]
 
     def test_nsweep_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
