@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -97,6 +98,10 @@ def _expect(cond: bool, path: str, message: str):
 def _as_number(raw, path: str, *, integer=False) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         _fail(path, f"expected a number, got {type(raw).__name__}")
+    # Python's json reads NaN, Infinity and integers of any size
+    if not abs(raw) <= sys.float_info.max:
+        shown = raw if isinstance(raw, float) else "an integer beyond the float range"
+        _fail(path, f"expected a finite number, got {shown}")
     if integer and int(raw) != raw:
         _fail(path, f"expected an integer, got {raw}")
     return int(raw) if integer else float(raw)
@@ -270,6 +275,6 @@ def validate_config(path, out_dir_override=None) -> RunConfig:
         raise ConfigError(f"config: file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise ConfigError(f"config: invalid JSON in {p}: {exc}") from exc
     return config_from_dict(raw, out_dir_override=out_dir_override)

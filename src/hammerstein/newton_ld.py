@@ -10,6 +10,13 @@ values that are never re-interpolated from coarser data.
 The limit of the iteration is set by the accuracy of the operator
 evaluation (the quadrature config), not by the Newton grid size n.
 
+In fine mode the operator is the product rule on n_fine panels, applied
+without its dense matrix (`_FineRule`): at the fine nodes the weights are a
+Toeplitz matrix plus two boundary columns, applied by FFT, and L enters
+through a Chebyshev interpolant in s of adaptively chosen size r. An apply
+costs O(r n_fine log n_fine) and the operator holds O(r n_fine) numbers,
+plus dense rows for the evaluation points off the fine grid.
+
 The Newton loop itself (`_newton`: records, stopping and failure statuses)
 and the settings it reads are shared with the DL solver in newton_dl.
 """
@@ -24,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import SingularSystemError, solve_dense
-from .problem import Grid, HammersteinProblem, SampledFunction, make_grid
+from .problem import KERNEL_SMOOTH, Grid, HammersteinProblem, SampledFunction, make_grid
 from .quadrature import QuadratureConfig, SubtractionPlan, weight_matrix
 from .reports import IterationRecord, SolveReport
 
@@ -78,6 +85,208 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
     return np.full(points.shape, float(phi0))
 
 
+# Rank search for L(s, t) in s: Chebyshev points of the second kind, nested
+# as 2, 3, 5, 9, ... points. A level is accepted once its interpolant
+# reproduces L to _RANK_TOL * max|L| at the next level's new points and at
+# _CHECK_COUNT fine nodes s = t_i, each against every t_j. The nested points
+# alone can be aliased: cos(pi s) on [0, 1] is 0 at the one new point of
+# level 3, and so is its linear interpolant. The fine nodes are where the
+# operator uses the interpolant; the checked ones follow the golden-ratio
+# sequence rather than a symmetric pattern.
+# An L that needs more than _MAX_RANK points keeps dense operator rows.
+# The cap is where the structured operator stops paying within a solve of
+# up to 31 applies (max_iter 30) at the default n_fine = 4096: measured on a
+# 2-vCPU host, an apply at r = 129 takes 27-36 ms there, against a dense
+# build of 0.66-0.74 s and a dense apply of 13-14 ms, so it breaks even
+# after 30-68 applies. At n_fine = 1024 (10 ms against 0.05 s and 0.6 ms)
+# the dense rows win after 5-6 applies, which costs at most 0.25 s a solve.
+_RANK_TOL = 1e-14
+_MAX_RANK = 129
+_CHECK_COUNT = 32
+
+
+# Largest product, in multiply-adds, that one BLAS call in _product gets.
+# OpenBLAS runs a product this small on the calling thread. A larger one
+# wakes its worker threads, and each worker then spins on its core for
+# about 0.1 s after the call returns. On a 2-vCPU host the whole-matrix
+# products of the rank search and the dense-row apply kept a worker
+# spinning for 0.21 s of each 0.78 s compare_fine op, and made the op 14%
+# slower whenever another process wanted that core; split, they wake no
+# worker (measured: a 16 x 17 x 963 product and a 256 x 1024 matvec stayed
+# on one thread, 16 x 17 x 4097 and 500 x 1024 did not).
+_BLAS_BLOCK = 2**18
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b in BLAS calls of at most _BLAS_BLOCK multiply-adds: by rows of
+    a when b is a vector, else by columns of b."""
+    if b.ndim == 1:
+        out = np.empty(a.shape[0])
+        step = max(1, _BLAS_BLOCK // b.size)
+        for i in range(0, a.shape[0], step):
+            out[i : i + step] = a[i : i + step] @ b
+    else:
+        out = np.empty((a.shape[0], b.shape[1]))
+        step = max(1, _BLAS_BLOCK // a.size)
+        for j in range(0, b.shape[1], step):
+            out[:, j : j + step] = a @ b[:, j : j + step]
+    return out
+
+
+def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """L on the lattice s x t, shape (s.size, t.size)."""
+    vals = np.asarray(L(s[:, None], t[None, :]), dtype=float)
+    return np.broadcast_to(vals, (s.size, t.size))
+
+
+def _barycentric_basis(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Lagrange basis ell_k(x_i), shape (nodes.size, x.size), by the second
+    barycentric formula; a point that coincides with a node gets its unit
+    column exactly."""
+    d = x[None, :] - nodes[:, None]
+    hit = d == 0.0
+    on_node = hit.any(axis=0)
+    d[:, on_node] = 1.0
+    q = weights[:, None] / d
+    denom = q.sum(axis=0)
+    denom[on_node] = 1.0
+    basis = q / denom
+    basis[:, on_node] = hit[:, on_node]
+    return basis
+
+
+def _chebyshev_factor(L, a: float, b: float, t: np.ndarray):
+    """Low-rank form of L(s, t_j) in s, or None when none meets _RANK_TOL.
+
+    Returns (ell, samples): the Lagrange basis of the r interpolation points
+    sigma_k on [a, b] at the nodes t, shape (r, t.size), and L(sigma_k, t_j),
+    shape (r, t.size).
+    """
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    check = np.unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * t.size).astype(int))
+    L_check = _L_values(L, t[check], t)
+    sigma = np.array([b, a])
+    samples = _L_values(L, sigma, t)
+    scale = max(np.max(np.abs(samples)), np.max(np.abs(L_check)))
+    while True:
+        r = sigma.size
+        weights = (-1.0) ** np.arange(r)
+        weights[[0, -1]] *= 0.5
+        m = 2 * (r - 1)
+        new_sigma = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.arange(1, m, 2) / m)
+        new = _L_values(L, new_sigma, t)
+        scale = max(scale, np.max(np.abs(new)))
+        tol = _RANK_TOL * scale
+        basis = _barycentric_basis(new_sigma, sigma, weights)
+        if np.max(np.abs(_product(basis.T, samples) - new)) <= tol:
+            basis = _barycentric_basis(t[check], sigma, weights)
+            if np.max(np.abs(_product(basis.T, samples) - L_check)) <= tol:
+                return _barycentric_basis(t, sigma, weights), samples
+        if r >= _MAX_RANK:
+            return None
+        # the next level interleaves the current points with the new ones
+        merged = np.empty(m + 1)
+        merged[0::2], merged[1::2] = sigma, new_sigma
+        merged_samples = np.empty((m + 1, t.size))
+        merged_samples[0::2], merged_samples[1::2] = samples, new
+        sigma, samples = merged, merged_samples
+
+
+def _dense_rows(fine: Grid, kernel, L, s: np.ndarray) -> np.ndarray:
+    """Fine product-rule rows weight_matrix * L at the points s."""
+    wl = np.empty((s.size, fine.n + 1))
+    # chunks of 32k entries keep each temporary of weight_matrix and L near
+    # 256 kB, which malloc serves from reused heap memory once a solve has
+    # freed a block of a few MB (WL_coarse does), instead of page-faulting a
+    # fresh mmap per chunk. On a 2-vCPU host the 192 off-grid rows of a
+    # compare_fine op (n_fine = 4096) took 0.03 s and 220 page faults,
+    # against 0.10 s and 15.6k faults with 250k-entry chunks. A full dense
+    # build of 4288 rows in a fresh process took 1.5-1.8 s and peaked at
+    # 143 MB, against 2.4-2.8 s and 161 MB (250k) and 1.8-2.1 s and 301 MB
+    # (2M); after a solve it took 0.7 s
+    chunk = max(1, int(32_768 // (fine.n + 1)))
+    for start in range(0, s.size, chunk):
+        sl = slice(start, min(start + chunk, s.size))
+        wl[sl] = weight_matrix(fine, kernel, s[sl]) * np.asarray(
+            L(s[sl, None], fine.nodes[None, :]), dtype=float
+        )
+    return wl
+
+
+class _FineRule:
+    """The product rule on the n_fine-panel grid, at every evaluation point.
+
+    At a fine node t_i the log and alg weights w_j(t_i) depend only on j - i,
+    except in the boundary columns j = 0 and j = N. The interior columns are
+    a Toeplitz matrix T, applied by FFT on its circulant embedding, and L
+    enters through its Chebyshev interpolant in s at r points sigma_k:
+
+        K(t_i) = sum_k ell_k(t_i) [T (L(sigma_k, .) F)]_i
+                 + w_0(t_i) L(t_i, t_0) F_0 + w_N(t_i) L(t_i, t_N) F_N.
+
+    That costs O(r N log N) per apply and O(r N) memory. Dense rows
+    weight_matrix * L remain for the points off the fine grid, and for every
+    point when H is smooth (not a function of t - s) or L needs more than
+    _MAX_RANK interpolation points.
+    """
+
+    def __init__(self, problem: HammersteinProblem, fine: Grid, points, fine_idx):
+        kernel, L = problem.kernel, problem.L
+        N, t = fine.n, fine.nodes
+        self.size = points.size
+        self.fine_idx = fine_idx
+        self.ell = None
+        factor = None
+        if kernel.kind != KERNEL_SMOOTH:
+            factor = _chebyshev_factor(L, problem.a, problem.b, t)
+        if factor is None:
+            self.dense_idx = np.arange(points.size)
+        else:
+            self.ell, samples = factor
+            off_grid = np.ones(points.size, dtype=bool)
+            off_grid[fine_idx] = False
+            self.dense_idx = np.flatnonzero(off_grid)
+            # the boundary columns are added exactly, outside the convolution
+            self.L_sigma = samples.copy()
+            self.L_sigma[:, [0, N]] = 0.0
+
+            # interior symbol c_k = w_{i+k}(t_i), k = -(N-1)..N-1, from the
+            # rows at t_0, t_1 and t_N
+            rows = weight_matrix(fine, kernel, t[[0, 1, N]])
+            c = np.concatenate([rows[2, 1:N], rows[1, 1:2], rows[0, 1:N]])
+            v = np.zeros(2 * N)
+            v[:N] = c[N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
+            v[N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
+            self.symbol = np.fft.rfft(v)
+
+            # boundary columns from one-panel grids; weight_matrix divides
+            # by its own grid's h, so rescale to the fine grid's
+            first = make_grid(t[0], t[1], 1)
+            last = make_grid(t[N - 1], t[N], 1)
+            L_ends = _L_values(L, t, t[[0, N]])
+            self.col_first = (
+                weight_matrix(first, kernel, t)[:, 0] * (first.h / fine.h) * L_ends[:, 0]
+            )
+            self.col_last = (
+                weight_matrix(last, kernel, t)[:, 1] * (last.h / fine.h) * L_ends[:, 1]
+            )
+        self.WL_dense = _dense_rows(fine, kernel, L, points[self.dense_idx])
+
+    def __call__(self, ft: np.ndarray) -> np.ndarray:
+        """Operator values at every evaluation point from F at the fine nodes."""
+        out = np.empty(self.size)
+        out[self.dense_idx] = _product(self.WL_dense, ft)
+        if self.ell is not None:
+            m = 2 * (ft.size - 1)
+            conv = np.fft.irfft(np.fft.rfft(self.L_sigma * ft, m) * self.symbol, m)
+            out[self.fine_idx] = (
+                np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
+                + self.col_first * ft[0]
+                + self.col_last * ft[-1]
+            )
+        return out
+
+
 class _Workspace:
     """LD discretization: geometry-dependent factors shared by every step.
 
@@ -108,14 +317,7 @@ class _Workspace:
             fine = make_grid(problem.a, problem.b, settings.quad.n_fine)
             self.fine_nodes = fine.nodes
             self.fine_idx = self._locate(fine.nodes)
-            wl = np.empty((self.points.size, fine.n + 1))
-            chunk = max(1, int(2_000_000 // (fine.n + 1)))
-            for start in range(0, self.points.size, chunk):
-                sl = slice(start, min(start + chunk, self.points.size))
-                wl[sl] = weight_matrix(fine, kernel, self.points[sl]) * np.asarray(
-                    L(self.points[sl, None], fine.nodes[None, :]), dtype=float
-                )
-            self.WL_fine = wl
+            self.fine_rule = _FineRule(problem, fine, self.points, self.fine_idx)
             self.plan = None
         else:
             self.plan = SubtractionPlan(problem, self.points, settings.quad.gl_points)
@@ -138,7 +340,7 @@ class _Workspace:
         nl = self.problem.nonlin
         if self.plan is None:
             ft = np.asarray(nl.F(self.fine_nodes, values[self.fine_idx]), dtype=float)
-            return self.WL_fine @ ft
+            return self.fine_rule(ft)
         return self.plan.apply(lambda t: np.interp(t, self.points, values))
 
     def start(self, phi0):

@@ -65,3 +65,18 @@ def direct_nystrom_solution(problem, grid):
     )
     Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape)
     return solve_dense(np.eye(grid.n + 1) - A, Y)
+
+
+def dense_fine_operator(problem, points, n_fine, ft):
+    """Fine product-rule operator values at ``points`` from F at the fine nodes.
+
+    Row i is w_j(points[i]) L(points[i], t_j) over the n_fine-panel grid, the
+    full dense matrix, with no use of Toeplitz or low-rank structure.
+    """
+    from hammerstein import make_grid, weight_matrix
+
+    fine = make_grid(problem.a, problem.b, n_fine)
+    WL = weight_matrix(fine, problem.kernel, points) * np.asarray(
+        problem.L(points[:, None], fine.nodes[None, :]), dtype=float
+    )
+    return WL @ ft

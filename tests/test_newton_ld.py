@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from hammerstein import (
     FUNCTIONS,
     HammersteinProblem,
     LDSettings,
+    Nonlinearity,
     QuadratureConfig,
     SingularOperatorError,
+    algebraic_kernel,
     eval_operator_reference,
     get_nonlinearity,
     ld_solve,
@@ -14,8 +18,9 @@ from hammerstein import (
     make_grid,
     smooth_kernel,
 )
-from hammerstein.problem import L_one
-from oracles import direct_nystrom_solution
+from hammerstein.newton_ld import _product
+from hammerstein.problem import L_exp_st, L_one, L_zero
+from oracles import dense_fine_operator, direct_nystrom_solution
 
 FAST = LDSettings(quad=QuadratureConfig(n_fine=256), sample_count=41)
 
@@ -196,6 +201,105 @@ class TestSolve:
         fn, report = ld_solve(benchmark_problem, grid, settings)
         assert report.status == "converged"
         assert report.records[-1].true_error <= 1e-10
+
+
+def _g(t):
+    return np.cos(5.0 * t) + t**2
+
+
+# F depends on t only, so dF = 0: one LD step from any start returns exactly
+# K + y at every evaluation point, and y = 0 leaves the operator values K
+T_ONLY = Nonlinearity(
+    "t_only", lambda t, u: _g(t) + 0.0 * u, lambda t, u: np.zeros(np.broadcast(t, u).shape)
+)
+
+
+def L_kinked(s, t):
+    # not smooth in s: no Chebyshev interpolant of bounded size resolves it
+    return np.abs(np.asarray(s, dtype=float) - 0.3) + 0.0 * t
+
+
+# Smooth in s, but each agrees with its linear interpolant at s = 0, 0.5, 1,
+# the first nested Chebyshev points, so a rank check on nested points alone
+# would take them for rank 2.
+def L_cos_pi(s, t):
+    return np.cos(np.pi * np.asarray(s, dtype=float)) + 0.0 * t
+
+
+def L_odd_cubic(s, t):
+    s = np.asarray(s, dtype=float)
+    return s + (s - 0.5) ** 3 + 0.0 * t
+
+
+def L_cheb_T3(s, t):
+    x = 2.0 * np.asarray(s, dtype=float) - 1.0
+    return 4.0 * x**3 - 3.0 * x + 0.0 * t
+
+
+class TestFineOperator:
+    N_FINE = 256
+
+    def _check(self, kernel, L, n, a=0.0, b=1.0):
+        prob = HammersteinProblem(a, b, kernel, L, T_ONLY, FUNCTIONS["zero"])
+        settings = LDSettings(max_iter=1, quad=QuadratureConfig(n_fine=self.N_FINE),
+                              sample_count=41)
+        fn, _ = ld_solve(prob, make_grid(a, b, n), settings)
+        fine_nodes = np.linspace(a, b, self.N_FINE + 1)
+        want = dense_fine_operator(prob, fn.points, self.N_FINE, _g(fine_nodes))
+        assert np.max(np.abs(fn.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [7, 16])  # n does not / does divide n_fine
+    @pytest.mark.parametrize(
+        "L",
+        [L_one, L_zero, L_exp_st, L_kinked, L_cos_pi, L_odd_cubic, L_cheb_T3],
+        ids=["one", "zero", "exp_st", "kinked", "cos_pi", "odd_cubic", "cheb_T3"],
+    )
+    @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3),
+                                        algebraic_kernel(0.7)],
+                             ids=["log", "alg0.3", "alg0.7"])
+    def test_matches_dense_product_rule(self, kernel, L, n):
+        self._check(kernel, L, n)
+
+    def test_smooth_kernel_matches_dense_product_rule(self):
+        # H(s, t) = exp(s t) is not a function of t - s
+        self._check(smooth_kernel(lambda s, t: np.exp(s * t)), L_one, 7)
+
+    def test_offset_domain_matches_dense_product_rule(self):
+        # fine-node differences t_j - t_i carry rounding away from a = 0
+        self._check(log_kernel(), L_exp_st, 7, a=0.3, b=2.9)
+
+    @pytest.mark.parametrize("shape", [(0, 4097), (1, 4097), (200, 4097), (10, 70000)])
+    def test_split_matvec_matches_whole(self, shape, rng):
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[1])
+        np.testing.assert_allclose(_product(a, b), a @ b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m, r, N", [(1, 2, 257), (16, 17, 4097), (32, 65, 4097)])
+    def test_split_matrix_product_matches_whole(self, m, r, N, rng):
+        # basis.T @ samples in the rank search, with columns over several calls
+        basis = rng.standard_normal((r, m))
+        samples = rng.standard_normal((r, N))
+        np.testing.assert_allclose(
+            _product(basis.T, samples), basis.T @ samples, rtol=1e-12, atol=1e-12
+        )
+
+    def test_memory_grows_linearly_in_n_fine(self):
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("sin_pi"), FUNCTIONS["one"]
+        )
+        peaks = []
+        for n_fine in (1024, 4096):
+            settings = LDSettings(max_iter=1, quad=QuadratureConfig(n_fine=n_fine))
+            tracemalloc.start()
+            try:
+                fn, _ = ld_solve(prob, make_grid(0, 1, 16), settings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] < 8
+        # the dense points x (n_fine + 1) operator alone would take this much
+        dense_bytes = fn.points.size * (4096 + 1) * 8
+        assert peaks[1] < dense_bytes / 2
 
 
 class TestSettings:

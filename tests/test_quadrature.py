@@ -21,6 +21,7 @@ from hammerstein import (
     smooth_kernel,
     weight_matrix,
 )
+from hammerstein import quadrature
 from hammerstein.problem import L_one
 from oracles import oracle_weight_rows
 
@@ -260,6 +261,18 @@ class TestReferenceQuadrature:
             moment0(kernel, 0.25, 0.0, 0.5),
         ]
         np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-11)
+
+
+    def test_blocked_batch_matches_one_block(self, monkeypatch):
+        # 1500 tasks give over 3000 intervals, so each rule pair runs in
+        # several blocks of _REF_BLOCK intervals
+        kernel = log_kernel()
+        s = np.linspace(0.0, 1.0, 1500)
+        g = lambda t, i: np.cos(3.0 * t) * (1.0 + s[i])
+        blocked = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
+        monkeypatch.setattr(quadrature, "_REF_BLOCK", 10**9)
+        whole = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-15)
 
 
 class TestQuadratureConfig:

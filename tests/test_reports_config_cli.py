@@ -112,6 +112,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="JSON"):
             validate_config(path)
 
+    def test_oversized_integer_literal(self, tmp_path):
+        # Python's json refuses integer literals over 4300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text('{"kernel": "log", "L": "one", "F": "sin_pi", "y": 1, "n": 1'
+                        + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match="JSON"):
+            validate_config(path)
+
     @pytest.mark.parametrize(
         "patch,field",
         [
@@ -265,6 +274,24 @@ class TestCli:
         code = cli_main(["solve", "--config", cfg])
         assert code == 2
         assert "F" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"n": float("nan")}, "n"),
+            ({"n_fine": float("inf")}, "n_fine"),
+            ({"domain": [0, float("inf")]}, "domain[1]"),
+            ({"n": 10**400}, "n"),
+        ],
+        ids=["n_nan", "n_fine_inf", "domain_inf", "n_huge_int"],
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, patch, field):
+        # json.dumps writes NaN / Infinity and integers of any size, which
+        # Python's json reads back; 10**400 is beyond the float range
+        cfg = self._write(tmp_path, {**MINIMAL, **patch})
+        code = cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field}: expected a finite number" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
