@@ -64,6 +64,10 @@ _DEFAULTS: dict[str, Any] = {
 
 _REQUIRED = ("kernel", "L", "F", "n")
 
+# numpy refuses an array of more than intp.max bytes ("array is too big");
+# n, n_fine and sample_count each size an array of at least value + 1 floats
+_MAX_NODES = np.iinfo(np.intp).max // 8
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
@@ -105,6 +109,10 @@ def _as_number(raw, path: str, *, integer=False) -> float:
     if integer and int(raw) != raw:
         _fail(path, f"expected an integer, got {raw}")
     return int(raw) if integer else float(raw)
+
+
+def _expect_array_size(value: int, path: str) -> None:
+    _expect(value + 1 <= _MAX_NODES, path, f"too large for a node array, got {value}")
 
 
 def _build_kernel(raw, beta, path: str) -> SingularKernel:
@@ -180,6 +188,7 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
 
     n = _as_number(cfg["n"], "n", integer=True)
     _expect(n >= 1, "n", f"must be at least 1, got {n}")
+    _expect_array_size(n, "n")
 
     solver = cfg["solver"]
     _expect(solver in ("ld", "dl", "both"), "solver", f"must be ld, dl or both, got {solver!r}")
@@ -189,6 +198,8 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
     n_fine = _as_number(cfg["n_fine"], "n_fine", integer=True)
     gl_points = _as_number(cfg["gl_points"], "gl_points", integer=True)
     sample_count = _as_number(cfg["sample_count"], "sample_count", integer=True)
+    _expect_array_size(n_fine, "n_fine")
+    _expect_array_size(sample_count, "sample_count")
     # the settings classes check their own ranges; their messages start
     # with the field name
     try:

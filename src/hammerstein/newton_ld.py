@@ -385,7 +385,10 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
     drops to settings.tol ("converged") or after settings.max_iter steps
     ("max_iter", not fatal). A numerically singular linear system
     ("singular") or a non-finite residual or step norm ("diverged") raises
-    SingularOperatorError carrying the partial report.
+    SingularOperatorError carrying the partial report. A linear system that
+    fails after the residual norm grew at each of the last two recorded
+    iterations is reported as "diverged": the iterate ran away, and the
+    singular matrix is a symptom of that.
     """
     tic = time.perf_counter()
     iterate = disc.start(phi0)
@@ -395,10 +398,17 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
         try:
             iterate, step_norm = disc.step(iterate)
         except SingularSystemError as exc:
-            report.status = "singular"
-            raise SingularOperatorError(
-                f"{report.method}: linearized system singular at iteration {k}: {exc}", report
-            ) from exc
+            res = [r.residual_norm for r in report.records[-3:]]
+            if len(res) == 3 and res[0] < res[1] < res[2]:
+                report.status = "diverged"
+                reason = (
+                    f"residual norm grew to {res[2]:.3e} over the last two iterations, "
+                    f"then the linearized system at iteration {k} failed"
+                )
+            else:
+                report.status = "singular"
+                reason = f"linearized system singular at iteration {k}"
+            raise SingularOperatorError(f"{report.method}: {reason}: {exc}", report) from exc
         _record(disc, report, k, step_norm, iterate, tic)
         if step_norm <= settings.tol:
             report.status = "converged"

@@ -13,7 +13,11 @@ An independent adaptive engine (`adaptive_kernel_batch`) supplies reference
 values for tests and manufactured right-hand sides. It never touches the
 analytic antiderivatives: singular integrands are tamed by an exact change
 of variable at t = s and then refined by interval halving with an embedded
-Gauss pair error estimate.
+Gauss pair error estimate. A batch is laid out as profiles, one change of
+variable each (a left and a right one for a task whose singular point lies in
+its range, a direct one otherwise), and the intervals between each profile's
+breaks. Both tables are built with array operations, and every refinement
+round treats the whole batch at once.
 """
 
 from __future__ import annotations
@@ -361,19 +365,16 @@ def _rule_pair(fun, lo, hi, prof):
         sl = slice(start, start + _REF_BLOCK)
         mid = 0.5 * (lo[sl] + hi[sl])
         half = 0.5 * (hi[sl] - lo[sl])
-        th = mid[:, None] + half[:, None] * xh
-        vh = fun(th.ravel(), np.repeat(prof[sl], _REF_HI)).reshape(th.shape)
-        ih[sl] = half * (vh @ wh)
-        tl = mid[:, None] + half[:, None] * xl
-        vl = fun(tl.ravel(), np.repeat(prof[sl], _REF_LO)).reshape(tl.shape)
-        il[sl] = half * (vl @ wl)
+        ih[sl] = half * (fun(mid[:, None] + half[:, None] * xh, prof[sl]) @ wh)
+        il[sl] = half * (fun(mid[:, None] + half[:, None] * xl, prof[sl]) @ wl)
     return ih, np.abs(ih - il)
 
 
 def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=600):
     """Interval-halving refinement of a batch of transformed integrals.
 
-    fun(points, profile_ids) evaluates the integrand; profiles group
+    fun(points, profile_ids) evaluates the integrand on an (intervals, nodes)
+    block of points, one profile id per interval; profiles group
     intervals that share transform parameters, tasks group profiles whose
     values are summed into one integral. tol is absolute, per task.
     """
@@ -383,8 +384,8 @@ def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=
     if lo.size == 0:
         return np.zeros(n_tasks), np.zeros(n_tasks)
     val, err = _rule_pair(fun, lo, hi, prof)
-    evals = np.zeros(n_tasks)
-    np.add.at(evals, task_of_prof[prof], _REF_LO + _REF_HI)
+    per_interval = _REF_LO + _REF_HI
+    evals = per_interval * np.bincount(task_of_prof[prof], minlength=n_tasks)
     for _ in range(max_rounds):
         tid = task_of_prof[prof]
         tot_err = np.bincount(tid, weights=err, minlength=n_tasks)
@@ -408,7 +409,7 @@ def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=
         c_hi = np.concatenate([mid[cand], hi[cand]])
         c_prof = np.concatenate([prof[cand], prof[cand]])
         c_val, c_err = _rule_pair(fun, c_lo, c_hi, c_prof)
-        np.add.at(evals, task_of_prof[c_prof], _REF_LO + _REF_HI)
+        evals += per_interval * np.bincount(task_of_prof[c_prof], minlength=n_tasks)
         lo = np.concatenate([lo[~cand], c_lo])
         hi = np.concatenate([hi[~cand], c_hi])
         prof = np.concatenate([prof[~cand], c_prof])
@@ -474,79 +475,111 @@ def adaptive_kernel_batch(
         power = 1.0 / (1.0 - kernel.beta)
     else:
         power = 1.0
+    kind, ps, sgn, task, lo, hi, cut_of, cuts = _profile_table(
+        kernel.kind == KERNEL_SMOOTH, svals, c, d, breaks, 1.0 / power
+    )
+    iv_lo, iv_hi, iv_prof = _interval_table(lo, hi, cut_of, cuts)
 
-    prof_kind, prof_s, prof_sgn, prof_task = [], [], [], []
-    iv_lo, iv_hi, iv_prof = [], [], []
+    def direct(v, pid):
+        t = v.ravel()
+        ss = np.repeat(ps[pid], v.shape[1])
+        hv = np.asarray(kernel.evaluate(ss, t), dtype=float)
+        return (hv * g(t, np.repeat(task[pid], v.shape[1]))).reshape(v.shape)
 
-    def add_profile(kind, s, sgn, task, lo, hi, cuts=()):
-        if hi <= lo:
-            return
-        pid = len(prof_kind)
-        prof_kind.append(kind)
-        prof_s.append(s)
-        prof_sgn.append(sgn)
-        prof_task.append(task)
-        edges = np.concatenate(([lo], np.asarray(cuts, dtype=float), [hi]))
-        edges = np.unique(edges[(edges >= lo) & (edges <= hi)])
-        iv_lo.extend(edges[:-1])
-        iv_hi.extend(edges[1:])
-        iv_prof.extend([pid] * (edges.size - 1))
+    def transformed(v, pid):
+        t = ps[pid][:, None] + sgn[pid][:, None] * v**power
+        gv = g(t.ravel(), np.repeat(task[pid], v.shape[1])).reshape(v.shape)
+        if kernel.kind == KERNEL_LOG:
+            return 4.0 * v * np.log(v) * gv
+        return power * gv
 
-    for i in range(n_tasks):
-        s, ci, di = svals[i], c[i], d[i]
-        inner = breaks[(breaks > ci) & (breaks < di)]
-        if kernel.kind == KERNEL_SMOOTH or s < ci or s > di:
-            add_profile(_PROFILE_DIRECT, s, 1.0, i, ci, di, cuts=inner)
-            continue
-        if s > ci:  # left side, t = s - v**power
-            cuts = (s - inner[inner < s]) ** (1.0 / power)
-            add_profile(
-                _PROFILE_POWER, s, -1.0, i, 0.0, (s - ci) ** (1.0 / power), cuts=cuts
-            )
-        if s < di:  # right side, t = s + v**power
-            cuts = (inner[inner > s] - s) ** (1.0 / power)
-            add_profile(
-                _PROFILE_POWER, s, 1.0, i, 0.0, (di - s) ** (1.0 / power), cuts=cuts
-            )
+    if np.all(kind == _PROFILE_POWER):
+        fun = transformed
+    elif np.all(kind == _PROFILE_DIRECT):
+        fun = direct
+    else:
 
-    prof_kind = np.array(prof_kind, dtype=np.intp)
-    prof_s = np.array(prof_s, dtype=float)
-    prof_sgn = np.array(prof_sgn, dtype=float)
-    prof_task = np.array(prof_task, dtype=np.intp)
-
-    if kernel.kind == KERNEL_ALG:
-        beta = kernel.beta
-
-    def fun(v, pid):
-        out = np.empty_like(v)
-        kinds = prof_kind[pid]
-        m = kinds == _PROFILE_DIRECT
-        if m.any():
-            t = v[m]
-            ss = prof_s[pid[m]]
-            out[m] = np.asarray(kernel.evaluate(ss, t), dtype=float) * g(t, prof_task[pid[m]])
-        m = ~m
-        if m.any():
-            vv = v[m]
-            t = prof_s[pid[m]] + prof_sgn[pid[m]] * vv**power
-            gv = g(t, prof_task[pid[m]])
-            if kernel.kind == KERNEL_LOG:
-                out[m] = 4.0 * vv * np.log(vv) * gv
-            else:
-                out[m] = power * gv
-        return out
+        def fun(v, pid):
+            out = np.empty_like(v)
+            m = kind[pid] == _PROFILE_DIRECT
+            if m.any():
+                out[m] = direct(v[m], pid[m])
+            m = ~m
+            if m.any():
+                out[m] = transformed(v[m], pid[m])
+            return out
 
     tol_arr = np.full(n_tasks, float(tol))
-    vals, _ = _adaptive_batch(
-        fun,
-        np.array(iv_lo, dtype=float),
-        np.array(iv_hi, dtype=float),
-        np.array(iv_prof, dtype=np.intp),
-        prof_task,
-        tol_arr,
-        max_evals,
-    )
+    vals, _ = _adaptive_batch(fun, iv_lo, iv_hi, iv_prof, task, tol_arr, max_evals)
     return vals
+
+
+def _profile_table(smooth, svals, c, d, breaks, q):
+    """Integration profiles of a task batch, in task order.
+
+    A task whose singular point lies in [c, d] gets a left profile
+    (t = s - v**(1/q) for v in [0, (s - c)**q]) and then a right one
+    (t = s + v**(1/q)), each dropped when empty. Any other task, and every
+    task of a smooth kernel, gets one direct profile over [c, d], dropped
+    when c == d. Breaks strictly inside a profile's t range are mapped to
+    its v coordinate and returned as cuts, grouped by profile.
+
+    Returns per-profile (kind, s, sgn, task, lo, hi) arrays, then the profile
+    of each cut and the cut values.
+    """
+    n_tasks = svals.size
+    split = (not smooth) & (c <= svals) & (svals <= d)
+    # slot 0: direct, 1: left, 2: right; flattening the rows puts the
+    # profiles in task order, left before right
+    present = np.stack([~split & (c < d), split & (svals > c), split & (svals < d)], axis=1)
+    left, right = present[:, 1], present[:, 2]
+    lo = np.zeros((n_tasks, 3))
+    hi = np.zeros((n_tasks, 3))
+    lo[:, 0] = c
+    hi[:, 0] = d
+    # only present sides are transformed: s - c and d - s are negative elsewhere
+    hi[left, 1] = (svals[left] - c[left]) ** q
+    hi[right, 2] = (d[right] - svals[right]) ** q
+    present &= hi > lo
+    slot = np.broadcast_to(np.arange(3), (n_tasks, 3))[present]
+    task = np.broadcast_to(np.arange(n_tasks)[:, None], (n_tasks, 3))[present]
+    kind = np.where(slot == 0, _PROFILE_DIRECT, _PROFILE_POWER)
+    sgn = np.array([1.0, -1.0, 1.0])[slot]
+    ps = svals[task]
+
+    # breaks[first:stop] are the breaks strictly inside each profile's t range
+    above_c, above_s = np.searchsorted(breaks, np.stack([c, svals]), side="right")
+    from_s, from_d = np.searchsorted(breaks, np.stack([svals, d]), side="left")
+    first = np.where(slot == 2, above_s[task], above_c[task])
+    stop = np.where(slot == 1, from_s[task], from_d[task])
+    count = np.maximum(stop - first, 0)
+    cut_of = np.repeat(np.arange(task.size), count)
+    offset = np.arange(cut_of.size) - np.repeat(np.cumsum(count) - count, count)
+    cuts = breaks[first[cut_of] + offset]
+    power_cut = kind[cut_of] == _PROFILE_POWER
+    owner = cut_of[power_cut]
+    cuts[power_cut] = (sgn[owner] * (cuts[power_cut] - ps[owner])) ** q
+    return kind, ps, sgn, task, lo[present], hi[present], cut_of, cuts
+
+
+def _interval_table(lo, hi, cut_of, cuts):
+    """Intervals between the sorted distinct edges of every profile.
+
+    Edges are each profile's ends plus its cuts that fall within them; the
+    intervals come out grouped by profile in profile order, ascending inside.
+    """
+    n_prof = lo.size
+    edge = np.concatenate([lo, cuts, hi])
+    owner = np.concatenate([np.arange(n_prof), cut_of, np.arange(n_prof)])
+    keep = (edge >= lo[owner]) & (edge <= hi[owner])
+    edge, owner = edge[keep], owner[keep]
+    order = np.lexsort((edge, owner))
+    edge, owner = edge[order], owner[order]
+    distinct = np.ones(edge.size, dtype=bool)
+    distinct[1:] = (owner[1:] != owner[:-1]) | (edge[1:] != edge[:-1])
+    edge, owner = edge[distinct], owner[distinct]
+    inside = owner[1:] == owner[:-1]
+    return edge[:-1][inside], edge[1:][inside], owner[:-1][inside]
 
 
 def eval_operator_reference_parts(

@@ -23,7 +23,7 @@ from hammerstein import (
 )
 from hammerstein import quadrature
 from hammerstein.problem import L_one
-from oracles import oracle_weight_rows
+from oracles import oracle_weight_rows, profile_tables_by_task
 
 # frozen reference values (40-digit tanh-sinh quadrature, split at the
 # singular point; independently confirmed by the adaptive engine)
@@ -273,6 +273,104 @@ class TestReferenceQuadrature:
         monkeypatch.setattr(quadrature, "_REF_BLOCK", 10**9)
         whole = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
         np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-15)
+
+
+# Tasks (s, c, d) on the grid of 8 panels over [-0.5, 1.5] (h = 0.25, so every
+# node and sub-grid is exact in binary); breaks are the grid nodes
+TABLE_GRID = make_grid(-0.5, 1.5, 8)
+TABLE_TASKS = [
+    (0.25, -0.5, 1.5),  # s on a break
+    (-0.5, -0.5, 1.5),  # s == c == a
+    (0.0, 0.0, 1.0),  # s == c, inside [a, b]
+    (1.0, 0.0, 1.0),  # s == d
+    (1.5, 0.25, 1.5),  # s == d == b
+    (1.25, -0.25, 0.75),  # s right of [c, d], breaks inside
+    (-0.5, 0.5, 1.5),  # s left of [c, d], breaks inside
+    (0.6, 0.25, 1.25),  # s between breaks, sub-interval
+    (0.5, 0.5, 0.5),  # c == d == s
+    (0.3, 1.0, 1.0),  # c == d away from s
+    (0.6, 0.5, 0.75),  # one panel around s
+]
+TABLE_KERNELS = [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7), smooth_exp()]
+TABLE_IDS = ["log", "alg0.3", "alg0.7", "smooth"]
+
+
+def piecewise_linear(nodes, values):
+    """g(t, i) of the adaptive engine: the interpolant of values[i] on nodes."""
+
+    def g(t, i):
+        out = np.empty_like(t)
+        for task in np.unique(i):
+            m = i == task
+            out[m] = np.interp(t[m], nodes, values[task])
+        return out
+
+    return g
+
+
+def product_trapezoid(kernel, grid, s, c, d, values):
+    """int_c^d H(s,t) g(t) dt for g linear between grid nodes, c and d nodes:
+    the product-trapezoid row of the sub-grid on [c, d] is exact there."""
+    if c == d:
+        return 0.0
+    first, last = np.searchsorted(grid.nodes, [c, d])
+    sub = make_grid(c, d, last - first)
+    return float(weight_matrix(sub, kernel, [s])[0] @ values[first : last + 1])
+
+
+class TestAdaptiveTables:
+    @pytest.mark.parametrize("kernel", TABLE_KERNELS, ids=TABLE_IDS)
+    def test_matches_product_trapezoid(self, kernel, rng):
+        s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
+        values = rng.uniform(-1.0, 1.0, (s.size, TABLE_GRID.n + 1))
+        g = piecewise_linear(TABLE_GRID.nodes, values)
+        got = adaptive_kernel_batch(kernel, g, s, c, d, tol=1e-13, breaks=TABLE_GRID.nodes)
+        exact = [
+            product_trapezoid(kernel, TABLE_GRID, *task, values[i])
+            for i, task in enumerate(TABLE_TASKS)
+        ]
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", TABLE_KERNELS, ids=TABLE_IDS)
+    def test_batch_matches_tasks_alone(self, kernel, rng):
+        s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
+        values = rng.uniform(-1.0, 1.0, (s.size, TABLE_GRID.n + 1))
+        breaks = TABLE_GRID.nodes
+        batch = adaptive_kernel_batch(
+            kernel, piecewise_linear(breaks, values), s, c, d, tol=1e-12, breaks=breaks
+        )
+        alone = [
+            adaptive_kernel_batch(
+                kernel, piecewise_linear(breaks, values[i : i + 1]), si, ci, di,
+                tol=1e-12, breaks=breaks,
+            )[0]
+            for i, (si, ci, di) in enumerate(TABLE_TASKS)
+        ]
+        np.testing.assert_allclose(batch, alone, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", TABLE_KERNELS, ids=TABLE_IDS)
+    def test_tables_follow_task_order(self, kernel, rng):
+        # unsorted breaks with a duplicate, off-grid tasks and the grid tasks
+        s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
+        extra = rng.uniform(-0.5, 1.5, (3, 12))
+        extra[1:].sort(axis=0)
+        s, c, d = (np.concatenate(pair) for pair in zip((s, c, d), extra))
+        breaks = np.concatenate([rng.permutation(TABLE_GRID.nodes), [0.5]])
+        smooth = kernel.kind == "smooth"
+        power = 1.0 if smooth else 2.0 if kernel.kind == "log" else 1.0 / (1.0 - kernel.beta)
+        q = 1.0 / power
+        (kind, ps, sgn, task), (lo, hi, prof) = profile_tables_by_task(
+            smooth, s, c, d, breaks, q
+        )
+        table = quadrature._profile_table(smooth, s, c, d, np.unique(breaks), q)
+        np.testing.assert_array_equal(table[0], kind)
+        np.testing.assert_array_equal(table[1], ps)
+        np.testing.assert_array_equal(table[2], sgn)
+        np.testing.assert_array_equal(table[3], task)
+        iv_lo, iv_hi, iv_prof = quadrature._interval_table(*table[4:])
+        np.testing.assert_array_equal(iv_prof, prof)
+        np.testing.assert_allclose(iv_lo, lo, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(iv_hi, hi, rtol=1e-15, atol=0)
 
 
 class TestQuadratureConfig:

@@ -35,6 +35,9 @@ FAST_BENCH = {
 OVERFLOW = {**MINIMAL, "F": {"poly": [0] * 20 + [1]}, "y": 1e20, "n": 8, "n_fine": 64,
             "solver": "ld"}
 
+# cubic F with y = 50 leaves Newton's basin: finite residuals that keep growing
+RUNAWAY = {"kernel": "log", "L": "one", "F": "cubic", "y": 50, "n": 8, "n_fine": 64}
+
 
 def record_strategy():
     f = st.floats(
@@ -293,6 +296,22 @@ class TestCli:
         assert code == 2
         assert f"{field}: expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"n": 10**300}, "n"),
+            ({"n_fine": 2**62}, "n_fine"),
+            ({"sample_count": 2**62}, "sample_count"),
+        ],
+        ids=["n", "n_fine", "sample_count"],
+    )
+    def test_oversized_array_exit_code(self, tmp_path, capsys, patch, field):
+        # finite and integral, but no array of that many nodes can exist
+        cfg = self._write(tmp_path, {**MINIMAL, **patch})
+        code = cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{field}: too large for a node array" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -325,6 +344,17 @@ class TestCli:
         assert "\nld,0," in (out / "solve.csv").read_text()
         assert (out / "nsweep.csv").read_text().startswith("n,k,true_error\n4,0,")
         assert [r.status for r in outcome.reports] == ["diverged"]
+
+    def test_growing_residual_before_singular_system_diverges(self, tmp_path, capsys):
+        # the residual norm grows at k = 2..5 (to 2.5e161), then the Newton
+        # matrix of step 6 is numerically singular
+        cfg = self._write(tmp_path, RUNAWAY)
+        out = tmp_path / "out"
+        assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert "ld: status=diverged" in capsys.readouterr().out
+        rows = (out / "solve.csv").read_text().splitlines()
+        assert rows[0].startswith("method,k,")
+        assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
 
     def test_nsweep_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
