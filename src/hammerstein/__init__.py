@@ -31,11 +31,9 @@ from .problem import (
     verify_derivatives,
 )
 from .quadrature import (
-    QuadratureConfig,
     QuadratureConvergenceError,
     SubtractionPlan,
     adaptive_kernel_batch,
-    eval_operator,
     eval_operator_reference,
     moment0,
     product_weights,
@@ -56,7 +54,6 @@ __all__ = [
     "LDSettings",
     "NONLINEARITIES",
     "Nonlinearity",
-    "QuadratureConfig",
     "QuadratureConvergenceError",
     "RunConfig",
     "RunOutcome",
@@ -72,7 +69,6 @@ __all__ = [
     "compare_csv_text",
     "config_from_dict",
     "dl_solve",
-    "eval_operator",
     "eval_operator_reference",
     "get_nonlinearity",
     "ld_solve",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -35,7 +35,6 @@ from .problem import (
     polynomial_nonlinearity,
     verify_derivatives,
 )
-from .quadrature import QuadratureConfig
 
 SEED_ENV_VAR = "HAMMERSTEIN_SEED"
 
@@ -48,12 +47,8 @@ _DEFAULTS: dict[str, Any] = {
     "y": None,
     "exact": None,
     "solver": "both",
-    "tol": 1e-12,
-    "max_iter": 30,
-    "n_fine": 4096,
-    "mode": "fine",
-    "gl_points": 16,
-    "sample_count": 201,
+    # tol, max_iter, sample_count, n_fine and mode, as LDSettings has them
+    **{f.name: f.default for f in fields(LDSettings)},
     "phi0": "y",
     "quad_tol": 1e-10,
     "target_error": 1e-6,
@@ -115,12 +110,7 @@ def _expect_array_size(value: int, path: str) -> None:
     _expect(value + 1 <= _MAX_NODES, path, f"too large for a node array, got {value}")
 
 
-def _build_kernel(raw, beta, path: str) -> SingularKernel:
-    if isinstance(raw, dict):
-        kind = raw.get("kind")
-        beta = raw.get("beta", beta)
-    else:
-        kind = raw
+def _build_kernel(kind, beta, path: str) -> SingularKernel:
     if kind == "log":
         return log_kernel()
     if kind == "alg":
@@ -196,15 +186,14 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
     tol = _as_number(cfg["tol"], "tol")
     max_iter = _as_number(cfg["max_iter"], "max_iter", integer=True)
     n_fine = _as_number(cfg["n_fine"], "n_fine", integer=True)
-    gl_points = _as_number(cfg["gl_points"], "gl_points", integer=True)
     sample_count = _as_number(cfg["sample_count"], "sample_count", integer=True)
     _expect_array_size(n_fine, "n_fine")
     _expect_array_size(sample_count, "sample_count")
     # the settings classes check their own ranges; their messages start
     # with the field name
     try:
-        quad = QuadratureConfig(n_fine=n_fine, mode=cfg["mode"], gl_points=gl_points)
-        ld = LDSettings(tol=tol, max_iter=max_iter, quad=quad, sample_count=sample_count)
+        ld = LDSettings(tol=tol, max_iter=max_iter, sample_count=sample_count,
+                        n_fine=n_fine, mode=cfg["mode"])
         dl = DLSettings(tol=tol, max_iter=max_iter, sample_count=sample_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

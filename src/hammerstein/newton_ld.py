@@ -8,7 +8,7 @@ nodes and output sample points), so the whole iteration works with function
 values that are never re-interpolated from coarser data.
 
 The limit of the iteration is set by the accuracy of the operator
-evaluation (the quadrature config), not by the Newton grid size n.
+evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
 
 In fine mode the operator is the product rule on n_fine panels, applied
 without its dense matrix (`_FineRule`): at the fine nodes the weights are a
@@ -17,8 +17,9 @@ through a Chebyshev interpolant in s of adaptively chosen size r. An apply
 costs O(r n_fine log n_fine) and the operator holds O(r n_fine) numbers,
 plus dense rows for the evaluation points off the fine grid.
 
-The Newton loop itself (`_newton`: records, stopping and failure statuses)
-and the settings it reads are shared with the DL solver in newton_dl.
+The Newton loop itself (`_newton`: records, stopping and failure statuses),
+the settings it reads and the chunked builder of product-rule rows
+(`_dense_rows`) are shared with the DL solver in newton_dl.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .linalg import SingularSystemError, solve_dense
 from .problem import KERNEL_SMOOTH, Grid, HammersteinProblem, SampledFunction, make_grid
-from .quadrature import QuadratureConfig, SubtractionPlan, weight_matrix
+from .quadrature import SubtractionPlan, weight_matrix
 from .reports import IterationRecord, SolveReport
 
 
@@ -65,13 +66,27 @@ class _NewtonSettings:
 
 @dataclass(frozen=True)
 class LDSettings(_NewtonSettings):
-    quad: QuadratureConfig = QuadratureConfig()
+    """Settings of ld_solve: the shared ones, and how the operator is evaluated.
+
+    mode "fine": the product rule on a uniform grid of n_fine panels.
+    mode "subtract": singularity subtraction (SubtractionPlan); n_fine unused.
+    """
+
+    n_fine: int = 4096
+    mode: str = "fine"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_fine < 2:
+            raise ValueError(f"n_fine must be at least 2, got {self.n_fine}")
+        if self.mode not in ("fine", "subtract"):
+            raise ValueError(f"mode must be 'fine' or 'subtract', got {self.mode!r}")
 
 
 def _evaluation_points(problem, grid, settings) -> np.ndarray:
     pieces = [grid.nodes, np.linspace(problem.a, problem.b, settings.sample_count)]
-    if settings.quad.mode == "fine":
-        pieces.append(np.linspace(problem.a, problem.b, settings.quad.n_fine + 1))
+    if settings.mode == "fine":
+        pieces.append(np.linspace(problem.a, problem.b, settings.n_fine + 1))
     return np.unique(np.concatenate(pieces))
 
 
@@ -192,23 +207,28 @@ def _chebyshev_factor(L, a: float, b: float, t: np.ndarray):
         sigma, samples = merged, merged_samples
 
 
-def _dense_rows(fine: Grid, kernel, L, s: np.ndarray) -> np.ndarray:
-    """Fine product-rule rows weight_matrix * L at the points s."""
-    wl = np.empty((s.size, fine.n + 1))
+def _dense_rows(grid: Grid, kernel, L, s: np.ndarray) -> np.ndarray:
+    """Product-rule rows weight_matrix * L of ``grid`` at the points s.
+
+    Every such matrix of both solvers comes from here: LD's recovery rows on
+    the Newton grid and its dense fine-operator rows, and DL's extension rows.
+    """
+    wl = np.empty((s.size, grid.n + 1))
     # chunks of 32k entries keep each temporary of weight_matrix and L near
-    # 256 kB, which malloc serves from reused heap memory once a solve has
-    # freed a block of a few MB (WL_coarse does), instead of page-faulting a
-    # fresh mmap per chunk. On a 2-vCPU host the 192 off-grid rows of a
-    # compare_fine op (n_fine = 4096) took 0.03 s and 220 page faults,
-    # against 0.10 s and 15.6k faults with 250k-entry chunks. A full dense
-    # build of 4288 rows in a fresh process took 1.5-1.8 s and peaked at
-    # 143 MB, against 2.4-2.8 s and 161 MB (250k) and 1.8-2.1 s and 301 MB
-    # (2M); after a solve it took 0.7 s
-    chunk = max(1, int(32_768 // (fine.n + 1)))
+    # 256 kB; once one is freed, malloc raises its mmap threshold past that
+    # size and serves the next ones from reused heap memory instead of
+    # page-faulting a fresh mmap per chunk. On a 2-vCPU host the 192
+    # off-grid rows of a compare_fine op (n_fine = 4096) took 0.03 s and 220
+    # page faults, against 0.10 s and 15.6k faults with 250k-entry chunks. A
+    # full dense build of 4288 rows in a fresh process took 1.5-1.8 s and
+    # peaked at 143 MB, against 2.4-2.8 s and 161 MB (250k) and 1.8-2.1 s
+    # and 301 MB (2M); after a solve it took 0.7 s. DL's rows at n near 1500
+    # (a dl_large_n op) peaked at 75 MB, against 205 MB in one piece.
+    chunk = max(1, int(32_768 // (grid.n + 1)))
     for start in range(0, s.size, chunk):
         sl = slice(start, min(start + chunk, s.size))
-        wl[sl] = weight_matrix(fine, kernel, s[sl]) * np.asarray(
-            L(s[sl, None], fine.nodes[None, :]), dtype=float
+        wl[sl] = weight_matrix(grid, kernel, s[sl]) * np.asarray(
+            L(s[sl, None], grid.nodes[None, :]), dtype=float
         )
     return wl
 
@@ -304,23 +324,19 @@ class _Workspace:
         self.sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
         self.sample_idx = self._locate(self.sample_points)
 
-        kernel, L = problem.kernel, problem.L
-        nodes = grid.nodes
         # recovery weights at every evaluation point; the rows at the nodes
         # are the Newton matrix, so nodal values stay consistent with them
-        self.WL_coarse = weight_matrix(grid, kernel, self.points) * np.asarray(
-            L(self.points[:, None], nodes[None, :]), dtype=float
-        )
+        self.WL_coarse = _dense_rows(grid, problem.kernel, problem.L, self.points)
         self.G = self.WL_coarse[self.node_idx]
 
-        if settings.quad.mode == "fine":
-            fine = make_grid(problem.a, problem.b, settings.quad.n_fine)
+        if settings.mode == "fine":
+            fine = make_grid(problem.a, problem.b, settings.n_fine)
             self.fine_nodes = fine.nodes
             self.fine_idx = self._locate(fine.nodes)
             self.fine_rule = _FineRule(problem, fine, self.points, self.fine_idx)
             self.plan = None
         else:
-            self.plan = SubtractionPlan(problem, self.points, settings.quad.gl_points)
+            self.plan = SubtractionPlan(problem, self.points)
 
         self.y_points = np.broadcast_to(
             np.asarray(problem.y(self.points), dtype=float), self.points.shape
@@ -455,7 +471,7 @@ def ld_solve(
     report = SolveReport(
         method="ld",
         n=grid.n,
-        n_fine=settings.quad.n_fine if settings.quad.mode == "fine" else None,
-        mode=settings.quad.mode,
+        n_fine=settings.n_fine if settings.mode == "fine" else None,
+        mode=settings.mode,
     )
     return _newton(_Workspace(problem, grid, settings), settings, report, phi0)

@@ -3,11 +3,12 @@
 Weight vectors integrate the singular factor H exactly against the
 piecewise-linear hat basis on a grid, using closed-form antiderivatives for
 the built-in kernels and folded Gauss-Legendre panels for smooth ones.
-Operator evaluation offers two routes: a fine product rule reusing the
-weight machinery, and singularity subtraction with graded Gauss panels.
-On a uniform grid the log and alg weight rows at the grid nodes depend only
-on j - i, apart from the two boundary columns; the LD solver builds its fine
-operator from a few such rows instead of the full matrix.
+`SubtractionPlan` evaluates the integral operator by singularity
+subtraction with graded Gauss panels (the LD solver's subtract mode). The
+product rule of its fine mode is built in newton_ld from `weight_matrix`
+rows. On a uniform grid the log and alg weight rows at the grid nodes depend
+only on j - i, apart from the two boundary columns; the LD solver builds its
+fine operator from a few such rows instead of the full matrix.
 
 An independent adaptive engine (`adaptive_kernel_batch`) supplies reference
 values for tests and manufactured right-hand sides. It never touches the
@@ -22,8 +23,6 @@ round treats the whole batch at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problem import (
@@ -34,7 +33,6 @@ from .problem import (
     HammersteinProblem,
     SampledFunction,
     SingularKernel,
-    make_grid,
 )
 
 # Distances below this are treated as coincident with the singular point;
@@ -44,28 +42,6 @@ _TINY = 1e-300
 
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive refinement exhausted its budget above the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """How the integral operator is evaluated inside the solvers.
-
-    mode "fine": product-trapezoidal rule on a uniform grid of n_fine panels.
-    mode "subtract": singularity subtraction with composite Gauss-Legendre
-    (gl_points per panel) on panels graded toward t = s.
-    """
-
-    n_fine: int = 4096
-    mode: str = "fine"
-    gl_points: int = 16
-
-    def __post_init__(self):
-        if self.n_fine < 2:
-            raise ValueError(f"n_fine must be at least 2, got {self.n_fine}")
-        if self.mode not in ("fine", "subtract"):
-            raise ValueError(f"mode must be 'fine' or 'subtract', got {self.mode!r}")
-        if self.gl_points < 2:
-            raise ValueError(f"gl_points must be at least 2, got {self.gl_points}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +130,9 @@ def weight_matrix(grid: Grid, kernel: SingularKernel, svals) -> np.ndarray:
     piecewise-linear interpolant on the grid.
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    out = np.empty((svals.size, grid.n + 1))
-    chunk = max(1, int(4_000_000 // (grid.n + 1)))
-    for start in range(0, svals.size, chunk):
-        sl = slice(start, min(start + chunk, svals.size))
-        if kernel.kind == KERNEL_SMOOTH:
-            out[sl] = _smooth_weight_rows(grid, kernel, svals[sl])
-        else:
-            out[sl] = _analytic_weight_rows(grid, kernel, svals[sl])
-    return out
+    if kernel.kind == KERNEL_SMOOTH:
+        return _smooth_weight_rows(grid, kernel, svals)
+    return _analytic_weight_rows(grid, kernel, svals)
 
 
 def _analytic_weight_rows(grid, kernel, svals):
@@ -219,43 +189,10 @@ def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# operator evaluation (production paths)
-
-
-def _values_on(x, pts: np.ndarray) -> np.ndarray:
-    if isinstance(x, SampledFunction):
-        return x(pts)
-    return np.asarray(x(pts), dtype=float)
-
-
-def eval_operator(
-    problem: HammersteinProblem, x, s: float, cfg: QuadratureConfig = QuadratureConfig()
-) -> float:
-    """Value at s of the integral operator applied to x.
-
-    x may be a SampledFunction (interpolated where needed) or a callable.
-    """
-    s = float(s)
-    if cfg.mode == "fine":
-        fine = _fine_grid(problem, cfg)
-        g = _smooth_part(problem, s, fine.nodes, _values_on(x, fine.nodes))
-        w = weight_matrix(fine, problem.kernel, [s])[0]
-        return float(w @ g)
-    plan = SubtractionPlan(problem, np.array([s]), cfg.gl_points)
-    return float(plan.apply(lambda pts: _values_on(x, pts))[0])
-
-
-def _fine_grid(problem, cfg) -> Grid:
-    return make_grid(problem.a, problem.b, cfg.n_fine)
-
-
-def _smooth_part(problem, s, t, xt):
-    lv = np.asarray(problem.L(s, t), dtype=float)
-    fv = np.asarray(problem.nonlin.F(t, xt), dtype=float)
-    return lv * fv
-
+# operator evaluation by singularity subtraction (the LD solver's subtract mode)
 
 _GRADE_LEVELS = 46  # dyadic panels per side; innermost width ~1e-14 of the side
+_PANEL_GAUSS_POINTS = 16  # Gauss-Legendre points per graded panel
 
 
 class SubtractionPlan:
@@ -267,11 +204,11 @@ class SubtractionPlan:
     reapplied cheaply to successive iterates.
     """
 
-    def __init__(self, problem: HammersteinProblem, svals, gl_points: int = 16):
+    def __init__(self, problem: HammersteinProblem, svals):
         self.problem = problem
         self.svals = np.atleast_1d(np.asarray(svals, dtype=float))
         a, b = problem.a, problem.b
-        x, w = _gl_rule(gl_points)
+        x, w = _gl_rule(_PANEL_GAUSS_POINTS)
         t_rows = []
         hw_rows = []
         counts = []
@@ -345,11 +282,14 @@ _REF_HI = 21
 # reference (17k intervals) made node arrays of 2.9 MB; malloc served them
 # from fresh mmaps, so each round page-faulted about 47 MB anew: 100k faults
 # and 0.3 s of system time per op on a 2-vCPU host, varying from op to op
-# with the allocator's state. Blocks of 2048 intervals keep every temporary
-# near 340 kB in reused heap memory (under 1.5k faults per op). Only the
-# grouping of the work changes: the solver errors of ten benchmark ops came
-# out bit-identical.
-_REF_BLOCK = 2048
+# with the allocator's state. Blocks of 512 intervals keep every temporary
+# near 86 kB, below glibc's initial 128 kB mmap threshold, so malloc serves
+# them from reused heap memory whatever the process freed before. Blocks of
+# 2048 (340 kB) needed an earlier multi-MB free to raise that threshold: on
+# their own, a 4.3k-point reference took 0.40 s and 25-35k faults, against
+# 0.28 s and under 2k faults with 512. Only the grouping of the work
+# changes: the values come out bit-identical.
+_REF_BLOCK = 512
 
 _PROFILE_DIRECT = 0
 _PROFILE_POWER = 1  # t = s + sgn * v**p; weight factor per kernel kind
@@ -591,7 +531,7 @@ def eval_operator_reference_parts(
 
     def g(t, task_idx):
         ss = svals[task_idx]
-        xt = _values_on(x, t)
+        xt = np.asarray(x(t), dtype=float)
         lv = np.asarray(L(ss, t), dtype=float)
         return lv * np.asarray(nonlin.F(t, xt), dtype=float)
 

@@ -2,7 +2,7 @@
 
 Both entry points write CSV data plus a gnuplot script next to it, echo the
 effective configuration, and keep partial results when a solver dies on a
-singular system or a non-finite iterate.
+singular system or a non-finite iterate, or runs out of memory.
 """
 
 from __future__ import annotations
@@ -51,21 +51,23 @@ def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
     """Run the selected solver(s) on one problem and grid; emit CSV + plot."""
     out = _resolve_out_dir(cfg)
     _write_echo(cfg, out)
-    grid = make_grid(cfg.problem.a, cfg.problem.b, cfg.n)
     methods = {"ld": ["ld"], "dl": ["dl"], "both": ["ld", "dl"]}[cfg.solver]
     outcome = RunOutcome()
     for method in methods:
         try:
+            grid = make_grid(cfg.problem.a, cfg.problem.b, cfg.n)
             if method == "ld":
                 _, report = ld_solve(cfg.problem, grid, cfg.ld, phi0=cfg.phi0)
             else:
-                x0 = None if cfg.phi0 is None else cfg.phi0
-                _, report = dl_solve(cfg.problem, grid, cfg.dl, x0=x0)
+                _, report = dl_solve(cfg.problem, grid, cfg.dl, x0=cfg.phi0)
             outcome.reports.append(report)
         except SingularOperatorError as exc:
             if exc.report is not None:
                 outcome.reports.append(exc.report)
             outcome.fatal = str(exc)
+            break
+        except MemoryError as exc:
+            outcome.fatal = f"{method}: out of memory: {exc}"
             break
     outcome.csv_path = out / csv_name
     outcome.csv_path.write_text(
@@ -93,14 +95,17 @@ def run_nsweep(cfg: RunConfig, n_list: list[int], csv_name: str = "nsweep.csv") 
     outcome = RunOutcome()
     by_n: list[tuple[int, SolveReport]] = []
     for n in n_list:
-        grid = make_grid(cfg.problem.a, cfg.problem.b, n)
         try:
+            grid = make_grid(cfg.problem.a, cfg.problem.b, n)
             _, report = ld_solve(cfg.problem, grid, cfg.ld, phi0=cfg.phi0)
         except SingularOperatorError as exc:
             if exc.report is not None:
                 by_n.append((n, exc.report))
                 outcome.reports.append(exc.report)
             outcome.fatal = str(exc)
+            break
+        except MemoryError as exc:
+            outcome.fatal = f"ld at n={n}: out of memory: {exc}"
             break
         by_n.append((n, report))
         outcome.reports.append(report)

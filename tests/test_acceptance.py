@@ -15,10 +15,8 @@ import pytest
 from hammerstein import (
     DLSettings,
     LDSettings,
-    QuadratureConfig,
     config_from_dict,
     dl_solve,
-    eval_operator,
     get_nonlinearity,
     HammersteinProblem,
     ld_solve,
@@ -34,7 +32,7 @@ from hammerstein import (
 )
 from hammerstein.cli import main as cli_main
 from hammerstein.problem import FUNCTIONS, L_one
-from oracles import direct_nystrom_solution, oracle_weight_rows
+from oracles import direct_nystrom_solution, oracle_weight_rows, solver_operator
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -52,9 +50,7 @@ def ld_runs(cosine_problem):
     runs, elapsed = {}, {}
     for n, iters in ((10, 14), (25, 12), (50, 12)):
         tic = time.perf_counter()
-        settings = LDSettings(
-            tol=1e-30, max_iter=iters, quad=QuadratureConfig(n_fine=4096), sample_count=201
-        )
+        settings = LDSettings(tol=1e-30, max_iter=iters, n_fine=4096, sample_count=201)
         _, rep = ld_solve(cosine_problem, make_grid(0, 1, n), settings)
         runs[n] = rep
         elapsed[n] = time.perf_counter() - tic
@@ -257,13 +253,12 @@ def test_criterion_09_linear_algebra_and_operator_floors():
     prob = HammersteinProblem(
         0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
     )
-    fine_cfg = QuadratureConfig(n_fine=4096)
-    sub_cfg = QuadratureConfig(mode="subtract", gl_points=16)
-    svals = np.concatenate([rng.uniform(0, 1, 17), [0.0, 0.5, 1.0]])
-    worst_mode = max(
-        abs(eval_operator(prob, np.cos, s, fine_cfg) - eval_operator(prob, np.cos, s, sub_cfg))
-        for s in svals
-    )
+    # the operator each mode of ld_solve runs, at the nodes of a 7-panel grid
+    # (off the fine grid: dense rows) and 257 samples (on it: the FFT apply)
+    fine = solver_operator(prob, np.cos, LDSettings(n_fine=4096, sample_count=257), n=7)
+    sub = solver_operator(prob, np.cos, LDSettings(mode="subtract", sample_count=257), n=7)
+    svals = sub.points
+    worst_mode = float(np.max(np.abs(fine(svals) - sub.values)))
     ok = worst_rt <= 1e-13 and worst_mode <= 1e-6
     _report(
         9,

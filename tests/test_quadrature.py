@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from hammerstein import (
     FUNCTIONS,
     HammersteinProblem,
-    QuadratureConfig,
+    LDSettings,
     QuadratureConvergenceError,
     SampledFunction,
     adaptive_kernel_batch,
     algebraic_kernel,
-    eval_operator,
     eval_operator_reference,
     get_nonlinearity,
     log_kernel,
@@ -23,7 +23,7 @@ from hammerstein import (
 )
 from hammerstein import quadrature
 from hammerstein.problem import L_one
-from oracles import oracle_weight_rows, profile_tables_by_task
+from oracles import oracle_weight_rows, profile_tables_by_task, solver_operator
 
 # frozen reference values (40-digit tanh-sinh quadrature, split at the
 # singular point; independently confirmed by the adaptive engine)
@@ -165,19 +165,22 @@ class TestTangentRule:
 
 
 class TestEvalOperator:
+    """The integral operator as ld_solve evaluates it, in both modes, read
+    through oracles.solver_operator at every point of the evaluation set."""
+
     def test_zero_nonlinearity(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("zero"), FUNCTIONS["one"]
         )
         for mode in ("fine", "subtract"):
-            cfg = QuadratureConfig(n_fine=64, mode=mode)
-            assert eval_operator(prob, FUNCTIONS["one"], 0.4, cfg) == 0.0
+            settings = LDSettings(n_fine=64, mode=mode, sample_count=41)
+            assert np.all(solver_operator(prob, FUNCTIONS["one"], settings).values == 0.0)
 
     def test_benchmark_constant_iterate(self, benchmark_problem):
         # sine nonlinearity at the constant 1 integrates to (numerical) zero
-        for s in (0.0, 0.317, 1.0):
-            v = eval_operator(benchmark_problem, FUNCTIONS["one"], s, QuadratureConfig(n_fine=256))
-            assert abs(v) < 1e-14
+        settings = LDSettings(n_fine=256, sample_count=41)
+        fn = solver_operator(benchmark_problem, FUNCTIONS["one"], settings)
+        assert np.max(np.abs(fn.values)) < 1e-14
 
     def test_identity_linear_iterate_both_modes(self):
         prob = HammersteinProblem(
@@ -185,21 +188,32 @@ class TestEvalOperator:
         )
         x = lambda t: np.asarray(t, dtype=float)
         ref = eval_operator_reference(prob, x, 0.5, tol=1e-9)
-        fine = eval_operator(prob, x, 0.5, QuadratureConfig(n_fine=4096))
-        sub = eval_operator(prob, x, 0.5, QuadratureConfig(mode="subtract"))
-        assert fine == pytest.approx(ref, abs=1e-6)
-        assert sub == pytest.approx(ref, abs=1e-6)
-        assert fine == pytest.approx(0.5 * (np.log(0.5) - 1.0), abs=1e-12)
+        fine = solver_operator(prob, x, LDSettings(n_fine=4096, sample_count=41))
+        sub = solver_operator(prob, x, LDSettings(mode="subtract", sample_count=41))
+        assert fine(0.5) == pytest.approx(ref, abs=1e-6)
+        assert sub(0.5) == pytest.approx(ref, abs=1e-6)
+        # the product rule integrates the linear iterate exactly: with
+        # u = t - s, int_0^1 t log|t - s| dt = [A1(u) + s A0(u)] from -s to 1 - s,
+        # A0 = u log|u| - u and A1 = u^2 log|u| / 2 - u^2 / 4
+        s = fine.points
 
-    def test_mode_agreement_on_smooth_iterate(self, rng):
+        def antideriv(u):
+            ulogu = xlogy(u, np.abs(u))
+            return 0.5 * u * ulogu - 0.25 * u**2 + s * (ulogu - u)
+
+        exact = antideriv(1.0 - s) - antideriv(-s)
+        at_half = exact[np.searchsorted(s, 0.5)]
+        assert at_half == pytest.approx(0.5 * (np.log(0.5) - 1.0), abs=1e-15)
+        np.testing.assert_allclose(fine.values, exact, rtol=0, atol=1e-12)
+
+    def test_mode_agreement_on_smooth_iterate(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
         )
-        svals = np.concatenate([rng.uniform(0, 1, 12), [0.0, 0.5, 1.0]])
-        for s in svals:
-            fine = eval_operator(prob, np.cos, s, QuadratureConfig(n_fine=4096))
-            sub = eval_operator(prob, np.cos, s, QuadratureConfig(mode="subtract", gl_points=16))
-            assert abs(fine - sub) <= 1e-6
+        fine = solver_operator(prob, np.cos, LDSettings(n_fine=4096, sample_count=41), n=5)
+        sub = solver_operator(prob, np.cos, LDSettings(mode="subtract", sample_count=41), n=5)
+        assert np.isin(sub.points, fine.points).all()  # stored values, not interpolated
+        assert np.max(np.abs(fine(sub.points) - sub.values)) <= 1e-6
 
 
 class TestReferenceQuadrature:
@@ -223,16 +237,19 @@ class TestReferenceQuadrature:
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
         )
+        # the solver's points for n = 3 and 5 samples: 0, 1/4, 1/3, 1/2, 2/3,
+        # 3/4, 1; 1/3 and 2/3 lie off the fine grid
+        fine_settings = LDSettings(n_fine=4096, sample_count=5)
+        sub_settings = LDSettings(mode="subtract", sample_count=5)
         for _ in range(20):
             coeffs = rng.standard_normal(4)
             x = lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c)
-            s = float(rng.uniform(0, 1))
-            ref = eval_operator_reference(prob, x, s, tol=1e-9)
-            fine = eval_operator(prob, x, s, QuadratureConfig(n_fine=4096))
-            sub = eval_operator(prob, x, s, QuadratureConfig(mode="subtract"))
-            scale = 1.0 + abs(ref)
-            assert abs(ref - fine) <= 1e-6 * scale
-            assert abs(ref - sub) <= 1e-8 * scale
+            sub = solver_operator(prob, x, sub_settings, n=3)
+            fine = solver_operator(prob, x, fine_settings, n=3)(sub.points)
+            ref = eval_operator_reference(prob, x, sub.points, tol=1e-9)
+            scale = 1.0 + np.abs(ref)
+            assert np.all(np.abs(ref - fine) <= 1e-6 * scale)
+            assert np.all(np.abs(ref - sub.values) <= 1e-8 * scale)
 
     def test_reports_nonconvergence_on_tiny_budget(self):
         prob = HammersteinProblem(
@@ -371,16 +388,3 @@ class TestAdaptiveTables:
         np.testing.assert_array_equal(iv_prof, prof)
         np.testing.assert_allclose(iv_lo, lo, rtol=1e-15, atol=0)
         np.testing.assert_allclose(iv_hi, hi, rtol=1e-15, atol=0)
-
-
-class TestQuadratureConfig:
-    def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.n_fine == 4096 and cfg.mode == "fine" and cfg.gl_points == 16
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"n_fine": 1}, {"mode": "magic"}, {"gl_points": 1}]
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)

@@ -1,14 +1,21 @@
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hammerstein
 from hammerstein import (
     ConfigError,
+    DLSettings,
     IterationRecord,
+    LDSettings,
     SolveReport,
     compare_csv_text,
     config_from_dict,
@@ -99,8 +106,9 @@ class TestValidateConfig:
         cfg = validate_config(path)
         assert cfg.ld.tol == 1e-12
         assert cfg.ld.max_iter == 30
-        assert cfg.ld.quad.n_fine == 4096
-        assert cfg.ld.quad.mode == "fine"
+        assert cfg.ld.n_fine == 4096
+        assert cfg.ld.mode == "fine"
+        assert cfg.ld == LDSettings() and cfg.dl == DLSettings()
         assert cfg.solver == "both"
         assert cfg.n == 50
         assert cfg.effective["tol"] == 1e-12
@@ -143,6 +151,7 @@ class TestValidateConfig:
             ({"domain": [1, 0]}, "domain"),
             ({"mystery_key": 1}, "mystery_key"),
             ({"record_timings": "yes"}, "record_timings"),
+            ({"kernel": {"kind": "log"}}, "kernel"),  # no object form
         ],
     )
     def test_errors_name_the_field(self, patch, field):
@@ -355,6 +364,40 @@ class TestCli:
         rows = (out / "solve.csv").read_text().splitlines()
         assert rows[0].startswith("method,k,")
         assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
+
+    @pytest.mark.parametrize("command", ["solve", "nsweep"])
+    def test_out_of_memory_exit_code_with_partial_csv(self, tmp_path, command):
+        # n = 10**10 passes validation, but its node array takes 75 GiB; the
+        # CLI runs in a child process limited to 2 GiB of address space, where
+        # make_grid raises MemoryError. One BLAS thread keeps the child's own
+        # buffers small on hosts with many cores.
+        cfg = self._write(tmp_path, {**FAST_BENCH, "n": 10**10, "solver": "ld"})
+        out = tmp_path / "out"
+        args = [command, "--config", cfg, "--out", str(out)]
+        if command == "nsweep":
+            args += ["--n", f"4,{10**10}"]
+        limit = 2 * 1024**3
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(hammerstein.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hammerstein.cli", *args],
+            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = (out / f"{command}.csv").read_text().splitlines()
+        if command == "solve":
+            assert rows == ["method,k,step_norm,residual_norm,true_error,wall_ms"]
+        else:
+            assert rows[0] == "n,k,true_error"
+            assert {row.split(",")[0] for row in rows[1:]} == {"4"}
 
     def test_nsweep_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
