@@ -117,6 +117,9 @@ def _run_weights_command(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"--n: out of memory for {args.n} panels: {exc}", file=sys.stderr)
+        return 2
     print(f"kernel={args.kernel} n={args.n} s={args.s} domain=[{a}, {b}]")
     for j, (t, wj) in enumerate(zip(grid.nodes, w)):
         print(f"  j={j:3d} t={t:+.6f} w={wj:+.16e}")

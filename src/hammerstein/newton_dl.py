@@ -5,6 +5,17 @@ into the finite system X - A F(X) = Y on the grid nodes, which is then
 solved by finite-dimensional Newton. The iteration converges to the
 solution of the *discrete* system, so its accuracy plateaus at the
 discretization error of the grid no matter how many Newton steps run.
+
+A, the product rule of the grid at its own nodes, is never formed: it is
+applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L),
+which also gives the natural extension at the output samples. Each Newton
+step solves (I - A D) delta = -res, D = diag F'(X), by right-preconditioned
+GMRES. The preconditioner is the Atkinson-Brakhage two-grid inverse on a
+uniform coarse grid (`_TwoGrid`; Atkinson, The Numerical Solution of
+Integral Equations of the Second Kind, CUP 1997; Kelley, Iterative Methods
+for Linear and Nonlinear Equations, SIAM 1995). A GMRES step is taken only
+once its true residual has been checked; after a miss, this step and the
+later ones are LU solves of the Newton matrix on the grid itself.
 """
 
 from __future__ import annotations
@@ -14,11 +25,39 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import solve_dense
-from .newton_ld import _dense_rows, _NewtonSettings, _newton, _sample_initial
-from .problem import Grid, HammersteinProblem, SampledFunction
+from .linalg import SingularSystemError, factor_dense
+from .linalg import solve_dense  # noqa: F401 (perfbench/tracing.py hooks this name)
+from .newton_ld import (
+    _dense_rows,
+    _NewtonSettings,
+    _newton,
+    _product,
+    _ProductRule,
+    _sample_initial,
+)
+from .problem import Grid, HammersteinProblem, SampledFunction, make_grid
 from .quadrature import weight_matrix  # noqa: F401 (perfbench/tracing.py hooks this name)
 from .reports import SolveReport
+
+# Panels of the coarse grid. On log-sine (L = one, F = sin_pi, x0 =
+# 0.85) at n = 1437 and 1563, GMRES took 8-11 iterations per Newton step with
+# 16 panels, 6-9 with 32, 5-7 with 64 and 5-6 with 128. A whole solve took
+# 0.025-0.032 s with 16-64 panels and 0.039-0.042 s with 128 on a 2-vCPU
+# host; 64 keeps the count furthest below _GMRES_MAXITER at that cost. The
+# coarse rows hold 2 * 65 * (n + 1) numbers, 1.7 MB at n = 1600. A grid of
+# at most this many panels is its own coarse grid: its steps are LU steps.
+_COARSE_N = 64
+# Bound on the max-norm of an accepted step's true linear residual, relative
+# to the Newton residual. At 1e-13, sixteen dl_large_n solves (n = 1421-1568)
+# kept the Newton iteration counts of exact LU steps, with terminal errors
+# of at most 1.1e-15.
+_GMRES_RTOL = 1e-13
+# GMRES iterations on the coarse grid before the step falls back to the
+# grid's own LU. Where the coarse grid resolves the problem a step takes 5-7.
+# On alg beta = 0.7 at n = 256 (L = one, F = square) a step took 60-100 on
+# the coarse grids of 64 and 128 panels, a Krylov space of a third of the
+# grid, where the grid's own LU is cheaper.
+_GMRES_MAXITER = 20
 
 
 @dataclass(frozen=True)
@@ -26,23 +65,106 @@ class DLSettings(_NewtonSettings):
     """Settings of dl_solve: the shared stopping rule and output grid."""
 
 
+class _TwoGrid:
+    """Two-grid inverse of I - A D on a coarse grid of n_c panels.
+
+    With K = A D, the coarse nodes tau, the coarse product rule G at tau and
+    its rows R at the grid nodes, and D_c = D interpolated to tau,
+
+        M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
+
+    where (K r)(tau) comes from the grid's product-rule rows at tau. When
+    n_c = n the coarse grid is the grid itself, G is the dense A, and M is
+    the LU solve of I - A D.
+    """
+
+    def __init__(self, problem: HammersteinProblem, grid: Grid, n_c: int):
+        kernel, L = problem.kernel, problem.L
+        self.exact = n_c == grid.n
+        self.nodes = grid.nodes
+        if self.exact:
+            self.tau = grid.nodes
+            self.G = _dense_rows(grid, kernel, L, grid.nodes)
+        else:
+            coarse = make_grid(problem.a, problem.b, n_c)
+            self.tau = coarse.nodes
+            self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+            self.R = _dense_rows(coarse, kernel, L, grid.nodes)
+            self.WL_tau = _dense_rows(grid, kernel, L, coarse.nodes)
+
+    def inverse(self, df, K):
+        """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
+        d_c = np.interp(self.tau, self.nodes, df)
+        solve = factor_dense(np.eye(self.tau.size) - self.G * d_c[None, :])
+        if self.exact:
+            # the LU of the Newton matrix itself; the two-grid form would
+            # add and cancel terms of size |A D| |r|, and a runaway iterate
+            # makes |A D| large
+            return solve
+
+        def apply(r):
+            return r + K(r) + _product(self.R, d_c * solve(_product(self.WL_tau, df * r)))
+
+        return apply
+
+
+def _gmres(op, precond, b, tol: float, maxiter: int):
+    """x with max|op(x) - b| <= tol; None after maxiter iterations or overflow.
+
+    Right-preconditioned GMRES from x = 0: Arnoldi with modified Gram-Schmidt
+    on op(precond(.)), and the small least-squares problem solved afresh each
+    iteration. Once its residual estimate (a 2-norm, so a bound on the
+    max-norm) drops to tol, x is formed and its true residual checked with one
+    more op; a miss restarts from x.
+    """
+    x = np.zeros_like(b)
+    r = b
+    left = maxiter
+    while not np.max(np.abs(r)) <= tol:  # a NaN residual is a miss too
+        if left == 0:
+            return None
+        beta = np.linalg.norm(r)
+        V, Z = [r / beta], []
+        H = np.zeros((left + 1, left))
+        for j in range(left):
+            Z.append(precond(V[j]))
+            w = op(Z[j])
+            if not np.all(np.isfinite(w)):
+                return None  # overflow: no residual to check
+            for i, v in enumerate(V):
+                H[i, j] = v @ w
+                w = w - H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            e1 = np.zeros(j + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
+            if np.linalg.norm(H[: j + 2, : j + 1] @ y - e1) <= tol or H[j + 1, j] == 0.0:
+                break
+            V.append(w / H[j + 1, j])
+        left -= j + 1
+        x = x + np.array(Z).T @ y
+        r = b - op(x)
+    return x
+
+
 class _Workspace:
     """DL discretization: the system X - A F(X) = Y and its natural extension.
 
     The extension psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j) gives
-    off-grid values defined by the discrete equation itself. It is evaluated
-    on the output samples and the grid nodes, and its rows at the nodes,
-    A[i, j] = w_j(t_i) L(t_i, t_j), are the discrete operator.
+    off-grid values defined by the discrete equation itself. An iterate is
+    the pair (X, operator values at the output samples and the nodes), so one
+    operator apply serves the residual, the measurement and the result.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
         self.problem = problem
+        self.grid = grid
         self.nodes = nodes = grid.nodes
         self.Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape).copy()
         sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
         self.out_points = np.unique(np.concatenate([sample_points, nodes]))
-        self.WL_out = _dense_rows(grid, problem.kernel, problem.L, self.out_points)
-        self.A = self.WL_out[np.searchsorted(self.out_points, nodes)]
+        self.node_idx = np.searchsorted(self.out_points, nodes)
+        self.rule = _ProductRule(problem, grid, self.out_points, self.node_idx)
         self.y_out = np.broadcast_to(
             np.asarray(problem.y(self.out_points), dtype=float), self.out_points.shape
         )
@@ -50,36 +172,58 @@ class _Workspace:
         self.exact_samples = None
         if problem.exact is not None:
             self.exact_samples = np.asarray(problem.exact(sample_points), dtype=float)
+        self.two_grid = _TwoGrid(problem, grid, min(grid.n, _COARSE_N))
 
-    def _residual(self, X) -> np.ndarray:
+    def _iterate(self, X):
         fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
-        return X - self.A @ fx - self.Y
+        return X, self.rule(fx)
 
-    def _extension(self, X) -> np.ndarray:
-        fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
-        return self.y_out + self.WL_out @ fx
+    def _residual(self, iterate) -> np.ndarray:
+        X, K_out = iterate
+        return X - K_out[self.node_idx] - self.Y
 
-    def start(self, x0) -> np.ndarray:
-        return _sample_initial(self.problem, x0, self.nodes)
+    def start(self, x0):
+        return self._iterate(_sample_initial(self.problem, x0, self.nodes))
 
-    def step(self, X):
+    def step(self, iterate):
         """One Newton step on X - A F(X) = Y and its step norm."""
-        res = self._residual(X)
-        df = np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float)
-        J = np.eye(self.nodes.size) - self.A * df[None, :]
-        X_new = X + solve_dense(J, -res)
-        return X_new, float(np.max(np.abs(X_new - X)))
+        X = iterate[0]
+        res = self._residual(iterate)
+        df = np.broadcast_to(
+            np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float), X.shape
+        )
+        X_new = X + self._newton_step(df, -res)
+        return self._iterate(X_new), float(np.max(np.abs(X_new - X)))
 
-    def measure(self, X) -> tuple[float, Optional[float]]:
+    def _newton_step(self, df, rhs) -> np.ndarray:
+        """delta with (I - A D) delta = rhs: a checked GMRES step, else an LU step."""
+
+        def K(v):
+            return self.rule.at_nodes(df * v)
+
+        if not self.two_grid.exact:
+            try:
+                precond = self.two_grid.inverse(df, K)
+            except SingularSystemError:
+                pass  # a singular coarse system says nothing about the grid's own
+            else:
+                tol = _GMRES_RTOL * np.max(np.abs(rhs))
+                delta = _gmres(lambda v: v - K(v), precond, rhs, tol, _GMRES_MAXITER)
+                if delta is not None:
+                    return delta
+            self.two_grid = _TwoGrid(self.problem, self.grid, self.grid.n)
+        return self.two_grid.inverse(df, K)(rhs)
+
+    def measure(self, iterate) -> tuple[float, Optional[float]]:
         """Residual norm of the discrete system and true error of the extension."""
-        residual_norm = float(np.max(np.abs(self._residual(X))))
+        residual_norm = float(np.max(np.abs(self._residual(iterate))))
         if self.exact_samples is None:
             return residual_norm, None
-        ext = self._extension(X)
+        ext = self.y_out + iterate[1]
         return residual_norm, float(np.max(np.abs(ext[self.sample_sel] - self.exact_samples)))
 
-    def result(self, X) -> SampledFunction:
-        return SampledFunction(self.out_points, self._extension(X))
+    def result(self, iterate) -> SampledFunction:
+        return SampledFunction(self.out_points, self.y_out + iterate[1])
 
 
 def dl_solve(

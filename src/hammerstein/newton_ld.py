@@ -11,15 +11,16 @@ The limit of the iteration is set by the accuracy of the operator
 evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
 
 In fine mode the operator is the product rule on n_fine panels, applied
-without its dense matrix (`_FineRule`): at the fine nodes the weights are a
-Toeplitz matrix plus two boundary columns, applied by FFT, and L enters
+without its dense matrix (`_ProductRule`): at the fine nodes the weights are
+a Toeplitz matrix plus two boundary columns, applied by FFT, and L enters
 through a Chebyshev interpolant in s of adaptively chosen size r. An apply
 costs O(r n_fine log n_fine) and the operator holds O(r n_fine) numbers,
 plus dense rows for the evaluation points off the fine grid.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses),
-the settings it reads and the chunked builder of product-rule rows
-(`_dense_rows`) are shared with the DL solver in newton_dl.
+the settings it reads, the chunked builder of product-rule rows
+(`_dense_rows`) and `_ProductRule` are shared with the DL solver in
+newton_dl, whose discrete operator is the product rule of its own grid.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # build of 0.66-0.74 s and a dense apply of 13-14 ms, so it breaks even
 # after 30-68 applies. At n_fine = 1024 (10 ms against 0.05 s and 0.6 ms)
 # the dense rows win after 5-6 applies, which costs at most 0.25 s a solve.
+# DL applies the rule of its own grid about 12 times per Newton step (two per
+# GMRES iteration). There, at n = 1500, an apply at r = 129 takes 8 ms, and
+# 30 steps of log-kernel DL with L = cos(30 s t) (r = 65) took 1.9 s, against
+# 3.6 s with dense rows and LU steps.
 _RANK_TOL = 1e-14
 _MAX_RANK = 129
 _CHECK_COUNT = 32
@@ -233,12 +238,35 @@ def _dense_rows(grid: Grid, kernel, L, s: np.ndarray) -> np.ndarray:
     return wl
 
 
-class _FineRule:
-    """The product rule on the n_fine-panel grid, at every evaluation point.
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the circulant length of a product rule.
 
-    At a fine node t_i the log and alg weights w_j(t_i) depend only on j - i,
-    except in the boundary columns j = 0 and j = N. The interior columns are
-    a Toeplitz matrix T, applied by FFT on its circulant embedding, and L
+    numpy's FFT is fast at such lengths only. On a 2-vCPU host an apply at
+    r = 17 on a grid of 1563 panels took 5.8 ms at length 2 * 1563 = 3126
+    (2 * 3 * 521), and one on 1536 panels (length 3072) took 0.9 ms. This is
+    scipy.fft.next_fast_len(n, real=True), whose import (scipy.fft) takes
+    53 ms in a fresh process that has imported hammerstein.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^k >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+class _ProductRule:
+    """The product rule of a uniform grid at every evaluation point.
+
+    The grid is LD's fine grid of n_fine panels or DL's own grid; its N + 1
+    nodes, the "fine nodes" below, are the points at fine_idx. At a fine
+    node t_i the log and alg weights w_j(t_i) depend only on j - i, except
+    in the boundary columns j = 0 and j = N. The interior columns are a
+    Toeplitz matrix T, applied by FFT on its circulant embedding, and L
     enters through its Chebyshev interpolant in s at r points sigma_k:
 
         K(t_i) = sum_k ell_k(t_i) [T (L(sigma_k, .) F)]_i
@@ -271,12 +299,13 @@ class _FineRule:
             self.L_sigma[:, [0, N]] = 0.0
 
             # interior symbol c_k = w_{i+k}(t_i), k = -(N-1)..N-1, from the
-            # rows at t_0, t_1 and t_N
+            # rows at t_0, t_1 and t_N, on a circulant of m >= 2N points
             rows = weight_matrix(fine, kernel, t[[0, 1, N]])
             c = np.concatenate([rows[2, 1:N], rows[1, 1:2], rows[0, 1:N]])
-            v = np.zeros(2 * N)
+            self.m = _fft_size(2 * N)
+            v = np.zeros(self.m)
             v[:N] = c[N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
-            v[N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
+            v[self.m - N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
             self.symbol = np.fft.rfft(v)
 
             # boundary columns from one-panel grids; weight_matrix divides
@@ -297,14 +326,22 @@ class _FineRule:
         out = np.empty(self.size)
         out[self.dense_idx] = _product(self.WL_dense, ft)
         if self.ell is not None:
-            m = 2 * (ft.size - 1)
-            conv = np.fft.irfft(np.fft.rfft(self.L_sigma * ft, m) * self.symbol, m)
-            out[self.fine_idx] = (
-                np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
-                + self.col_first * ft[0]
-                + self.col_last * ft[-1]
-            )
+            out[self.fine_idx] = self._structured(ft)
         return out
+
+    def at_nodes(self, ft: np.ndarray) -> np.ndarray:
+        """Operator values at the fine nodes alone."""
+        if self.ell is None:
+            return self(ft)[self.fine_idx]
+        return self._structured(ft)
+
+    def _structured(self, ft: np.ndarray) -> np.ndarray:
+        conv = np.fft.irfft(np.fft.rfft(self.L_sigma * ft, self.m) * self.symbol, self.m)
+        return (
+            np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
+            + self.col_first * ft[0]
+            + self.col_last * ft[-1]
+        )
 
 
 class _Workspace:
@@ -333,7 +370,7 @@ class _Workspace:
             fine = make_grid(problem.a, problem.b, settings.n_fine)
             self.fine_nodes = fine.nodes
             self.fine_idx = self._locate(fine.nodes)
-            self.fine_rule = _FineRule(problem, fine, self.points, self.fine_idx)
+            self.fine_rule = _ProductRule(problem, fine, self.points, self.fine_idx)
             self.plan = None
         else:
             self.plan = SubtractionPlan(problem, self.points)

@@ -116,19 +116,14 @@ def profile_tables_by_task(smooth, svals, c, d, breaks, q):
     return (kind, s, sgn, task), (lo, hi, prof)
 
 
-def solver_operator(problem, x, settings, n=7):
-    """The integral operator that ld_solve runs, applied to x at its evaluation points.
+def frozen_problem(problem, x):
+    """``problem`` with F frozen at x, F(t, u) := F(t, x(t)) with dF = 0, and y = 0.
 
-    F is frozen at x, F(t, u) := F(t, x(t)) with dF = 0, and y = 0: one Newton
-    step from any start then returns exactly the operator values at every
-    point of the solver's evaluation set (the nodes of an n-panel grid, the
-    output samples and, in fine mode, the fine nodes). x is called at every
-    point the operator reads, so subtract mode never interpolates it.
-    Returns a SampledFunction of those points and values.
+    One Newton step of either solver from any start then returns exactly its
+    integral operator applied to x, at every point where the solver reports
+    values. x is called at every point the operator reads.
     """
-    from dataclasses import replace
-
-    from hammerstein import FUNCTIONS, HammersteinProblem, Nonlinearity, ld_solve, make_grid
+    from hammerstein import FUNCTIONS, HammersteinProblem, Nonlinearity
 
     F = problem.nonlin.F
     frozen = Nonlinearity(
@@ -136,8 +131,24 @@ def solver_operator(problem, x, settings, n=7):
         lambda t, u: np.asarray(F(t, x(t)), dtype=float),
         lambda t, u: np.zeros(np.broadcast(t, u).shape),
     )
-    linear = HammersteinProblem(
+    return HammersteinProblem(
         problem.a, problem.b, problem.kernel, problem.L, frozen, FUNCTIONS["zero"]
     )
+
+
+def solver_operator(problem, x, settings, n=7):
+    """The integral operator that ld_solve runs, applied to x at its evaluation points.
+
+    One Newton step on frozen_problem(problem, x) returns the operator values
+    at every point of the solver's evaluation set (the nodes of an n-panel
+    grid, the output samples and, in fine mode, the fine nodes); subtract
+    mode never interpolates x. Returns a SampledFunction of those points and
+    values.
+    """
+    from dataclasses import replace
+
+    from hammerstein import ld_solve, make_grid
+
+    linear = frozen_problem(problem, x)
     fn, _ = ld_solve(linear, make_grid(problem.a, problem.b, n), replace(settings, max_iter=1))
     return fn

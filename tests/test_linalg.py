@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hammerstein import SingularSystemError, solve_dense
+from hammerstein.linalg import factor_dense
 
 
 def test_identity():
@@ -81,3 +82,37 @@ def test_does_not_mutate_inputs(rng):
     solve_dense(M, rhs)
     np.testing.assert_array_equal(M, M0)
     np.testing.assert_array_equal(rhs, r0)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        np.diag([1.0, 1.0, 1e-17]),
+        np.zeros((2, 2)),
+        # the threshold is eps times the max row sum, here 1.0
+        np.diag([1.0, 0.5 * np.finfo(float).eps]),
+    ],
+)
+def test_factor_raises_what_solve_raises(M):
+    with pytest.raises(SingularSystemError) as from_solve:
+        solve_dense(M, np.ones(M.shape[0]))
+    with pytest.raises(SingularSystemError) as from_factor:
+        factor_dense(M)
+    assert str(from_factor.value) == str(from_solve.value)
+
+
+def test_factor_passes_what_solve_passes_at_the_threshold():
+    M = np.diag([1.0, 2.0 * np.finfo(float).eps])
+    rhs = np.array([1.0, 1.0])
+    np.testing.assert_array_equal(factor_dense(M)(rhs), solve_dense(M, rhs))
+
+
+def test_factor_solves_many_right_hand_sides(rng):
+    M = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
+    solve = factor_dense(M)
+    for _ in range(3):
+        rhs = rng.standard_normal(20)
+        np.testing.assert_array_equal(solve(rhs), solve_dense(M, rhs))
+    with pytest.raises(ValueError):
+        solve(np.ones(19))

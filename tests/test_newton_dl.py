@@ -1,21 +1,34 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hammerstein
 from hammerstein import (
     DLSettings,
     FUNCTIONS,
     HammersteinProblem,
     SingularOperatorError,
+    algebraic_kernel,
     dl_solve,
     get_nonlinearity,
     log_kernel,
     make_grid,
+    manufactured_problem,
     moment0,
     polynomial_nonlinearity,
     smooth_kernel,
+    solve_dense,
     weight_matrix,
 )
-from hammerstein.problem import L_one, L_zero
+from hammerstein import newton_dl
+from hammerstein.newton_dl import _COARSE_N
+from hammerstein.problem import L_exp_st, L_one, L_zero
+from oracles import frozen_problem
 
 FAST = DLSettings(sample_count=41)
 ONE_STEP = DLSettings(max_iter=1, sample_count=41)
@@ -31,6 +44,25 @@ def operator_rows(prob, grid):
     """A[i, j] = w_j(t_i) L(t_i, t_j), the discrete operator of dl_solve."""
     nodes = grid.nodes
     return weight_matrix(grid, prob.kernel, nodes) * prob.L(nodes[:, None], nodes[None, :])
+
+
+def dl_operator(prob, x, grid):
+    """The operator dl_solve runs, applied to x: the product rule of ``grid``
+    applied to F(x) at the nodes, at the nodes and the 41 output samples."""
+    fn, _ = dl_solve(frozen_problem(prob, x), grid, ONE_STEP)
+    return fn
+
+
+def dense_newton(prob, grid, x0, steps):
+    """Nodal iterates of Newton on X - A F(X) = Y with the dense matrix A."""
+    A = operator_rows(prob, grid)
+    nodes = grid.nodes
+    Y = np.broadcast_to(np.asarray(prob.y(nodes), dtype=float), nodes.shape)
+    X = np.full(nodes.shape, float(x0))
+    for _ in range(steps):
+        res = X - A @ prob.nonlin.F(nodes, X) - Y
+        X = X + solve_dense(np.eye(nodes.size) - A * prob.nonlin.dF(nodes, X)[None, :], -res)
+    return X
 
 
 class TestAssemble:
@@ -162,8 +194,107 @@ class TestSolve:
         report.validate()
 
 
+class TestStructured:
+    """The Toeplitz-times-low-rank operator and the two-grid GMRES step, used
+    at grids of more than _COARSE_N panels. 2N = 602 = 2 * 7 * 43, so the
+    Toeplitz circulant is padded to 625 points."""
+
+    N = 301
+
+    @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
+    def test_operator_matches_dense_rows(self, L):
+        assert self.N > _COARSE_N
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        grid = make_grid(0, 1, self.N)
+        x = np.cos
+        fn = dl_operator(prob, x, grid)
+        f = prob.nonlin.F(grid.nodes, x(grid.nodes))
+        np.testing.assert_allclose(fn(grid.nodes), operator_rows(prob, grid) @ f,
+                                   rtol=0, atol=1e-12)
+        samples = np.linspace(0, 1, 41)
+        rows = weight_matrix(grid, prob.kernel, samples) * L(samples[:, None], grid.nodes)
+        np.testing.assert_allclose(fn(samples), rows @ f, rtol=0, atol=1e-12)
+
+    def test_nodal_values_match_dense_newton(self):
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        grid = make_grid(0, 1, self.N)
+        fn, report = dl_solve(prob, grid, FAST)
+        assert report.status == "converged"
+        oracle = dense_newton(prob, grid, 1.0, len(report.records) + 1)
+        np.testing.assert_allclose(fn(grid.nodes), oracle, rtol=0, atol=1e-12)
+
+    def test_memory_stays_below_one_dense_matrix(self, benchmark_problem):
+        n = 3000
+        grid = make_grid(0, 1, n)
+        tracemalloc.start()
+        try:
+            _, report = dl_solve(benchmark_problem, grid, x0=0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert report.records[-1].true_error <= 1e-12
+        assert peak < 0.5 * n * n * 8
+
+    def test_coarse_grid_that_stalls_falls_back_to_exact_steps(self, monkeypatch):
+        # GMRES does not reach its bound within _GMRES_MAXITER iterations on
+        # the coarse grid of 64 panels here, so the steps come from the
+        # grid's own LU, as with dense LU steps: 7 steps, converged
+        levels = []
+
+        class Recorded(newton_dl._TwoGrid):
+            def __init__(self, problem, grid, n_c):
+                levels.append(n_c)
+                super().__init__(problem, grid, n_c)
+
+        monkeypatch.setattr(newton_dl, "_TwoGrid", Recorded)
+        prob = manufactured_problem(
+            kernel=algebraic_kernel(0.7), L=L_one, nonlin=get_nonlinearity("square"),
+            exact=np.cos, quad_tol=1e-10,
+        )
+        _, report = dl_solve(prob, make_grid(0, 1, 256), FAST)
+        assert report.status == "converged"
+        assert report.records[-1].k == 7
+        assert levels == [64, 256]
+
+    def test_gmres_non_finite_check_is_a_miss(self):
+        # the Arnoldi pass solves x = b exactly, then the residual check
+        # overflows to NaN: no x comes back unchecked
+        calls = []
+
+        def op(v):
+            calls.append(1)
+            return v if len(calls) == 1 else np.full_like(v, np.nan)
+
+        assert newton_dl._gmres(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+
+    def test_gmres_overflowing_operator_is_a_miss(self):
+        def op(v):
+            return v * 1e308 * 1e10
+
+        with np.errstate(over="ignore"):
+            assert newton_dl._gmres(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+
+
 class TestSettings:
     @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"max_iter": 0}, {"sample_count": 0}])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError):
             DLSettings(**kwargs)
+
+
+def test_import_does_not_load_scipy_sparse():
+    # importing scipy.sparse.linalg takes 31-33 ms more on a 2-vCPU host, and
+    # every cold start would pay it; DL's GMRES is written in the package
+    src = str(Path(hammerstein.__file__).resolve().parents[1])
+    code = "import sys, hammerstein; print([m for m in sys.modules if 'scipy.sparse' in m])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from hammerstein import (
     make_grid,
     smooth_kernel,
 )
-from hammerstein.newton_ld import _product
+from hammerstein.newton_ld import _fft_size, _product
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
 
@@ -313,6 +313,12 @@ class TestFineOperator:
         # the dense points x (n_fine + 1) operator alone would take this much
         dense_bytes = fn.points.size * (4096 + 1) * 8
         assert peaks[1] < dense_bytes / 2
+
+    def test_fft_size_is_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        for n in range(1, 5000):
+            assert _fft_size(n) == next_fast_len(n, real=True)
 
 
 class TestSettings:

@@ -216,6 +216,16 @@ class TestRunner:
             outs.append(outcome.csv_path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_structured_dl_deterministic_bytes(self, tmp_path):
+        # n = 301 runs DL's FFT operator and its GMRES steps
+        config = {**FAST_BENCH, "solver": "dl", "n": 301, "phi0": 0.9}
+        outs = []
+        for name in ("a", "b"):
+            cfg = config_from_dict(config, out_dir_override=tmp_path / name)
+            outs.append(run_compare(cfg).csv_path.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\ndl,") == 5
+
     def test_compare_respects_solver_selection(self, tmp_path):
         cfg = config_from_dict(
             {**FAST_BENCH, "solver": "ld"}, out_dir_override=tmp_path
@@ -365,17 +375,12 @@ class TestCli:
         assert rows[0].startswith("method,k,")
         assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
 
-    @pytest.mark.parametrize("command", ["solve", "nsweep"])
-    def test_out_of_memory_exit_code_with_partial_csv(self, tmp_path, command):
-        # n = 10**10 passes validation, but its node array takes 75 GiB; the
-        # CLI runs in a child process limited to 2 GiB of address space, where
-        # make_grid raises MemoryError. One BLAS thread keeps the child's own
-        # buffers small on hosts with many cores.
-        cfg = self._write(tmp_path, {**FAST_BENCH, "n": 10**10, "solver": "ld"})
-        out = tmp_path / "out"
-        args = [command, "--config", cfg, "--out", str(out)]
-        if command == "nsweep":
-            args += ["--n", f"4,{10**10}"]
+    @staticmethod
+    def _run_cli_in_2gib(args):
+        # the CLI runs in a child process limited to 2 GiB of address space,
+        # where a 75 GiB node array makes make_grid raise MemoryError. One
+        # BLAS thread keeps the child's own buffers small on hosts with many
+        # cores.
         limit = 2 * 1024**3
 
         def limit_address_space():
@@ -384,11 +389,21 @@ class TestCli:
         src = str(Path(hammerstein.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
                "OMP_NUM_THREADS": "1"}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "hammerstein.cli", *args],
             env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
             timeout=120,
         )
+
+    @pytest.mark.parametrize("command", ["solve", "nsweep"])
+    def test_out_of_memory_exit_code_with_partial_csv(self, tmp_path, command):
+        # n = 10**10 passes validation, but its node array takes 75 GiB
+        cfg = self._write(tmp_path, {**FAST_BENCH, "n": 10**10, "solver": "ld"})
+        out = tmp_path / "out"
+        args = [command, "--config", cfg, "--out", str(out)]
+        if command == "nsweep":
+            args += ["--n", f"4,{10**10}"]
+        proc = self._run_cli_in_2gib(args)
         assert proc.returncode == 3, proc.stderr
         assert "out of memory" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -419,6 +434,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sum(w)" in out
         assert out.count("j=") == 9
+
+    def test_weights_out_of_memory_is_a_usage_error(self):
+        proc = self._run_cli_in_2gib(["weights", "--n", str(10**10), "--s", "0.5"])
+        assert proc.returncode == 2, proc.stderr
+        assert "--n: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_weights_outside_domain(self, capsys):
         assert cli_main(["weights", "--kernel", "log", "--n", "4", "--s", "2.0"]) == 2
