@@ -9,13 +9,14 @@ discretization error of the grid no matter how many Newton steps run.
 A, the product rule of the grid at its own nodes, is never formed: it is
 applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L),
 which also gives the natural extension at the output samples. Each Newton
-step solves (I - A D) delta = -res, D = diag F'(X), by right-preconditioned
-GMRES. The preconditioner is the Atkinson-Brakhage two-grid inverse on a
-uniform coarse grid (`_TwoGrid`; Atkinson, The Numerical Solution of
-Integral Equations of the Second Kind, CUP 1997; Kelley, Iterative Methods
-for Linear and Nonlinear Equations, SIAM 1995). A GMRES step is taken only
-once its true residual has been checked; after a miss, this step and the
-later ones are LU solves of the Newton matrix on the grid itself.
+step solves (I - A D) delta = -res, D = diag F'(X), by the stationary
+iteration delta <- delta + M (-res - (I - A D) delta), with M the
+Atkinson-Brakhage two-grid inverse on a uniform coarse grid (`_TwoGrid`;
+Atkinson, The Numerical Solution of Integral Equations of the Second Kind,
+CUP 1997; Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995). M only sets the rate; each residual is the grid's true one, so
+a step is taken only once checked. After a miss, this step and the later
+ones are LU solves of the Newton matrix on the grid itself.
 """
 
 from __future__ import annotations
@@ -40,24 +41,25 @@ from .quadrature import weight_matrix  # noqa: F401 (perfbench/tracing.py hooks 
 from .reports import SolveReport
 
 # Panels of the coarse grid. On log-sine (L = one, F = sin_pi, x0 =
-# 0.85) at n = 1437 and 1563, GMRES took 8-11 iterations per Newton step with
-# 16 panels, 6-9 with 32, 5-7 with 64 and 5-6 with 128. A whole solve took
-# 0.025-0.032 s with 16-64 panels and 0.039-0.042 s with 128 on a 2-vCPU
-# host; 64 keeps the count furthest below _GMRES_MAXITER at that cost. The
-# coarse rows hold 2 * 65 * (n + 1) numbers, 1.7 MB at n = 1600. A grid of
-# at most this many panels is its own coarse grid: its steps are LU steps.
+# 0.85) at n = 1437 and 1563, a Newton step took 13-20 two-grid updates with
+# 16 panels (the last step missed and fell back to the LU), 8-18 with 32,
+# 6-11 with 64 and 5-8 with 128. A whole solve took 0.20-0.21 s with 16
+# panels, 0.036-0.042 s with 32 or 64 and 0.042-0.044 s with 128 on a 2-vCPU
+# host; 64 keeps the count furthest below _STEP_MAXITER at that cost. The
+# coarse rows hold 65 * (n + 1) numbers, 0.8 MB at n = 1600. A grid of at
+# most this many panels is its own coarse grid: its steps are LU steps.
 _COARSE_N = 64
 # Bound on the max-norm of an accepted step's true linear residual, relative
-# to the Newton residual. At 1e-13, sixteen dl_large_n solves (n = 1421-1568)
+# to the Newton residual. At 1e-13, twenty dl_large_n solves (n = 1416-1568)
 # kept the Newton iteration counts of exact LU steps, with terminal errors
-# of at most 1.1e-15.
-_GMRES_RTOL = 1e-13
-# GMRES iterations on the coarse grid before the step falls back to the
-# grid's own LU. Where the coarse grid resolves the problem a step takes 5-7.
-# On alg beta = 0.7 at n = 256 (L = one, F = square) a step took 60-100 on
-# the coarse grids of 64 and 128 panels, a Krylov space of a third of the
-# grid, where the grid's own LU is cheaper.
-_GMRES_MAXITER = 20
+# of at most 1.0e-15.
+_STEP_RTOL = 1e-13
+# Two-grid updates before the step falls back to the grid's own LU; an
+# update that does not shrink the residual ends the iteration sooner. Where
+# the coarse grid resolves the problem a step takes 6-11. On alg beta = 0.7
+# at n = 256 (L = one, F = square) the first update already fails to shrink
+# it on the coarse grid of 64 panels.
+_STEP_MAXITER = 20
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,8 @@ class _TwoGrid:
 
         M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
 
-    where (K r)(tau) comes from the grid's product-rule rows at tau. When
-    n_c = n the coarse grid is the grid itself, G is the dense A, and M is
-    the LU solve of I - A D.
+    where (K r)(tau) is K r interpolated to tau. When n_c = n the coarse grid
+    is the grid itself, G is the dense A, and M is the LU solve of I - A D.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, n_c: int):
@@ -90,7 +91,6 @@ class _TwoGrid:
             self.tau = coarse.nodes
             self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
             self.R = _dense_rows(coarse, kernel, L, grid.nodes)
-            self.WL_tau = _dense_rows(grid, kernel, L, coarse.nodes)
 
     def inverse(self, df, K):
         """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
@@ -103,48 +103,30 @@ class _TwoGrid:
             return solve
 
         def apply(r):
-            return r + K(r) + _product(self.R, d_c * solve(_product(self.WL_tau, df * r)))
+            Kr = K(r)
+            return r + Kr + _product(self.R, d_c * solve(np.interp(self.tau, self.nodes, Kr)))
 
         return apply
 
 
-def _gmres(op, precond, b, tol: float, maxiter: int):
-    """x with max|op(x) - b| <= tol; None after maxiter iterations or overflow.
+def _two_grid_solve(op, precond, b, tol: float, maxiter: int):
+    """x with max|b - op(x)| <= tol by x <- x + precond(b - op(x)) from x = 0.
 
-    Right-preconditioned GMRES from x = 0: Arnoldi with modified Gram-Schmidt
-    on op(precond(.)), and the small least-squares problem solved afresh each
-    iteration. Once its residual estimate (a 2-norm, so a bound on the
-    max-norm) drops to tol, x is formed and its true residual checked with one
-    more op; a miss restarts from x.
+    Every residual measured is the true one, so a returned x is checked. None
+    once the residual fails to shrink (a NaN one never shrinks) or after
+    maxiter updates.
     """
-    x = np.zeros_like(b)
-    r = b
-    left = maxiter
-    while not np.max(np.abs(r)) <= tol:  # a NaN residual is a miss too
-        if left == 0:
-            return None
-        beta = np.linalg.norm(r)
-        V, Z = [r / beta], []
-        H = np.zeros((left + 1, left))
-        for j in range(left):
-            Z.append(precond(V[j]))
-            w = op(Z[j])
-            if not np.all(np.isfinite(w)):
-                return None  # overflow: no residual to check
-            for i, v in enumerate(V):
-                H[i, j] = v @ w
-                w = w - H[i, j] * v
-            H[j + 1, j] = np.linalg.norm(w)
-            e1 = np.zeros(j + 2)
-            e1[0] = beta
-            y = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
-            if np.linalg.norm(H[: j + 2, : j + 1] @ y - e1) <= tol or H[j + 1, j] == 0.0:
-                break
-            V.append(w / H[j + 1, j])
-        left -= j + 1
-        x = x + np.array(Z).T @ y
+    x, r = np.zeros_like(b), b
+    size = np.max(np.abs(r))
+    for _ in range(maxiter):
+        if size <= tol:
+            return x
+        x = x + precond(r)
         r = b - op(x)
-    return x
+        last, size = size, np.max(np.abs(r))
+        if not size < last:
+            return None
+    return x if size <= tol else None
 
 
 class _Workspace:
@@ -196,7 +178,7 @@ class _Workspace:
         return self._iterate(X_new), float(np.max(np.abs(X_new - X)))
 
     def _newton_step(self, df, rhs) -> np.ndarray:
-        """delta with (I - A D) delta = rhs: a checked GMRES step, else an LU step."""
+        """delta with (I - A D) delta = rhs: a checked two-grid step, else an LU step."""
 
         def K(v):
             return self.rule.at_nodes(df * v)
@@ -207,8 +189,8 @@ class _Workspace:
             except SingularSystemError:
                 pass  # a singular coarse system says nothing about the grid's own
             else:
-                tol = _GMRES_RTOL * np.max(np.abs(rhs))
-                delta = _gmres(lambda v: v - K(v), precond, rhs, tol, _GMRES_MAXITER)
+                tol = _STEP_RTOL * np.max(np.abs(rhs))
+                delta = _two_grid_solve(lambda v: v - K(v), precond, rhs, tol, _STEP_MAXITER)
                 if delta is not None:
                     return delta
             self.two_grid = _TwoGrid(self.problem, self.grid, self.grid.n)

@@ -94,8 +94,6 @@ def _evaluation_points(problem, grid, settings) -> np.ndarray:
 def _sample_initial(problem, phi0, points) -> np.ndarray:
     if phi0 is None:
         phi0 = problem.y
-    if isinstance(phi0, SampledFunction):
-        return phi0(points)
     if callable(phi0):
         return np.broadcast_to(np.asarray(phi0(points), dtype=float), points.shape).copy()
     return np.full(points.shape, float(phi0))
@@ -116,10 +114,10 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # build of 0.66-0.74 s and a dense apply of 13-14 ms, so it breaks even
 # after 30-68 applies. At n_fine = 1024 (10 ms against 0.05 s and 0.6 ms)
 # the dense rows win after 5-6 applies, which costs at most 0.25 s a solve.
-# DL applies the rule of its own grid about 12 times per Newton step (two per
-# GMRES iteration). There, at n = 1500, an apply at r = 129 takes 8 ms, and
-# 30 steps of log-kernel DL with L = cos(30 s t) (r = 65) took 1.9 s, against
-# 3.6 s with dense rows and LU steps.
+# DL applies the rule of its own grid about 14 times per Newton step (two per
+# two-grid update). There, at n = 1500, an apply at r = 129 takes 8 ms, and
+# 30 steps of log-kernel DL with L = cos(30 s t) (r = 65, F = sin_pi, y = 1)
+# took 2.0 s with 414 applies, against 3.6 s with dense rows and LU steps.
 _RANK_TOL = 1e-14
 _MAX_RANK = 129
 _CHECK_COUNT = 32

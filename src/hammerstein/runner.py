@@ -2,7 +2,8 @@
 
 Both entry points write CSV data plus a gnuplot script next to it, echo the
 effective configuration, and keep partial results when a solver dies on a
-singular system or a non-finite iterate, or runs out of memory.
+singular system or a non-finite iterate, runs out of memory, or cannot
+evaluate the manufactured right-hand side to quad_tol.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .config import RunConfig
 from .newton_dl import dl_solve
 from .newton_ld import SingularOperatorError, ld_solve
 from .problem import make_grid
+from .quadrature import QuadratureConvergenceError
 from .reports import (
     SolveReport,
     compare_csv_text,
@@ -47,6 +49,11 @@ def _write_echo(cfg: RunConfig, out: Path) -> None:
     )
 
 
+def _quad_tol_message(cfg: RunConfig, exc: QuadratureConvergenceError) -> str:
+    # the manufactured right-hand side is a run's only reference quadrature
+    return f"manufactured right-hand side missed quad_tol = {cfg.effective['quad_tol']:g}: {exc}"
+
+
 def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
     """Run the selected solver(s) on one problem and grid; emit CSV + plot."""
     out = _resolve_out_dir(cfg)
@@ -68,6 +75,9 @@ def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
             break
         except MemoryError as exc:
             outcome.fatal = f"{method}: out of memory: {exc}"
+            break
+        except QuadratureConvergenceError as exc:
+            outcome.fatal = f"{method}: {_quad_tol_message(cfg, exc)}"
             break
     outcome.csv_path = out / csv_name
     outcome.csv_path.write_text(
@@ -106,6 +116,9 @@ def run_nsweep(cfg: RunConfig, n_list: list[int], csv_name: str = "nsweep.csv") 
             break
         except MemoryError as exc:
             outcome.fatal = f"ld at n={n}: out of memory: {exc}"
+            break
+        except QuadratureConvergenceError as exc:
+            outcome.fatal = f"ld at n={n}: {_quad_tol_message(cfg, exc)}"
             break
         by_n.append((n, report))
         outcome.reports.append(report)

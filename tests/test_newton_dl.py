@@ -195,7 +195,7 @@ class TestSolve:
 
 
 class TestStructured:
-    """The Toeplitz-times-low-rank operator and the two-grid GMRES step, used
+    """The Toeplitz-times-low-rank operator and the two-grid step, used
     at grids of more than _COARSE_N panels. 2N = 602 = 2 * 7 * 43, so the
     Toeplitz circulant is padded to 625 points."""
 
@@ -241,15 +241,26 @@ class TestStructured:
         assert peak < 0.5 * n * n * 8
 
     def test_coarse_grid_that_stalls_falls_back_to_exact_steps(self, monkeypatch):
-        # GMRES does not reach its bound within _GMRES_MAXITER iterations on
-        # the coarse grid of 64 panels here, so the steps come from the
-        # grid's own LU, as with dense LU steps: 7 steps, converged
-        levels = []
+        # the two-grid iteration on the coarse grid of 64 panels stops
+        # shrinking the residual after one update here, so the steps come
+        # from the grid's own LU, as with dense LU steps: 7 steps, converged,
+        # and 8 applications of an inverse (1 two-grid, 7 exact), by the
+        # panel count of its coarse grid
+        levels, applies = [], []
 
         class Recorded(newton_dl._TwoGrid):
             def __init__(self, problem, grid, n_c):
                 levels.append(n_c)
                 super().__init__(problem, grid, n_c)
+
+            def inverse(self, df, K):
+                apply = super().inverse(df, K)
+
+                def counted(r):
+                    applies.append(self.tau.size - 1)
+                    return apply(r)
+
+                return counted
 
         monkeypatch.setattr(newton_dl, "_TwoGrid", Recorded)
         prob = manufactured_problem(
@@ -260,24 +271,34 @@ class TestStructured:
         assert report.status == "converged"
         assert report.records[-1].k == 7
         assert levels == [64, 256]
+        assert applies == [64] + [256] * 7
 
-    def test_gmres_non_finite_check_is_a_miss(self):
-        # the Arnoldi pass solves x = b exactly, then the residual check
-        # overflows to NaN: no x comes back unchecked
-        calls = []
-
+    def test_two_grid_solve_non_finite_check_is_a_miss(self):
+        # the update gives x = b, then the residual check reads NaN: no x
+        # comes back unchecked
         def op(v):
-            calls.append(1)
-            return v if len(calls) == 1 else np.full_like(v, np.nan)
+            return np.full_like(v, np.nan)
 
-        assert newton_dl._gmres(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+        assert newton_dl._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
 
-    def test_gmres_overflowing_operator_is_a_miss(self):
+    def test_two_grid_solve_overflowing_operator_is_a_miss(self):
         def op(v):
             return v * 1e308 * 1e10
 
         with np.errstate(over="ignore"):
-            assert newton_dl._gmres(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+            assert newton_dl._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+
+    def test_two_grid_solve_residual_that_does_not_shrink_is_a_miss(self):
+        # op = 0 leaves the residual at b: a miss after one update, not after
+        # maxiter of them
+        updates = []
+
+        def precond(r):
+            updates.append(1)
+            return r
+
+        assert newton_dl._two_grid_solve(np.zeros_like, precond, np.ones(5), 1e-13, 5) is None
+        assert len(updates) == 1
 
 
 class TestSettings:
@@ -289,7 +310,7 @@ class TestSettings:
 
 def test_import_does_not_load_scipy_sparse():
     # importing scipy.sparse.linalg takes 31-33 ms more on a 2-vCPU host, and
-    # every cold start would pay it; DL's GMRES is written in the package
+    # every cold start would pay it; DL's linear steps need no sparse solver
     src = str(Path(hammerstein.__file__).resolve().parents[1])
     code = "import sys, hammerstein; print([m for m in sys.modules if 'scipy.sparse' in m])"
     proc = subprocess.run(

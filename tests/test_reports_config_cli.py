@@ -414,6 +414,24 @@ class TestCli:
             assert rows[0] == "n,k,true_error"
             assert {row.split(",")[0] for row in rows[1:]} == {"4"}
 
+    @pytest.mark.parametrize("command", ["compare", "nsweep"])
+    def test_unreachable_quad_tol_exit_code_with_partial_csv(self, tmp_path, capsys, command):
+        # the reference quadrature of the manufactured right-hand side runs
+        # out of evaluations at quad_tol = 1e-19
+        cfg = self._write(tmp_path, {
+            "kernel": "log", "L": "one", "F": "square", "y": {"manufactured": "cos"},
+            "n": 2, "n_fine": 2, "sample_count": 2, "quad_tol": 1e-19,
+        })
+        out = tmp_path / "out"
+        args = [command, "--config", cfg, "--out", str(out)]
+        if command == "nsweep":
+            args += ["--n", "2,4"]
+        assert cli_main(args) == 3
+        assert "quad_tol = 1e-19" in capsys.readouterr().err
+        header = {"compare": "method,k,step_norm,residual_norm,true_error,wall_ms",
+                  "nsweep": "n,k,true_error"}[command]
+        assert (out / f"{command}.csv").read_text().splitlines() == [header]
+
     def test_nsweep_cli(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
         code = cli_main(
