@@ -9,6 +9,7 @@ failure (partial results are still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -108,9 +109,15 @@ def _run_weights_command(args) -> int:
         a_str, b_str = args.domain.split(",")
         a, b = float(a_str), float(b_str)
     except ValueError:
-        print(f"--domain: expected 'a,b', got {args.domain!r}", file=sys.stderr)
+        a = b = math.nan
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        print(f"--domain: expected finite 'a,b' with a < b, got {args.domain!r}", file=sys.stderr)
         return 2
-    kernel = log_kernel() if args.kernel == "log" else algebraic_kernel(args.beta)
+    try:
+        kernel = log_kernel() if args.kernel == "log" else algebraic_kernel(args.beta)
+    except ValueError as exc:
+        print(f"--beta: {exc}", file=sys.stderr)
+        return 2
     try:
         grid = make_grid(a, b, args.n)
         w = product_weights(grid, kernel, args.s)

@@ -146,7 +146,7 @@ class _Workspace:
         sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
         self.out_points = np.unique(np.concatenate([sample_points, nodes]))
         self.node_idx = np.searchsorted(self.out_points, nodes)
-        self.rule = _ProductRule(problem, grid, self.out_points, self.node_idx)
+        self.rule = _ProductRule(problem, [(grid, 1.0)], self.out_points, self.node_idx)
         self.y_out = np.broadcast_to(
             np.asarray(problem.y(self.out_points), dtype=float), self.out_points.shape
         )

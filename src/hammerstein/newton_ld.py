@@ -10,12 +10,19 @@ values that are never re-interpolated from coarser data.
 The limit of the iteration is set by the accuracy of the operator
 evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
 
-In fine mode the operator is the product rule on n_fine panels, applied
-without its dense matrix (`_ProductRule`): at the fine nodes the weights are
-a Toeplitz matrix plus two boundary columns, applied by FFT, and L enters
-through a Chebyshev interpolant in s of adaptively chosen size r. An apply
-costs O(r n_fine log n_fine) and the operator holds O(r n_fine) numbers,
-plus dense rows for the evaluation points off the fine grid.
+In fine mode the operator is the Richardson extrapolation of the product
+rule, K_R = (4 K_N - K_N/2) / 3, with K_N the rule on N = n_fine panels and
+K_N/2 the rule on the nested grid of the even fine nodes (Atkinson, The
+Numerical Solution of Integral Equations of the Second Kind, CUP 1997,
+ch. 4; Sidi, Practical Extrapolation Methods, CUP 2003). Both rules read F
+at the fine nodes only, so the operator stays closed under the iteration.
+Its error is O(h^3) for the log kernel and O(h^(3 - beta)) for the
+algebraic one, against the O(h^2) of K_N alone. It is applied without a
+dense matrix (`_ProductRule`): at the fine nodes the weights of each rule
+are a Toeplitz matrix plus two boundary columns, applied by FFT, and L
+enters through a Chebyshev interpolant in s of adaptively chosen size r. An
+apply costs O(r n_fine log n_fine) and the operator holds O(r n_fine)
+numbers, plus dense rows for the evaluation points off the fine grid.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses),
 the settings it reads, the chunked builder of product-rule rows
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -69,17 +77,20 @@ class _NewtonSettings:
 class LDSettings(_NewtonSettings):
     """Settings of ld_solve: the shared ones, and how the operator is evaluated.
 
-    mode "fine": the product rule on a uniform grid of n_fine panels.
+    mode "fine": the Richardson-extrapolated product rule on a uniform grid
+    of n_fine panels and its nested grid of n_fine / 2; n_fine must be even.
     mode "subtract": singularity subtraction (SubtractionPlan); n_fine unused.
     """
 
-    n_fine: int = 4096
+    n_fine: int = 1024
     mode: str = "fine"
 
     def __post_init__(self):
         super().__post_init__()
         if self.n_fine < 2:
             raise ValueError(f"n_fine must be at least 2, got {self.n_fine}")
+        if self.n_fine % 2:
+            raise ValueError(f"n_fine must be even, got {self.n_fine}")
         if self.mode not in ("fine", "subtract"):
             raise ValueError(f"mode must be 'fine' or 'subtract', got {self.mode!r}")
 
@@ -108,16 +119,18 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # operator uses the interpolant; the checked ones follow the golden-ratio
 # sequence rather than a symmetric pattern.
 # An L that needs more than _MAX_RANK points keeps dense operator rows.
-# The cap is where the structured operator stops paying within a solve of
-# up to 31 applies (max_iter 30) at the default n_fine = 4096: measured on a
-# 2-vCPU host, an apply at r = 129 takes 27-36 ms there, against a dense
-# build of 0.66-0.74 s and a dense apply of 13-14 ms, so it breaks even
-# after 30-68 applies. At n_fine = 1024 (10 ms against 0.05 s and 0.6 ms)
-# the dense rows win after 5-6 applies, which costs at most 0.25 s a solve.
-# DL applies the rule of its own grid about 14 times per Newton step (two per
-# two-grid update). There, at n = 1500, an apply at r = 129 takes 8 ms, and
-# 30 steps of log-kernel DL with L = cos(30 s t) (r = 65, F = sin_pi, y = 1)
-# took 2.0 s with 414 applies, against 3.6 s with dense rows and LU steps.
+# LD's extrapolated rule at the default n_fine = 1024, measured on a 2-vCPU
+# host with L = cos(32 s t) (r = 65) on 1217 evaluation points: an apply
+# takes 3.8-6.5 ms at r = 65 and 8.5-16 ms at r = 129 (two rffts and one
+# irfft), against dense rows that take 0.10-0.13 s to build and 0.6-0.9 ms
+# to apply. The dense rows win after about 21 applies at r = 65 and 9-13 at
+# r = 129, so a rank-129 L costs a 31-apply solve (max_iter 30) at most
+# 0.2 s; few L reach r = 129 at all (cos(35 s t) misses _RANK_TOL there).
+# The cap stays at 129 for DL, which applies the rule of its own grid about
+# 14 times per Newton step (two per two-grid update). There, at n = 1500,
+# an apply at r = 129 takes 8 ms, and 30 steps of log-kernel DL with
+# L = cos(30 s t) (r = 65, F = sin_pi, y = 1) took 2.0 s with 414 applies,
+# against 3.6 s with dense rows and LU steps.
 _RANK_TOL = 1e-14
 _MAX_RANK = 129
 _CHECK_COUNT = 32
@@ -258,26 +271,37 @@ def _fft_size(n: int) -> int:
 
 
 class _ProductRule:
-    """The product rule of a uniform grid at every evaluation point.
+    """A combination of product rules at every evaluation point.
 
-    The grid is LD's fine grid of n_fine panels or DL's own grid; its N + 1
-    nodes, the "fine nodes" below, are the points at fine_idx. At a fine
-    node t_i the log and alg weights w_j(t_i) depend only on j - i, except
-    in the boundary columns j = 0 and j = N. The interior columns are a
-    Toeplitz matrix T, applied by FFT on its circulant embedding, and L
-    enters through its Chebyshev interpolant in s at r points sigma_k:
+    ``rules`` lists (grid, coefficient) pairs; the operator is the sum of
+    coefficient * (product rule of grid). The first grid is the finest, of N
+    panels, and every other one is nested in it: a grid of N / p panels has
+    its nodes at every p-th node of the first. LD combines its fine grid and
+    the nested half grid into the Richardson extrapolation (4 K_N - K_N/2) / 3;
+    DL passes its own grid alone.
 
-        K(t_i) = sum_k ell_k(t_i) [T (L(sigma_k, .) F)]_i
-                 + w_0(t_i) L(t_i, t_0) F_0 + w_N(t_i) L(t_i, t_N) F_N.
+    The N + 1 nodes of the first grid, the "fine nodes" below, are the points
+    at fine_idx. At a fine node t_i the log and alg weights of a grid's node
+    at fine index l depend only on l - i, except in the boundary columns
+    l = 0 and l = N. The interior columns of each grid are a Toeplitz matrix
+    T_g on the fine index (zero in the columns that are not its nodes),
+    applied by FFT on one circulant embedding, and L enters through its
+    Chebyshev interpolant in s at r points sigma_k:
 
-    That costs O(r N log N) per apply and O(r N) memory. Dense rows
-    weight_matrix * L remain for the points off the fine grid, and for every
-    point when H is smooth (not a function of t - s) or L needs more than
-    _MAX_RANK interpolation points.
+        K(t_i) = sum_k ell_k(t_i) [sum_g coef_g T_g (L(sigma_k, .) F)]_i
+                 + col_first(t_i) F_0 + col_last(t_i) F_N,
+
+    with the boundary columns of every grid summed into col_first and
+    col_last. That costs one rfft per grid and one irfft, O(r N log N), per
+    apply and O(r N) memory. Dense rows sum_g coef_g weight_matrix_g * L
+    remain for the points off the fine grid, and for every point when H is
+    smooth (not a function of t - s) or L needs more than _MAX_RANK
+    interpolation points.
     """
 
-    def __init__(self, problem: HammersteinProblem, fine: Grid, points, fine_idx):
+    def __init__(self, problem: HammersteinProblem, rules, points, fine_idx):
         kernel, L = problem.kernel, problem.L
+        fine = rules[0][0]
         N, t = fine.n, fine.nodes
         self.size = points.size
         self.fine_idx = fine_idx
@@ -292,32 +316,27 @@ class _ProductRule:
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.dense_idx = np.flatnonzero(off_grid)
-            # the boundary columns are added exactly, outside the convolution
-            self.L_sigma = samples.copy()
-            self.L_sigma[:, [0, N]] = 0.0
-
-            # interior symbol c_k = w_{i+k}(t_i), k = -(N-1)..N-1, from the
-            # rows at t_0, t_1 and t_N, on a circulant of m >= 2N points
-            rows = weight_matrix(fine, kernel, t[[0, 1, N]])
-            c = np.concatenate([rows[2, 1:N], rows[1, 1:2], rows[0, 1:N]])
             self.m = _fft_size(2 * N)
-            v = np.zeros(self.m)
-            v[:N] = c[N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
-            v[self.m - N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
-            self.symbol = np.fft.rfft(v)
+            # per grid: its symbol, and L(sigma_k, .) on its interior nodes,
+            # zero elsewhere; the boundary columns are added exactly, outside
+            # the convolution
+            self.terms = []
+            for grid, coef in rules:
+                p = N // grid.n
+                L_sigma = np.zeros_like(samples)
+                L_sigma[:, p:N:p] = samples[:, p:N:p]
+                self.terms.append((coef * _symbol(fine, grid, kernel, self.m), L_sigma))
 
-            # boundary columns from one-panel grids; weight_matrix divides
-            # by its own grid's h, so rescale to the fine grid's
-            first = make_grid(t[0], t[1], 1)
-            last = make_grid(t[N - 1], t[N], 1)
+            ends = [[coef * w for w in _end_columns(grid, kernel, t)] for grid, coef in rules]
             L_ends = _L_values(L, t, t[[0, N]])
-            self.col_first = (
-                weight_matrix(first, kernel, t)[:, 0] * (first.h / fine.h) * L_ends[:, 0]
-            )
-            self.col_last = (
-                weight_matrix(last, kernel, t)[:, 1] * (last.h / fine.h) * L_ends[:, 1]
-            )
+            self.col_first = reduce(np.add, [first for first, _ in ends]) * L_ends[:, 0]
+            self.col_last = reduce(np.add, [last for _, last in ends]) * L_ends[:, 1]
         self.WL_dense = _dense_rows(fine, kernel, L, points[self.dense_idx])
+        self.WL_dense *= rules[0][1]
+        for grid, coef in rules[1:]:
+            rows = _dense_rows(grid, kernel, L, points[self.dense_idx])
+            rows *= coef
+            self.WL_dense[:, :: N // grid.n] += rows
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
         """Operator values at every evaluation point from F at the fine nodes."""
@@ -334,12 +353,56 @@ class _ProductRule:
         return self._structured(ft)
 
     def _structured(self, ft: np.ndarray) -> np.ndarray:
-        conv = np.fft.irfft(np.fft.rfft(self.L_sigma * ft, self.m) * self.symbol, self.m)
+        spectrum = reduce(
+            np.add,
+            (np.fft.rfft(L_sigma * ft, self.m) * symbol for symbol, L_sigma in self.terms),
+        )
+        conv = np.fft.irfft(spectrum, self.m)
         return (
             np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
             + self.col_first * ft[0]
             + self.col_last * ft[-1]
         )
+
+
+def _end_columns(grid: Grid, kernel, t: np.ndarray):
+    """The columns of ``grid`` at t_0 and t_N, weights at the fine nodes t.
+
+    Each comes from a one-panel grid over the grid's end panel; weight_matrix
+    divides by that grid's h, so it is rescaled to the grid's own.
+    """
+    p = (t.size - 1) // grid.n
+    first = make_grid(t[0], t[p], 1)
+    last = make_grid(t[-1 - p], t[-1], 1)
+    return (
+        weight_matrix(first, kernel, t)[:, 0] * (first.h / grid.h),
+        weight_matrix(last, kernel, t)[:, 1] * (last.h / grid.h),
+    )
+
+
+def _symbol(fine: Grid, grid: Grid, kernel, m: int) -> np.ndarray:
+    """rfft of the length-m circulant that applies the interior columns of
+    ``grid``, nested in ``fine`` at every p-th node, at the fine nodes.
+
+    Its entry c_k = w_J(t_i) with k = pJ - i, k = -(N-1)..N-1, comes from the
+    rows of ``grid`` at the first p + 1 and the last p fine nodes: the row at
+    t_i holds c_k for k = pJ - i, J = 1..n-1. Where two rows hold the same
+    c_k, the one nearer t_0 is kept. For p = 1 these are the rows at t_0,
+    t_1 (for c_0) and t_N. The k that no row holds pair no interior node
+    with any fine node and stay 0.
+    """
+    N, t = fine.n, fine.nodes
+    p = N // grid.n
+    at = [*range(p, -1, -1), *range(N - p + 1, N + 1)]
+    rows = weight_matrix(grid, kernel, t[at])
+    c = np.zeros(2 * N - 1)  # c_k at k + N - 1
+    J = np.arange(1, grid.n)
+    for i, row in zip(at, rows):
+        c[p * J - i + N - 1] = row[1:-1]
+    v = np.zeros(m)
+    v[:N] = c[N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
+    v[m - N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
+    return np.fft.rfft(v)
 
 
 class _Workspace:
@@ -368,7 +431,9 @@ class _Workspace:
             fine = make_grid(problem.a, problem.b, settings.n_fine)
             self.fine_nodes = fine.nodes
             self.fine_idx = self._locate(fine.nodes)
-            self.fine_rule = _ProductRule(problem, fine, self.points, self.fine_idx)
+            half = make_grid(problem.a, problem.b, settings.n_fine // 2)
+            rules = [(fine, 4.0 / 3.0), (half, -1.0 / 3.0)]
+            self.fine_rule = _ProductRule(problem, rules, self.points, self.fine_idx)
             self.plan = None
         else:
             self.plan = SubtractionPlan(problem, self.points)

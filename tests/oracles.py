@@ -68,18 +68,22 @@ def direct_nystrom_solution(problem, grid):
 
 
 def dense_fine_operator(problem, points, n_fine, ft):
-    """Fine product-rule operator values at ``points`` from F at the fine nodes.
+    """LD's fine operator values at ``points`` from F at the fine nodes.
 
-    Row i is w_j(points[i]) L(points[i], t_j) over the n_fine-panel grid, the
-    full dense matrix, with no use of Toeplitz or low-rank structure.
+    The Richardson extrapolation (4 K_N - K_N/2) / 3 of the product rule on
+    N = n_fine panels and on the nested grid of N/2 panels, whose nodes are
+    the even fine nodes: full dense matrices w_j(points[i]) L(points[i], t_j),
+    with no use of Toeplitz or low-rank structure.
     """
     from hammerstein import make_grid, weight_matrix
 
-    fine = make_grid(problem.a, problem.b, n_fine)
-    WL = weight_matrix(fine, problem.kernel, points) * np.asarray(
-        problem.L(points[:, None], fine.nodes[None, :]), dtype=float
-    )
-    return WL @ ft
+    def dense(n):
+        grid = make_grid(problem.a, problem.b, n)
+        return weight_matrix(grid, problem.kernel, points) * np.asarray(
+            problem.L(points[:, None], grid.nodes[None, :]), dtype=float
+        )
+
+    return (4.0 * (dense(n_fine) @ ft) - dense(n_fine // 2) @ ft[::2]) / 3.0
 
 
 def profile_tables_by_task(smooth, svals, c, d, breaks, q):

@@ -14,6 +14,7 @@ from hammerstein import (
     ld_solve,
     log_kernel,
     make_grid,
+    manufactured_problem,
     smooth_kernel,
 )
 from hammerstein.newton_ld import _fft_size, _product
@@ -93,15 +94,18 @@ class TestStep:
         fn, _ = ld_solve(prob, grid, ONE_STEP, phi0=0.0)
         assert np.max(np.abs(fn(grid.nodes) - x_direct)) <= 1e-12
 
-    def test_affine_one_step_any_start_with_matched_rule(self):
-        # with the operator quadrature on the Newton grid itself, one step
-        # from any start reproduces the direct solve of the linear system
+    def test_affine_limit_any_start_is_extrapolated_nystrom_solve(self):
+        # the fine rule is closed under the iteration: with the operator on
+        # the Newton grid itself, LD's limit from any start is the direct
+        # solve of (I - K_R) u = y at the fine nodes, K_R = (4 K_N - K_N/2) / 3
         prob = linear_problem()
         grid = make_grid(0, 1, 20)
-        settings = LDSettings(max_iter=1, n_fine=20, sample_count=41)
-        x_direct = direct_nystrom_solution(prob, grid)
+        settings = LDSettings(n_fine=20, sample_count=41)
+        K_R = dense_fine_operator(prob, grid.nodes, 20, np.eye(21))
+        x_direct = np.linalg.solve(np.eye(21) - K_R, np.cos(grid.nodes))
         for phi0 in (np.sin, 0.7, np.exp):
-            fn, _ = ld_solve(prob, grid, settings, phi0=phi0)
+            fn, report = ld_solve(prob, grid, settings, phi0=phi0)
+            assert report.status == "converged"
             assert np.max(np.abs(fn(grid.nodes) - x_direct)) <= 1e-12
 
 
@@ -134,6 +138,22 @@ class TestSolve:
         assert floor <= 1e-5
         pre_floor = errs[errs > 10 * floor]
         assert np.all(np.diff(pre_floor) < 0)  # strictly decreasing until the floor
+
+    def test_terminal_error_is_third_order_in_n_fine(self):
+        # the extrapolated rule is O(h^3) on the log kernel (the plain product
+        # trapezoid, O(h^2), gives 4x per doubling); measured: 9.1e-8, 1.2e-8,
+        # 1.5e-9, each far above the rhs quadrature's 1e-12
+        prob = manufactured_problem(
+            log_kernel(), L_exp_st, get_nonlinearity("square"), np.cos, quad_tol=1e-12
+        )
+        errors = []
+        for n_fine in (128, 256, 512):
+            settings = LDSettings(n_fine=n_fine, sample_count=41)
+            _, report = ld_solve(prob, make_grid(0, 1, 16), settings)
+            assert report.status == "converged"
+            errors.append(report.records[-1].true_error)
+        assert errors[-1] >= 100 * 1e-12
+        assert all(coarse >= 6 * fine for coarse, fine in zip(errors, errors[1:]))
 
     def test_fixed_point_property(self, cosine_problem):
         # starting at the exact solution, one step moves the nodal values by
@@ -324,7 +344,7 @@ class TestFineOperator:
 class TestSettings:
     def test_defaults(self):
         settings = LDSettings()
-        assert settings.n_fine == 4096 and settings.mode == "fine"
+        assert settings.n_fine == 1024 and settings.mode == "fine"
 
     @pytest.mark.parametrize(
         "kwargs",

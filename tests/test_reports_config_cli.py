@@ -42,8 +42,8 @@ FAST_BENCH = {
 OVERFLOW = {**MINIMAL, "F": {"poly": [0] * 20 + [1]}, "y": 1e20, "n": 8, "n_fine": 64,
             "solver": "ld"}
 
-# cubic F with y = 50 leaves Newton's basin: finite residuals that keep growing
-RUNAWAY = {"kernel": "log", "L": "one", "F": "cubic", "y": 50, "n": 8, "n_fine": 64}
+# cubic F with y = 80 leaves Newton's basin: finite residuals that keep growing
+RUNAWAY = {"kernel": "log", "L": "one", "F": "cubic", "y": 80, "n": 8, "n_fine": 64}
 
 
 def record_strategy():
@@ -106,7 +106,7 @@ class TestValidateConfig:
         cfg = validate_config(path)
         assert cfg.ld.tol == 1e-12
         assert cfg.ld.max_iter == 30
-        assert cfg.ld.n_fine == 4096
+        assert cfg.ld.n_fine == 1024
         assert cfg.ld.mode == "fine"
         assert cfg.ld == LDSettings() and cfg.dl == DLSettings()
         assert cfg.solver == "both"
@@ -152,6 +152,7 @@ class TestValidateConfig:
             ({"mystery_key": 1}, "mystery_key"),
             ({"record_timings": "yes"}, "record_timings"),
             ({"kernel": {"kind": "log"}}, "kernel"),  # no object form
+            ({"n_fine": 63}, "n_fine"),  # the fine rule needs the grid of n_fine / 2
         ],
     )
     def test_errors_name_the_field(self, patch, field):
@@ -365,7 +366,7 @@ class TestCli:
         assert [r.status for r in outcome.reports] == ["diverged"]
 
     def test_growing_residual_before_singular_system_diverges(self, tmp_path, capsys):
-        # the residual norm grows at k = 2..5 (to 2.5e161), then the Newton
+        # the residual norm grows at k = 2..5 (to 4.0e209), then the Newton
         # matrix of step 6 is numerically singular
         cfg = self._write(tmp_path, RUNAWAY)
         out = tmp_path / "out"
@@ -461,3 +462,17 @@ class TestCli:
 
     def test_weights_outside_domain(self, capsys):
         assert cli_main(["weights", "--kernel", "log", "--n", "4", "--s", "2.0"]) == 2
+
+    @pytest.mark.parametrize("beta", ["1.5", "nan", "0"])
+    def test_weights_bad_beta_is_a_usage_error(self, capsys, beta):
+        args = ["weights", "--kernel", "alg", "--beta", beta, "--n", "4", "--s", "0.5"]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err.startswith("--beta: ")
+
+    @pytest.mark.parametrize("domain", ["0,inf", "-inf,1", "nan,1", "1,0"])
+    def test_weights_bad_domain_is_a_usage_error(self, capsys, domain):
+        args = ["weights", "--n", "4", "--s", "0.5", f"--domain={domain}"]
+        assert cli_main(args) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("--domain: ")
+        assert "nan" not in out.out
