@@ -13,15 +13,21 @@ fine operator from a few such rows instead of the full matrix.
 An independent adaptive engine (`adaptive_kernel_batch`) supplies reference
 values for tests and manufactured right-hand sides. It never touches the
 analytic antiderivatives: singular integrands are tamed by an exact change
-of variable at t = s and then refined by interval halving with an embedded
-Gauss pair error estimate. A batch is laid out as profiles, one change of
-variable each (a left and a right one for a task whose singular point lies in
-its range, a direct one otherwise), and the intervals between each profile's
-breaks. Both tables are built with array operations, and every refinement
-round treats the whole batch at once.
+of variable t = s +- v**p at t = s (p = 6 for log, p >= 4 with a polynomial
+weight for alg), and then refined by interval halving on the Gauss-Kronrod
+10/21 pair of QUADPACK (Piessens et al., 1983). Each interval's error is
+|K21 - G10|, but at least one rounding unit of its integral of |f|; a task
+whose summed floor stays above its tolerance fails at once. A batch is laid
+out as profiles, one change of variable each (a left and a right one for a
+task whose singular point lies in its range, a direct one otherwise), and the
+intervals between each profile's breaks. Both tables are built with array
+operations, every refinement round treats the whole batch at once, and a
+task's value does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -276,8 +282,39 @@ class SubtractionPlan:
 # ---------------------------------------------------------------------------
 # adaptive reference quadrature (independent of the analytic weight path)
 
-_REF_LO = 10
-_REF_HI = 21
+# QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod nodes on
+# [0, 1], descending, with their weights; the nodes at odd positions are the
+# 10-point Gauss nodes, and _WG10 holds their Gauss weights. Hard-coded
+# because scipy keeps them private, in scipy.integrate, whose import would
+# add to every run's start-up time.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the whole rule on [-1, 1], ascending: the Gauss nodes are _GK_X[1::2]
+_GK_X = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_W = np.concatenate([_WGK, _WGK[-2::-1]])
+_G10_W = np.concatenate([_WG10, _WG10[::-1]])
+_GK_POINTS = _GK_X.size
+_EPS = np.finfo(float).eps
+
 # intervals per integrand call in _rule_pair. A whole round of a compare_fine
 # reference (17k intervals) made node arrays of 2.9 MB; malloc served them
 # from fresh mmaps, so each round page-faulted about 47 MB anew: 100k faults
@@ -294,20 +331,36 @@ _REF_BLOCK = 512
 _PROFILE_DIRECT = 0
 _PROFILE_POWER = 1  # t = s + sgn * v**p; weight factor per kernel kind
 
+# t = s +- v**p for the log kernel: the integrand p**2 v**(p-1) log(v) g has
+# four continuous derivatives at v = 0. With p = 2 a v log v term is left,
+# and halving splits the innermost interval of every profile round after round
+_LOG_POWER = 6
+
 
 def _rule_pair(fun, lo, hi, prof):
-    """Embedded Gauss pair on a batch of intervals; returns (value, error)."""
-    xh, wh = _gl_rule(_REF_HI)
-    xl, wl = _gl_rule(_REF_LO)
-    ih = np.empty(lo.size)
-    il = np.empty(lo.size)
+    """Gauss-Kronrod 10/21 on a batch of intervals.
+
+    Returns the K21 values, the error estimates |K21 - G10|, and the
+    roundoff floors eps * K21(|f|) that bound each error from below: without
+    the floor the two rules can round to the same double above the error.
+    """
+    val = np.empty(lo.size)
+    err = np.empty(lo.size)
+    floor = np.empty(lo.size)
     for start in range(0, lo.size, _REF_BLOCK):
         sl = slice(start, start + _REF_BLOCK)
         mid = 0.5 * (lo[sl] + hi[sl])
         half = 0.5 * (hi[sl] - lo[sl])
-        ih[sl] = half * (fun(mid[:, None] + half[:, None] * xh, prof[sl]) @ wh)
-        il[sl] = half * (fun(mid[:, None] + half[:, None] * xl, prof[sl]) @ wl)
-    return ih, np.abs(ih - il)
+        f = fun(mid[:, None] + half[:, None] * _GK_X, prof[sl])
+        # row-local sums: a BLAS f @ w rounds a row differently depending on
+        # where it sits in the block, so a point's value would depend on the
+        # batch it came in
+        k21 = np.einsum("ij,j->i", f, _GK_W)
+        g10 = np.einsum("ij,j->i", f[:, 1::2], _G10_W)
+        val[sl] = half * k21
+        floor[sl] = _EPS * half * np.einsum("ij,j->i", np.abs(f), _GK_W)
+        err[sl] = np.maximum(half * np.abs(k21 - g10), floor[sl])
+    return val, err, floor
 
 
 def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=600):
@@ -317,24 +370,42 @@ def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=
     block of points, one profile id per interval; profiles group
     intervals that share transform parameters, tasks group profiles whose
     values are summed into one integral. tol is absolute, per task.
+
+    A task's error is at least the sum of its intervals' roundoff floors,
+    which halving does not lower. A task whose floor sum is above tol and
+    stopped falling from one round to the next fails at once, without
+    spending its evaluation budget.
     """
     n_tasks = tol.size
     keep = hi > lo
     lo, hi, prof = lo[keep], hi[keep], prof[keep]
     if lo.size == 0:
         return np.zeros(n_tasks), np.zeros(n_tasks)
-    val, err = _rule_pair(fun, lo, hi, prof)
-    per_interval = _REF_LO + _REF_HI
-    evals = per_interval * np.bincount(task_of_prof[prof], minlength=n_tasks)
+    val, err, floor = _rule_pair(fun, lo, hi, prof)
+    evals = _GK_POINTS * np.bincount(task_of_prof[prof], minlength=n_tasks)
+    last_floor = np.full(n_tasks, np.inf)
     for _ in range(max_rounds):
         tid = task_of_prof[prof]
         tot_err = np.bincount(tid, weights=err, minlength=n_tasks)
         needy = tot_err > tol
         if not needy.any():
             break
+        tot_floor = np.bincount(tid, weights=floor, minlength=n_tasks)
+        # an early floor sum can sit above tol and still fall below it as
+        # the intervals resolve |f|, so only one that stopped falling fails
+        stuck = needy & (tot_floor > tol) & (tot_floor >= last_floor)
+        if stuck.any():
+            i = np.flatnonzero(stuck)[0]
+            raise QuadratureConvergenceError(
+                f"roundoff floor {tot_floor[i]:.3g} (eps times the integral of |f|) "
+                f"is above the requested tolerance {tol[i]:g}"
+            )
+        last_floor = tot_floor
+        # halving cannot lower a floor, so only the error above it is refined
+        excess = err - floor
         task_max = np.zeros(n_tasks)
-        np.maximum.at(task_max, tid, err)
-        cand = needy[tid] & (err >= 0.25 * task_max[tid])
+        np.maximum.at(task_max, tid, excess)
+        cand = needy[tid] & (excess > 0.0) & (excess >= 0.25 * task_max[tid])
         mid = 0.5 * (lo + hi)
         cand &= (mid > lo) & (mid < hi)
         if not cand.any():
@@ -348,13 +419,14 @@ def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=
         c_lo = np.concatenate([lo[cand], mid[cand]])
         c_hi = np.concatenate([mid[cand], hi[cand]])
         c_prof = np.concatenate([prof[cand], prof[cand]])
-        c_val, c_err = _rule_pair(fun, c_lo, c_hi, c_prof)
-        evals += per_interval * np.bincount(task_of_prof[c_prof], minlength=n_tasks)
+        c_val, c_err, c_floor = _rule_pair(fun, c_lo, c_hi, c_prof)
+        evals += _GK_POINTS * np.bincount(task_of_prof[c_prof], minlength=n_tasks)
         lo = np.concatenate([lo[~cand], c_lo])
         hi = np.concatenate([hi[~cand], c_hi])
         prof = np.concatenate([prof[~cand], c_prof])
         val = np.concatenate([val[~cand], c_val])
         err = np.concatenate([err[~cand], c_err])
+        floor = np.concatenate([floor[~cand], c_floor])
     tid = task_of_prof[prof]
     tot_err = np.bincount(tid, weights=err, minlength=n_tasks)
     if np.any(tot_err > tol):
@@ -376,6 +448,17 @@ def adaptive_kernel_batch(
     breaks=(),
 ) -> np.ndarray:
     """Reference values of int_c^d H(s,t) g(t) dt for a batch of tasks.
+
+    Each side of a singular point s is integrated in v with t = s +- v**p:
+    p = 6 for the log kernel, whose integrand p**2 v**(p-1) log(v) g then
+    has four continuous derivatives at v = 0, and p = k / (1 - beta)
+    with k = ceil(4 (1 - beta)) for the alg kernel, whose integrand
+    p v**(k-1) g is then a polynomial weight times g(s +- v**p), p >= 4.
+    Intervals are refined by halving with the Gauss-Kronrod 10/21 pair
+    (value K21, error |K21 - G10|, 21 integrand values per interval). An
+    interval's error is at least eps times its K21 integral of |f|, the
+    roundoff floor that halving cannot lower; only the error above it is
+    refined. A task's value is bitwise the same in any batch.
 
     Parameters
     ----------
@@ -399,7 +482,10 @@ def adaptive_kernel_batch(
     Raises
     ------
     QuadratureConvergenceError
-        If the budget is exhausted before every task meets ``tol``.
+        If a task's summed roundoff floor, about eps times int |H g|, is
+        above ``tol`` and stopped falling (the message names the floor and
+        the tolerance), or if the budget is exhausted before every task
+        meets ``tol``.
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
     c = np.broadcast_to(np.asarray(c, dtype=float), svals.shape).astype(float)
@@ -410,9 +496,16 @@ def adaptive_kernel_batch(
     breaks = np.unique(np.asarray(breaks, dtype=float)) if len(breaks) else np.empty(0)
 
     if kernel.kind == KERNEL_LOG:
-        power = 2.0
+        power = float(_LOG_POWER)
+        weight_power = _LOG_POWER - 1
     elif kernel.kind == KERNEL_ALG:
-        power = 1.0 / (1.0 - kernel.beta)
+        # |t - s|**-beta dt = p v**(k-1) dv with p = k / (1 - beta): an integer
+        # k >= 4 (1 - beta) makes the weight a polynomial and p >= 4, so
+        # g(s +- v**p) has four continuous derivatives at v = 0 even for
+        # beta near 0; with k = 1, p = 1 / (1 - beta) is near 1 there, and
+        # G10 and K21 can agree while both are off
+        weight_power = math.ceil(4.0 * (1.0 - kernel.beta)) - 1
+        power = (weight_power + 1) / (1.0 - kernel.beta)
     else:
         power = 1.0
     kind, ps, sgn, task, lo, hi, cut_of, cuts = _profile_table(
@@ -429,9 +522,10 @@ def adaptive_kernel_batch(
     def transformed(v, pid):
         t = ps[pid][:, None] + sgn[pid][:, None] * v**power
         gv = g(t.ravel(), np.repeat(task[pid], v.shape[1])).reshape(v.shape)
+        # the Kronrod nodes are interior, so v > 0 and log v is finite
         if kernel.kind == KERNEL_LOG:
-            return 4.0 * v * np.log(v) * gv
-        return power * gv
+            return power**2 * v**weight_power * np.log(v) * gv
+        return power * v**weight_power * gv
 
     if np.all(kind == _PROFILE_POWER):
         fun = transformed

@@ -22,8 +22,13 @@ from hammerstein import (
     weight_matrix,
 )
 from hammerstein import quadrature
-from hammerstein.problem import L_one
-from oracles import oracle_weight_rows, profile_tables_by_task, solver_operator
+from hammerstein.problem import L_exp_st, L_one
+from oracles import (
+    mpmath_kernel_integral,
+    oracle_weight_rows,
+    profile_tables_by_task,
+    solver_operator,
+)
 
 # frozen reference values (40-digit tanh-sinh quadrature, split at the
 # singular point; independently confirmed by the adaptive engine)
@@ -251,6 +256,34 @@ class TestReferenceQuadrature:
             assert np.all(np.abs(ref - fine) <= 1e-6 * scale)
             assert np.all(np.abs(ref - sub.values) <= 1e-8 * scale)
 
+    def test_unreachable_tolerance_stops_at_the_roundoff_floor(self):
+        # one rounding unit of int |H L F| is ~1e-16 here: no refinement can
+        # reach 1e-19, so the engine says so instead of spending its budget
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
+        )
+        with pytest.raises(QuadratureConvergenceError, match="roundoff floor") as info:
+            eval_operator_reference(prob, np.cos, 0.5, tol=1e-19)
+        assert "tolerance 1e-19" in str(info.value)
+        assert "budget" not in str(info.value)
+
+    def test_value_does_not_depend_on_the_batch(self):
+        # a point's value must be bitwise the same whatever else its batch
+        # holds: the manufactured right-hand side memoizes it across solvers
+        kernel = log_kernel()
+        nonlin = get_nonlinearity("square")
+        s = np.linspace(0.0, 1.0, 41)
+        alone = quadrature.eval_operator_reference_parts(
+            kernel, L_exp_st, nonlin, np.sin, s, 0.0, 1.0
+        )
+        others = np.linspace(0.013, 0.987, 300)
+        for shift in range(1, 9):
+            batch = np.concatenate([others[:shift], s, others[shift:]])
+            vals = quadrature.eval_operator_reference_parts(
+                kernel, L_exp_st, nonlin, np.sin, batch, 0.0, 1.0
+            )
+            np.testing.assert_array_equal(vals[shift : shift + s.size], alone)
+
     def test_reports_nonconvergence_on_tiny_budget(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
@@ -388,3 +421,41 @@ class TestAdaptiveTables:
         np.testing.assert_array_equal(iv_prof, prof)
         np.testing.assert_allclose(iv_lo, lo, rtol=1e-15, atol=0)
         np.testing.assert_allclose(iv_hi, hi, rtol=1e-15, atol=0)
+
+
+class TestKronrodRule:
+    def test_gauss_points_are_gauss_legendre_10(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(quadrature._GK_X[1::2], x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(quadrature._G10_W, w, rtol=0, atol=1e-15)
+
+    def test_kronrod_rule_is_exact_to_degree_31(self):
+        x, w = quadrature._GK_X, quadrature._GK_W
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(np.sum(w * x**k)) == pytest.approx(exact, rel=0, abs=1e-15)
+
+
+class TestMpmathOracle:
+    """Reference values against mpmath at 30 digits, for the manufactured
+    integrand of L = exp_st, F = sin_pi and exact = cos, at the ends of the
+    domain, 1/256 of the way in, and an interior point."""
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("beta", [None, 0.1, 0.5, 0.9], ids=["log", "alg0.1", "alg0.5", "alg0.9"])
+    def test_reference_meets_its_tolerance(self, beta, domain):
+        import mpmath as mp
+
+        a, b = domain
+        kernel = log_kernel() if beta is None else algebraic_kernel(beta)
+        points = [a, a + (b - a) / 256, a + 0.37 * (b - a), b]
+        tol = 1e-10
+        ref = quadrature.eval_operator_reference_parts(
+            kernel, L_exp_st, get_nonlinearity("sin_pi"), np.cos, points, a, b, tol
+        )
+        with mp.workdps(30):
+            for s, got in zip(points, ref):
+                s_mp = mp.mpf(s)
+                g = lambda t: mp.exp(s_mp * t) * mp.sin(mp.pi * mp.cos(t))
+                truth = mpmath_kernel_integral(beta, s, a, b, g)
+                assert abs(float(got - truth)) <= tol, (s, float(got - truth))

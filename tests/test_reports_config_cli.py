@@ -227,6 +227,20 @@ class TestRunner:
         assert outs[0] == outs[1]
         assert outs[0].count(b"\ndl,") == 5
 
+    def test_dl_rows_do_not_depend_on_the_ld_run(self, tmp_path):
+        # under "both", LD first asks the manufactured right-hand side for
+        # its ~1.2k evaluation points, and DL then reads the memoized values
+        # at its own points: they must equal those of DL's batch alone
+        config = {"kernel": "log", "L": "exp_st", "F": "cubic",
+                  "y": {"manufactured": "sin"}, "n": 57}
+        rows = {}
+        for solver in ("both", "dl"):
+            cfg = config_from_dict({**config, "solver": solver}, out_dir_override=tmp_path / solver)
+            lines = run_compare(cfg).csv_path.read_text().splitlines()
+            rows[solver] = [line for line in lines if line.startswith("dl,")]
+        assert rows["dl"]
+        assert rows["both"] == rows["dl"]
+
     def test_compare_respects_solver_selection(self, tmp_path):
         cfg = config_from_dict(
             {**FAST_BENCH, "solver": "ld"}, out_dir_override=tmp_path
