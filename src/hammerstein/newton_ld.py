@@ -113,11 +113,15 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # Rank search for L(s, t) in s: Chebyshev points of the second kind, nested
 # as 2, 3, 5, 9, ... points. A level is accepted once its interpolant
 # reproduces L to _RANK_TOL * max|L| at the next level's new points and at
-# _CHECK_COUNT fine nodes s = t_i, each against every t_j. The nested points
-# alone can be aliased: cos(pi s) on [0, 1] is 0 at the one new point of
-# level 3, and so is its linear interpolant. The fine nodes are where the
-# operator uses the interpolant; the checked ones follow the golden-ratio
-# sequence rather than a symmetric pattern.
+# _CHECK_COUNT fine nodes s = t_i, each against every t_j. _RANK_TOL is the
+# rounding floor of the check itself, the barycentric sum of r terms: for
+# L = cos(35 s t) on [0, 1] that error stays near 1.1e-14 max|L| at r = 65,
+# 129 and 257, so a tolerance of 1e-14 left it dense rows at every point. At
+# 64 eps (1.42e-14) cos(35 s t) gets r = 65 on a 1024-panel grid.
+# The nested points alone can be aliased: cos(pi s) on [0, 1] is 0 at the
+# one new point of level 3, and so is its linear interpolant. The fine
+# nodes are where the operator uses the interpolant; the checked ones follow
+# the golden-ratio sequence rather than a symmetric pattern.
 # An L that needs more than _MAX_RANK points keeps dense operator rows.
 # LD's extrapolated rule at the default n_fine = 1024, measured on a 2-vCPU
 # host with L = cos(32 s t) (r = 65) on 1217 evaluation points: an apply
@@ -125,13 +129,13 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # irfft), against dense rows that take 0.10-0.13 s to build and 0.6-0.9 ms
 # to apply. The dense rows win after about 21 applies at r = 65 and 9-13 at
 # r = 129, so a rank-129 L costs a 31-apply solve (max_iter 30) at most
-# 0.2 s; few L reach r = 129 at all (cos(35 s t) misses _RANK_TOL there).
+# 0.2 s.
 # The cap stays at 129 for DL, which applies the rule of its own grid about
 # 14 times per Newton step (two per two-grid update). There, at n = 1500,
 # an apply at r = 129 takes 8 ms, and 30 steps of log-kernel DL with
 # L = cos(30 s t) (r = 65, F = sin_pi, y = 1) took 2.0 s with 414 applies,
 # against 3.6 s with dense rows and LU steps.
-_RANK_TOL = 1e-14
+_RANK_TOL = 64 * np.finfo(float).eps
 _MAX_RANK = 129
 _CHECK_COUNT = 32
 
@@ -457,7 +461,7 @@ class _Workspace:
         if self.plan is None:
             ft = np.asarray(nl.F(self.fine_nodes, values[self.fine_idx]), dtype=float)
             return self.fine_rule(ft)
-        return self.plan.apply(lambda t: np.interp(t, self.points, values))
+        return self.plan.apply(values)
 
     def start(self, phi0):
         values = _sample_initial(self.problem, phi0, self.points)

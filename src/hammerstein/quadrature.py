@@ -4,8 +4,13 @@ Weight vectors integrate the singular factor H exactly against the
 piecewise-linear hat basis on a grid, using closed-form antiderivatives for
 the built-in kernels and folded Gauss-Legendre panels for smooth ones.
 `SubtractionPlan` evaluates the integral operator by singularity
-subtraction with graded Gauss panels (the LD solver's subtract mode). The
-product rule of its fine mode is built in newton_ld from `weight_matrix`
+subtraction with graded Gauss panels (the LD solver's subtract mode). Its
+`apply` takes the iterate's values at the plan's own points and reads them
+at the Gauss nodes piecewise linearly, with np.interp; build and apply run
+in blocks of whole rows of at most 8192 nodes, so no temporary leaves the
+heap for a fresh mmap, and each row is summed by np.bincount in node order,
+which keeps every value bitwise what one whole-plan pass gives.
+The product rule of its fine mode is built in newton_ld from `weight_matrix`
 rows. On a uniform grid the log and alg weight rows at the grid nodes depend
 only on j - i, apart from the two boundary columns; the LD solver builds its
 fine operator from a few such rows instead of the full matrix.
@@ -200,83 +205,123 @@ def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
 _GRADE_LEVELS = 46  # dyadic panels per side; innermost width ~1e-14 of the side
 _PANEL_GAUSS_POINTS = 16  # Gauss-Legendre points per graded panel
 
+# Nodes per block of a SubtractionPlan's build and apply, at most. Whole-plan
+# temporaries (1.3M nodes and about 10 MB each over the four plans of an
+# nsweep_subtract sweep) came from fresh mmaps on every apply and build:
+# 41-52k page faults per op. Blocks of 8192 nodes keep each temporary at
+# 64 kB, under glibc's initial 128 kB mmap threshold, as _REF_BLOCK does. On
+# a 2-vCPU host, a warm 257-point plan (alg 0.3, exp_st) applied in 7-10 ms
+# with blocks of 2048 nodes, 5.3-7.7 ms with 8192, 5.3-7.8 ms with 65536,
+# and 12 ms with 2.2k page faults per call as one block; its build took
+# 25-34 / 13-19 / 12-18 / 21-28 ms.
+_PLAN_BLOCK = 8192
+
 
 class SubtractionPlan:
     """Precomputed node/weight tables for singularity-subtraction evaluation.
 
-    For each point s the integral of H*(g - g(s)) is done by composite
+    For each plan point s the integral of H*(g - g(s)) is done by composite
     Gauss-Legendre on panels graded toward t = s, and g(s)*moment0 is added
-    back. Geometry-dependent factors are computed once so the plan can be
+    back, with g = L F(t, x(t)). The panels of s lie between the sorted
+    distinct edges a, s - (s - a) 2^-k, s + (b - s) 2^-k (k = 0.._GRADE_LEVELS)
+    and b. Geometry-dependent factors are computed once, so the plan can be
     reapplied cheaply to successive iterates.
+
+    The plan points `svals` are also where the plan reads the iterate x:
+    `apply` takes x at svals and reads it at the Gauss nodes piecewise
+    linearly, with np.interp(t, svals, values).
+
+    Build and apply run over blocks of whole rows (the nodes of one plan
+    point), at most _PLAN_BLOCK nodes each. Per block, apply reads x at the
+    nodes, forms L F, subtracts g(s) of each node's row, zeroes the nodes
+    that coincide with s, and sums each row with np.bincount. bincount adds a
+    row's terms one after another in node order; np.add.reduceat and einsum
+    sum pairwise, which would change the rounding of every value.
     """
 
     def __init__(self, problem: HammersteinProblem, svals):
-        self.problem = problem
-        self.svals = np.atleast_1d(np.asarray(svals, dtype=float))
+        svals = np.atleast_1d(np.asarray(svals, dtype=float))
         a, b = problem.a, problem.b
-        x, w = _gl_rule(_PANEL_GAUSS_POINTS)
-        t_rows = []
-        hw_rows = []
-        counts = []
-        m0 = np.empty(self.svals.size)
-        for i, s in enumerate(self.svals):
-            edges = self._edges(a, b, s)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            tn = (mid[:, None] + half[:, None] * x).ravel()
-            gw = (half[:, None] * w).ravel()
-            dist = np.abs(tn - s)
-            hv = np.zeros_like(tn)
-            pos = dist > 0.0
-            hv[pos] = np.asarray(problem.kernel.evaluate(s, tn[pos]), dtype=float)
-            t_rows.append(tn)
-            hw_rows.append(hv * gw)
-            counts.append(tn.size)
-            m0[i] = moment0(problem.kernel, s, a, b)
-        self.t_nodes = np.concatenate(t_rows)
-        self.h_weights = np.concatenate(hw_rows)
-        self.row_of_node = np.repeat(np.arange(self.svals.size), counts)
-        self.m0 = m0
-        self.L_nodes = np.asarray(
-            problem.L(self.svals[self.row_of_node], self.t_nodes), dtype=float
-        )
-        self.L_diag = np.asarray(problem.L(self.svals, self.svals), dtype=float)
-        # mask where the quadrature node coincides with s in floating point:
-        # the subtracted integrand has limit zero there
-        self.coincident = self.t_nodes == self.svals[self.row_of_node]
+        if svals.ndim != 1 or svals.size == 0 or not np.all(svals[1:] > svals[:-1]):
+            raise ValueError("plan points must be a non-empty, strictly increasing sequence")
+        if not (a <= svals[0] and svals[-1] <= b):
+            raise ValueError(f"plan points must lie in [{a}, {b}]")
+        self.problem = problem
+        self.svals = svals
+        kernel = problem.kernel
+        npts = _PANEL_GAUSS_POINTS
+        x, w = _gl_rule(npts)
+        # rows per block: a row has at most 2 * _GRADE_LEVELS + 3 panels
+        step = max(1, _PLAN_BLOCK // (npts * (2 * _GRADE_LEVELS + 3)))
+        panels = []
+        for r0 in range(0, svals.size, step):
+            edges = self._edges(a, b, svals[r0 : r0 + step])
+            lo, hi = edges[:, :-1], edges[:, 1:]
+            keep = hi > lo
+            mid = (0.5 * (lo + hi))[keep]
+            half = (0.5 * (hi - lo))[keep]
+            panels.append((r0, mid, half, npts * keep.sum(axis=1)))
+        # the nodes of point i are t_nodes[offsets[i]:offsets[i + 1]]
+        self.offsets = np.concatenate([[0], np.cumsum(np.concatenate([c for *_, c in panels]))])
+        total = self.offsets[-1]
+        self.t_nodes = np.empty(total)
+        self.h_weights = np.empty(total)
+        self.L_nodes = np.empty(total)
+        # per node: its row in its block
+        self.block_row = np.empty(total, dtype=np.intp)
+        # per block: its rows and nodes, each row's node count, and the nodes
+        # that coincide with their own s
+        self.blocks = []
+        for r0, mid, half, count in panels:
+            r1 = r0 + count.size
+            nodes = slice(self.offsets[r0], self.offsets[r1])
+            t = (mid[:, None] + half[:, None] * x).ravel()
+            s = np.repeat(svals[r0:r1], count)
+            self.t_nodes[nodes] = t
+            self.block_row[nodes] = np.repeat(np.arange(count.size), count)
+            coincident = np.flatnonzero(t == s)
+            with np.errstate(divide="ignore"):
+                hv = np.asarray(kernel.evaluate(s, t), dtype=float)
+            hv[coincident] = 0.0
+            self.h_weights[nodes] = hv * (half[:, None] * w).ravel()
+            self.L_nodes[nodes] = np.asarray(problem.L(s, t), dtype=float)
+            self.blocks.append((r0, r1, nodes, count, coincident))
+        if kernel.kind == KERNEL_SMOOTH:
+            self.m0 = np.array([moment0(kernel, s, a, b) for s in svals])
+        else:
+            f = _antideriv0(kernel, np.stack([a - svals, b - svals]))
+            self.m0 = f[1] - f[0]
+        self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 
     @staticmethod
     def _edges(a, b, s):
-        pieces = [np.array([a])]
-        if a < s < b:
-            off = 2.0 ** (-np.arange(_GRADE_LEVELS + 1.0))
-            pieces.append(s - (s - a) * off)
-            pieces.append(s + (b - s) * off[::-1])
-        elif s == a:
-            off = 2.0 ** (-np.arange(_GRADE_LEVELS + 1.0))
-            pieces.append(a + (b - a) * off[::-1])
-        elif s == b:
-            off = 2.0 ** (-np.arange(_GRADE_LEVELS + 1.0))
-            pieces.append(b - (b - a) * off)
-        else:
-            raise ValueError(f"s={s} outside [{a}, {b}]")
-        pieces.append(np.array([b]))
-        edges = np.unique(np.concatenate(pieces))
+        """Graded panel edges of the points s, one sorted row per point;
+        rows hold repeated edges where s is at or near a or b."""
+        off = 2.0 ** (-np.arange(_GRADE_LEVELS + 1.0))
+        edges = np.empty((s.size, 2 * off.size + 2))
+        edges[:, 0] = a
+        edges[:, 1 : off.size + 1] = s[:, None] - (s - a)[:, None] * off
+        edges[:, off.size + 1 : -1] = s[:, None] + (b - s)[:, None] * off
+        edges[:, -1] = b
+        edges.sort(axis=1)
         return edges
 
-    def apply(self, values_at) -> np.ndarray:
-        """Operator values at every plan point; values_at(t) samples the iterate."""
+    def apply(self, values) -> np.ndarray:
+        """Operator values at every plan point from the iterate's values there."""
         nl = self.problem.nonlin
-        xt = np.asarray(values_at(self.t_nodes), dtype=float)
-        g = self.L_nodes * np.asarray(nl.F(self.t_nodes, xt), dtype=float)
-        xs = np.asarray(values_at(self.svals), dtype=float)
-        gs = self.L_diag * np.asarray(nl.F(self.svals, xs), dtype=float)
-        diff = g - gs[self.row_of_node]
-        diff[self.coincident] = 0.0
-        sums = np.bincount(
-            self.row_of_node, weights=diff * self.h_weights, minlength=self.svals.size
-        )
-        return sums + gs * self.m0
+        s = self.svals
+        v = np.asarray(values, dtype=float)
+        gs = self.L_diag * np.asarray(nl.F(s, v), dtype=float)
+        out = np.empty(s.size)
+        for r0, r1, nodes, count, coincident in self.blocks:
+            t = self.t_nodes[nodes]
+            xt = np.interp(t, s, v)
+            g = self.L_nodes[nodes] * np.asarray(nl.F(t, xt), dtype=float)
+            g -= np.repeat(gs[r0:r1], count)
+            g[coincident] = 0.0
+            g *= self.h_weights[nodes]
+            out[r0:r1] = np.bincount(self.block_row[nodes], weights=g, minlength=r1 - r0)
+        return out + gs * self.m0
 
 
 # ---------------------------------------------------------------------------

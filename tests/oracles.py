@@ -183,3 +183,41 @@ def solver_operator(problem, x, settings, n=7):
     linear = frozen_problem(problem, x)
     fn, _ = ld_solve(linear, make_grid(problem.a, problem.b, n), replace(settings, max_iter=1))
     return fn
+
+
+def subtraction_reference(problem, points, values):
+    """Subtract-mode operator values at ``points``, one point at a time.
+
+    For each s: panels between the distinct edges a, s - (s - a) 2^-k and
+    s + (b - s) 2^-k for k = 0..46, and b; 16 Gauss-Legendre nodes per
+    panel; the iterate read at the nodes by np.interp over (points, values);
+    the integral of H (g - g(s)) over the nodes other than s itself, plus
+    g(s) times the exact integral of H over [a, b], with g = L F. Returns
+    the values and the list of each point's nodes.
+    """
+    from hammerstein import moment0
+
+    kernel, L, F = problem.kernel, problem.L, problem.nonlin.F
+    a, b = problem.a, problem.b
+    x, w = np.polynomial.legendre.leggauss(16)
+    off = 2.0 ** (-np.arange(47.0))
+    out, node_rows = [], []
+    for s in points:
+        edges = np.unique(np.concatenate([[a], s - (s - a) * off, s + (b - s) * off, [b]]))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        t = (mid[:, None] + half[:, None] * x).ravel()
+        pos = t != s
+        hv = np.zeros_like(t)
+        hv[pos] = np.asarray(kernel.evaluate(s, t[pos]), dtype=float)
+        xs = np.interp(s, points, values)
+        gs = float(np.asarray(L(s, s), dtype=float)) * float(np.asarray(F(s, xs)))
+        g = np.asarray(L(s, t), dtype=float) * np.asarray(F(t, np.interp(t, points, values)))
+        diff = g - gs
+        diff[~pos] = 0.0
+        total = 0.0
+        for term in diff * (hv * (half[:, None] * w).ravel()):  # in node order
+            total += term
+        out.append(total + gs * moment0(kernel, s, a, b))
+        node_rows.append(t)
+    return np.array(out), node_rows

@@ -17,7 +17,7 @@ from hammerstein import (
     manufactured_problem,
     smooth_kernel,
 )
-from hammerstein.newton_ld import _fft_size, _product
+from hammerstein.newton_ld import _chebyshev_factor, _fft_size, _product
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
 
@@ -269,16 +269,20 @@ def L_cheb_T3(s, t):
     return 4.0 * x**3 - 3.0 * x + 0.0 * t
 
 
+def L_cos35(s, t):
+    return np.cos(35.0 * np.asarray(s, dtype=float) * t)
+
+
 class TestFineOperator:
     N_FINE = 256
 
-    def _check(self, kernel, L, n, a=0.0, b=1.0):
+    def _check(self, kernel, L, n, a=0.0, b=1.0, n_fine=N_FINE):
         prob = HammersteinProblem(
             a, b, kernel, L, get_nonlinearity("identity"), FUNCTIONS["zero"]
         )
-        fn = solver_operator(prob, _g, LDSettings(n_fine=self.N_FINE, sample_count=41), n)
-        fine_nodes = np.linspace(a, b, self.N_FINE + 1)
-        want = dense_fine_operator(prob, fn.points, self.N_FINE, _g(fine_nodes))
+        fn = solver_operator(prob, _g, LDSettings(n_fine=n_fine, sample_count=41), n)
+        fine_nodes = np.linspace(a, b, n_fine + 1)
+        want = dense_fine_operator(prob, fn.points, n_fine, _g(fine_nodes))
         assert np.max(np.abs(fn.values - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [7, 16])  # n does not / does divide n_fine
@@ -300,6 +304,14 @@ class TestFineOperator:
     def test_offset_domain_matches_dense_product_rule(self):
         # fine-node differences t_j - t_i carry rounding away from a = 0
         self._check(log_kernel(), L_exp_st, 7, a=0.3, b=2.9)
+
+    @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
+    def test_rank_above_the_check_rounding_floor(self, kernel):
+        # cos(35 s t) needs 65 Chebyshev points; the check of that level
+        # rounds to 1.09e-14 max|L|, above a bare 1e-14
+        ell, _ = _chebyshev_factor(L_cos35, 0.0, 1.0, np.linspace(0.0, 1.0, 1025))
+        assert ell.shape[0] == 65
+        self._check(kernel, L_cos35, 7, n_fine=1024)
 
     @pytest.mark.parametrize("shape", [(0, 4097), (1, 4097), (200, 4097), (10, 70000)])
     def test_split_matvec_matches_whole(self, shape, rng):

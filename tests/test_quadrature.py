@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hammerstein import (
     LDSettings,
     QuadratureConvergenceError,
     SampledFunction,
+    SubtractionPlan,
     adaptive_kernel_batch,
     algebraic_kernel,
     eval_operator_reference,
@@ -28,6 +31,7 @@ from oracles import (
     oracle_weight_rows,
     profile_tables_by_task,
     solver_operator,
+    subtraction_reference,
 )
 
 # frozen reference values (40-digit tanh-sinh quadrature, split at the
@@ -219,6 +223,78 @@ class TestEvalOperator:
         sub = solver_operator(prob, np.cos, LDSettings(mode="subtract", sample_count=41), n=5)
         assert np.isin(sub.points, fine.points).all()  # stored values, not interpolated
         assert np.max(np.abs(fine(sub.points) - sub.values)) <= 1e-6
+
+
+class TestSubtractionPlan:
+    """The blocked plan against the per-point loop that defines it."""
+
+    KERNELS = [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7)]
+
+    @staticmethod
+    def _problem(kernel, a, b):
+        return HammersteinProblem(
+            a, b, kernel, L_exp_st, get_nonlinearity("square"), FUNCTIONS["zero"]
+        )
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["a_to_b", "inside"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["log", "alg0.3", "alg0.7"])
+    def test_matches_pointwise_reference_bitwise(self, kernel, a, b, inside, rng):
+        # a and b, a uniform grid and one sample off it; near a and b the
+        # graded edges s - (s - a) and s + (b - s) need not round to a and b.
+        # Without a and b, the nodes beyond the first and last point read
+        # the end values, as np.interp does
+        points = np.unique(np.concatenate([np.linspace(a, b, 33), [a + (b - a) / 3.0]]))
+        if inside:
+            points = points[1:-1]
+        prob = self._problem(kernel, a, b)
+        plan = SubtractionPlan(prob, points)
+        for _ in range(3):
+            values = rng.standard_normal(points.size)  # not smooth
+            want, node_rows = subtraction_reference(prob, points, values)
+            assert np.array_equal(plan.apply(values), want)
+        assert np.array_equal(plan.t_nodes, np.concatenate(node_rows))
+        assert np.array_equal(np.diff(plan.offsets), [t.size for t in node_rows])
+
+    def test_node_counts_depend_on_rounding(self):
+        points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
+        counts = np.diff(SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points).offsets)
+        assert points.size == 257
+        assert np.count_nonzero(counts == 1488) == 254
+        counts = np.diff(
+            SubtractionPlan(self._problem(log_kernel(), 0.3, 2.9), 0.3 + 2.6 * points).offsets
+        )
+        assert counts.min() == 752  # at a and b: one graded side
+        assert counts[1:-1].min() == 1488 and counts.max() == 1520
+
+    @pytest.mark.parametrize(
+        "points",
+        [[0.0, 0.5, 0.25, 1.0], [0.0, 0.5, 0.5, 1.0], [-0.1, 0.5], [0.5, 1.1], [0.0, np.nan]],
+        ids=["unsorted", "duplicate", "below", "above", "nan"],
+    )
+    def test_rejects_bad_points(self, points):
+        with pytest.raises(ValueError):
+            SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points)
+
+    def test_memory_of_build_and_apply(self):
+        # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. The
+        # unblocked plan peaked at 24.5 MB in its build (12.6 MB of tables
+        # held) and at 12.2 MB in each apply
+        points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
+        prob = self._problem(algebraic_kernel(0.3), 0.0, 1.0)
+        values = np.cos(points)
+        tracemalloc.start()
+        try:
+            plan = SubtractionPlan(prob, points)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            plan.apply(values)
+            apply_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 20e6
+        assert apply_peak <= 1e6
 
 
 class TestReferenceQuadrature:

@@ -241,6 +241,19 @@ class TestRunner:
         assert rows["dl"]
         assert rows["both"] == rows["dl"]
 
+    def test_subtract_nsweep_deterministic_bytes(self, tmp_path):
+        # an nsweep_subtract-like sweep: subtract mode on the algebraic kernel
+        config = {"kernel": "alg", "beta": 0.3, "L": "exp_st", "F": {"poly": [0, 0, 0.15]},
+                  "y": {"manufactured": "cos"}, "n": 16, "mode": "subtract",
+                  "sample_count": 41}
+        outs = []
+        for name in ("a", "b"):
+            cfg = config_from_dict(config, out_dir_override=tmp_path / name)
+            outcome = run_nsweep(cfg, [8, 16])
+            outs.append((outcome.csv_path.read_bytes(), outcome.summary_path.read_bytes()))
+        assert outs[0] == outs[1]
+        assert [r.status for r in outcome.reports] == ["converged", "converged"]
+
     def test_compare_respects_solver_selection(self, tmp_path):
         cfg = config_from_dict(
             {**FAST_BENCH, "solver": "ld"}, out_dir_override=tmp_path
