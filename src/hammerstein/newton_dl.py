@@ -85,12 +85,12 @@ class _TwoGrid:
         self.nodes = grid.nodes
         if self.exact:
             self.tau = grid.nodes
-            self.G = _dense_rows(grid, kernel, L, grid.nodes)
+            self.G = _dense_rows([(grid, 1.0)], kernel, L, grid.nodes)
         else:
             coarse = make_grid(problem.a, problem.b, n_c)
             self.tau = coarse.nodes
-            self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
-            self.R = _dense_rows(coarse, kernel, L, grid.nodes)
+            self.G = _dense_rows([(coarse, 1.0)], kernel, L, coarse.nodes)
+            self.R = _dense_rows([(coarse, 1.0)], kernel, L, grid.nodes)
 
     def inverse(self, df, K):
         """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""

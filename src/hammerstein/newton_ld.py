@@ -20,13 +20,18 @@ Its error is O(h^3) for the log kernel and O(h^(3 - beta)) for the
 algebraic one, against the O(h^2) of K_N alone. It is applied without a
 dense matrix (`_ProductRule`): at the fine nodes the weights of each rule
 are a Toeplitz matrix plus two boundary columns, applied by FFT, and L
-enters through a Chebyshev interpolant in s of adaptively chosen size r. An
-apply costs O(r n_fine log n_fine) and the operator holds O(r n_fine)
+enters through a Chebyshev interpolant in s of adaptively chosen size r,
+compressed to the numerical rank q of its samples (Cheng, Gimbutas,
+Martinsson & Rokhlin, SIAM J. Sci. Comput. 2005): q = 9 for exp_st on
+[0, 1], where r = 17. The half grid reads F at the even fine nodes, whose
+spectrum is a fold of the fine one, so an apply is one rfft and one irfft
+of q rows, O(q n_fine log n_fine), and the operator holds O(q n_fine)
 numbers, plus dense rows for the evaluation points off the fine grid.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses),
-the settings it reads, the chunked builder of product-rule rows
-(`_dense_rows`) and `_ProductRule` are shared with the DL solver in
+the settings it reads, the blocked builder of product-rule rows
+(`_dense_rows`, which gets the half grid's rows from the fine ones by the
+hat identity) and `_ProductRule` are shared with the DL solver in
 newton_dl, whose discrete operator is the product rule of its own grid.
 """
 
@@ -123,18 +128,21 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # nodes are where the operator uses the interpolant; the checked ones follow
 # the golden-ratio sequence rather than a symmetric pattern.
 # An L that needs more than _MAX_RANK points keeps dense operator rows.
-# LD's extrapolated rule at the default n_fine = 1024, measured on a 2-vCPU
-# host with L = cos(32 s t) (r = 65) on 1217 evaluation points: an apply
-# takes 3.8-6.5 ms at r = 65 and 8.5-16 ms at r = 129 (two rffts and one
-# irfft), against dense rows that take 0.10-0.13 s to build and 0.6-0.9 ms
-# to apply. The dense rows win after about 21 applies at r = 65 and 9-13 at
-# r = 129, so a rank-129 L costs a 31-apply solve (max_iter 30) at most
-# 0.2 s.
+# The operator applies the interpolant compressed to the numerical rank q of
+# its samples (`_compress`). LD's extrapolated rule at the default
+# n_fine = 1024, measured on a 2-vCPU host on 1225 evaluation points: with
+# L = cos(32 s t) (r = 65, q = 23) an apply takes 0.9 ms and the build
+# 32 ms; with cos(64 s t) (r = 129, q = 35) 1.3 ms and 53 ms. Uncompressed,
+# with two rffts per apply, they took 5.0 and 9.3 ms. Dense rows take
+# 63-67 ms to build and 0.5 ms to apply: they win after about 80 applies at
+# r = 65 and 13 at r = 129, so a rank-129 L costs a 31-apply solve
+# (max_iter 30) about 15 ms more than dense rows would.
 # The cap stays at 129 for DL, which applies the rule of its own grid about
 # 14 times per Newton step (two per two-grid update). There, at n = 1500,
-# an apply at r = 129 takes 8 ms, and 30 steps of log-kernel DL with
-# L = cos(30 s t) (r = 65, F = sin_pi, y = 1) took 2.0 s with 414 applies,
-# against 3.6 s with dense rows and LU steps.
+# an apply with L = cos(30 s t) (r = 65, q = 22) takes 1.2 ms, 4.0 ms
+# uncompressed. Uncompressed, 30 steps of log-kernel DL with that L
+# (F = sin_pi, y = 1) took 2.0 s with 414 applies, against 3.6 s with dense
+# rows and LU steps.
 _RANK_TOL = 64 * np.finfo(float).eps
 _MAX_RANK = 129
 _CHECK_COUNT = 32
@@ -155,6 +163,8 @@ _BLAS_BLOCK = 2**18
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in BLAS calls of at most _BLAS_BLOCK multiply-adds: by rows of
     a when b is a vector, else by columns of b."""
+    if a.size * (1 if b.ndim == 1 else b.shape[1]) <= _BLAS_BLOCK:
+        return a @ b
     if b.ndim == 1:
         out = np.empty(a.shape[0])
         step = max(1, _BLAS_BLOCK // b.size)
@@ -227,29 +237,85 @@ def _chebyshev_factor(L, a: float, b: float, t: np.ndarray):
         sigma, samples = merged, merged_samples
 
 
-def _dense_rows(grid: Grid, kernel, L, s: np.ndarray) -> np.ndarray:
-    """Product-rule rows weight_matrix * L of ``grid`` at the points s.
+def _compress(ell: np.ndarray, samples: np.ndarray):
+    """(ell, samples) of _chebyshev_factor at the numerical rank of samples.
 
-    Every such matrix of both solvers comes from here: LD's recovery rows on
-    the Newton grid and its dense fine-operator rows, and DL's extension rows.
+    A pivoted Gram-Schmidt on the sample rows, each new row orthogonalized
+    twice, stops once the rows' remainder is at most _RANK_TOL * max|samples|.
+    With its orthonormal rows Q (q, t.size) and R = samples Q^T, the factor
+    sum_k ell_k samples_k becomes sum_j (R^T ell)_j Q_j. It is kept only if
+    max|samples - R Q| <= 4 _RANK_TOL max|samples| at every node, which
+    leaves room for the rounding of R and R Q (the remainder measured 0.01
+    to 0.73 _RANK_TOL max|samples| for exp_st, one and cos(35 s t)).
+    Otherwise, or at full rank, the input comes back. Every product goes
+    through _product, so none wakes the BLAS worker threads.
     """
-    wl = np.empty((s.size, grid.n + 1))
-    # chunks of 32k entries keep each temporary of weight_matrix and L near
-    # 256 kB; once one is freed, malloc raises its mmap threshold past that
-    # size and serves the next ones from reused heap memory instead of
-    # page-faulting a fresh mmap per chunk. On a 2-vCPU host the 192
-    # off-grid rows of a compare_fine op (n_fine = 4096) took 0.03 s and 220
-    # page faults, against 0.10 s and 15.6k faults with 250k-entry chunks. A
-    # full dense build of 4288 rows in a fresh process took 1.5-1.8 s and
-    # peaked at 143 MB, against 2.4-2.8 s and 161 MB (250k) and 1.8-2.1 s
-    # and 301 MB (2M); after a solve it took 0.7 s. DL's rows at n near 1500
-    # (a dl_large_n op) peaked at 75 MB, against 205 MB in one piece.
-    chunk = max(1, int(32_768 // (grid.n + 1)))
-    for start in range(0, s.size, chunk):
-        sl = slice(start, min(start + chunk, s.size))
-        wl[sl] = weight_matrix(grid, kernel, s[sl]) * np.asarray(
-            L(s[sl, None], grid.nodes[None, :]), dtype=float
-        )
+    r = samples.shape[0]
+    scale = np.max(np.abs(samples))
+    rest = samples.copy()
+    Q = np.empty_like(samples)
+    q = 0
+    while q < r and max(rest.max(), -rest.min()) > _RANK_TOL * scale:
+        v = Q[q]
+        v[:] = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
+        for _ in range(2):
+            v -= _product(Q[:q].T, _product(Q[:q], v))
+            v /= np.sqrt(v @ v)
+        q += 1
+        rest -= _product(rest, v)[:, None] * v
+    if q == r:
+        return ell, samples
+    Q = Q[:q]
+    R = _product(samples, Q.T)
+    if np.max(np.abs(samples - _product(R, Q))) > 4 * _RANK_TOL * scale:
+        return ell, samples
+    return _product(R.T, ell), Q
+
+
+# Entries per block of _dense_rows, at most, as _REF_BLOCK and _PLAN_BLOCK:
+# each temporary of weight_matrix and of L stays at 64 kB, under glibc's
+# initial 128 kB mmap threshold, so it is served from reused heap memory.
+# Measured on a 2-vCPU host over warm compare_fine ops (seed 5, ops 0-7):
+# 8k-entry blocks took no minor page faults per op, 32k-entry blocks (the
+# former rule) 465-1,002. With the former two-grid row build, compare_fine
+# ops took 1,221-1,640 faults each and dl_large_n ops 532-1,344. In a warm
+# loop alone, 192 off-grid rows of 1025 entries fault in neither case.
+_ROW_BLOCK = 8192
+
+
+def _dense_rows(rules, kernel, L, s: np.ndarray) -> np.ndarray:
+    """Product-rule rows sum_g coef_g weight_matrix_g * L at the points s.
+
+    ``rules`` lists (grid, coefficient) pairs as _ProductRule takes them: the
+    finest grid first, then at most its nested half grid. The rows are on
+    the finest grid's nodes. Every such matrix of both solvers comes from
+    here: LD's recovery rows on the Newton grid and the off-grid rows of its
+    fine rule, and DL's rows.
+
+    Per block of at most _ROW_BLOCK entries: one weight_matrix call on the
+    finest grid and one L evaluation at its nodes. The half grid's rows come
+    from the fine ones by the hat identity: the hat of its node 2J is the
+    fine hat at 2J plus half of each fine neighbour's, 2J - 1 and 2J + 1
+    (one neighbour at an end node).
+    """
+    fine, coef = rules[0]
+    wl = np.empty((s.size, fine.n + 1))
+    step = max(1, _ROW_BLOCK // (fine.n + 1))
+    for start in range(0, s.size, step):
+        block = s[start : start + step]
+        w = weight_matrix(fine, kernel, block)
+        out = wl[start : start + step]
+        if len(rules) == 1:
+            np.multiply(w, coef, out=out)
+        else:
+            half_coef = rules[1][1]
+            np.multiply(w[:, ::2], coef + half_coef, out=out[:, ::2])
+            np.multiply(w[:, 1::2], coef, out=out[:, 1::2])
+            odd = w[:, 1::2]
+            odd *= 0.5 * half_coef
+            out[:, :-1:2] += odd
+            out[:, 2::2] += odd
+        out *= _L_values(L, block, fine.nodes)
     return wl
 
 
@@ -279,10 +345,9 @@ class _ProductRule:
 
     ``rules`` lists (grid, coefficient) pairs; the operator is the sum of
     coefficient * (product rule of grid). The first grid is the finest, of N
-    panels, and every other one is nested in it: a grid of N / p panels has
-    its nodes at every p-th node of the first. LD combines its fine grid and
-    the nested half grid into the Richardson extrapolation (4 K_N - K_N/2) / 3;
-    DL passes its own grid alone.
+    panels; a second one, if given, is its nested half grid, whose nodes are
+    the even nodes of the first. LD combines the two into the Richardson
+    extrapolation (4 K_N - K_N/2) / 3; DL passes its own grid alone.
 
     The N + 1 nodes of the first grid, the "fine nodes" below, are the points
     at fine_idx. At a fine node t_i the log and alg weights of a grid's node
@@ -290,23 +355,28 @@ class _ProductRule:
     l = 0 and l = N. The interior columns of each grid are a Toeplitz matrix
     T_g on the fine index (zero in the columns that are not its nodes),
     applied by FFT on one circulant embedding, and L enters through its
-    Chebyshev interpolant in s at r points sigma_k:
+    Chebyshev interpolant in s at r points sigma_k, compressed to q <= r
+    orthonormal rows Q_j (`_compress`):
 
-        K(t_i) = sum_k ell_k(t_i) [sum_g coef_g T_g (L(sigma_k, .) F)]_i
+        K(t_i) = sum_j ell_j(t_i) [sum_g coef_g T_g (Q_j F)]_i
                  + col_first(t_i) F_0 + col_last(t_i) F_N,
 
     with the boundary columns of every grid summed into col_first and
-    col_last. That costs one rfft per grid and one irfft, O(r N log N), per
-    apply and O(r N) memory. Dense rows sum_g coef_g weight_matrix_g * L
-    remain for the points off the fine grid, and for every point when H is
-    smooth (not a function of t - s) or L needs more than _MAX_RANK
-    interpolation points.
+    col_last. The half grid reads F at the even fine nodes only. On an even
+    circulant length m the spectrum of a vector's even part is
+    (X[k] + conj X[m/2 - k]) / 2, so both rules fold into two symbols and an
+    apply costs one rfft and one irfft of q rows, O(q N log N), and O(q N)
+    memory. Dense rows sum_g coef_g weight_matrix_g * L remain for the
+    points off the fine grid, and for every point when H is smooth (not a
+    function of t - s) or L needs more than _MAX_RANK interpolation points.
     """
 
     def __init__(self, problem: HammersteinProblem, rules, points, fine_idx):
         kernel, L = problem.kernel, problem.L
         fine = rules[0][0]
         N, t = fine.n, fine.nodes
+        if len(rules) > 2 or any(2 * grid.n != N for grid, _ in rules[1:]):
+            raise ValueError("a product rule combines a grid and at most its half grid")
         self.size = points.size
         self.fine_idx = fine_idx
         self.ell = None
@@ -316,31 +386,29 @@ class _ProductRule:
         if factor is None:
             self.dense_idx = np.arange(points.size)
         else:
-            self.ell, samples = factor
+            self.ell, samples = _compress(*factor)
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.dense_idx = np.flatnonzero(off_grid)
-            self.m = _fft_size(2 * N)
-            # per grid: its symbol, and L(sigma_k, .) on its interior nodes,
-            # zero elsewhere; the boundary columns are added exactly, outside
-            # the convolution
-            self.terms = []
-            for grid, coef in rules:
-                p = N // grid.n
-                L_sigma = np.zeros_like(samples)
-                L_sigma[:, p:N:p] = samples[:, p:N:p]
-                self.terms.append((coef * _symbol(fine, grid, kernel, self.m), L_sigma))
+            # the half grid's fold needs an even m; _fft_size(2 N) is odd
+            # for some even N (22, 62, 66, 110, ...)
+            self.m = _fft_size(2 * N) if len(rules) == 1 else 2 * _fft_size(N)
+            # the samples on the interior fine nodes, zero at the ends; the
+            # boundary columns are added exactly, outside the convolution
+            self.L_interior = np.zeros_like(samples)
+            self.L_interior[:, 1:N] = samples[:, 1:N]
+            self.symbol = rules[0][1] * _symbol(fine, fine, kernel, self.m)
+            self.mirror = None
+            if len(rules) > 1:
+                half, half_coef = rules[1]
+                self.mirror = 0.5 * half_coef * _symbol(fine, half, kernel, self.m)
+                self.symbol += self.mirror
 
             ends = [[coef * w for w in _end_columns(grid, kernel, t)] for grid, coef in rules]
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = reduce(np.add, [first for first, _ in ends]) * L_ends[:, 0]
             self.col_last = reduce(np.add, [last for _, last in ends]) * L_ends[:, 1]
-        self.WL_dense = _dense_rows(fine, kernel, L, points[self.dense_idx])
-        self.WL_dense *= rules[0][1]
-        for grid, coef in rules[1:]:
-            rows = _dense_rows(grid, kernel, L, points[self.dense_idx])
-            rows *= coef
-            self.WL_dense[:, :: N // grid.n] += rows
+        self.WL_dense = _dense_rows(rules, kernel, L, points[self.dense_idx])
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
         """Operator values at every evaluation point from F at the fine nodes."""
@@ -357,10 +425,14 @@ class _ProductRule:
         return self._structured(ft)
 
     def _structured(self, ft: np.ndarray) -> np.ndarray:
-        spectrum = reduce(
-            np.add,
-            (np.fft.rfft(L_sigma * ft, self.m) * symbol for symbol, L_sigma in self.terms),
-        )
+        spectrum = np.fft.rfft(self.L_interior * ft, self.m)
+        if self.mirror is None:
+            spectrum *= self.symbol
+        else:
+            mirrored = spectrum[:, ::-1].conj()  # conj X[m/2 - k]
+            mirrored *= self.mirror
+            spectrum *= self.symbol
+            spectrum += mirrored
         conv = np.fft.irfft(spectrum, self.m)
         return (
             np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
@@ -428,7 +500,7 @@ class _Workspace:
 
         # recovery weights at every evaluation point; the rows at the nodes
         # are the Newton matrix, so nodal values stay consistent with them
-        self.WL_coarse = _dense_rows(grid, problem.kernel, problem.L, self.points)
+        self.WL_coarse = _dense_rows([(grid, 1.0)], problem.kernel, problem.L, self.points)
         self.G = self.WL_coarse[self.node_idx]
 
         if settings.mode == "fine":

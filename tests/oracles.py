@@ -189,11 +189,12 @@ def subtraction_reference(problem, points, values):
     """Subtract-mode operator values at ``points``, one point at a time.
 
     For each s: panels between the distinct edges a, s - (s - a) 2^-k and
-    s + (b - s) 2^-k for k = 0..46, and b; 16 Gauss-Legendre nodes per
-    panel; the iterate read at the nodes by np.interp over (points, values);
-    the integral of H (g - g(s)) over the nodes other than s itself, plus
-    g(s) times the exact integral of H over [a, b], with g = L F. Returns
-    the values and the list of each point's nodes.
+    s + (b - s) 2^-k for k = 0..46, and b, clipped to [a, b]; 16
+    Gauss-Legendre nodes per panel; the iterate read at the nodes by
+    np.interp over (points, values); the integral of H (g - g(s)) over the
+    nodes other than s itself, plus g(s) times the exact integral of H over
+    [a, b], with g = L F. Returns the values and the list of each point's
+    nodes.
     """
     from hammerstein import moment0
 
@@ -203,7 +204,8 @@ def subtraction_reference(problem, points, values):
     off = 2.0 ** (-np.arange(47.0))
     out, node_rows = [], []
     for s in points:
-        edges = np.unique(np.concatenate([[a], s - (s - a) * off, s + (b - s) * off, [b]]))
+        edges = np.concatenate([[a], s - (s - a) * off, s + (b - s) * off, [b]])
+        edges = np.unique(np.clip(edges, a, b))
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         t = (mid[:, None] + half[:, None] * x).ravel()

@@ -17,7 +17,14 @@ from hammerstein import (
     manufactured_problem,
     smooth_kernel,
 )
-from hammerstein.newton_ld import _chebyshev_factor, _fft_size, _product
+from hammerstein.newton_ld import (
+    _RANK_TOL,
+    _chebyshev_factor,
+    _compress,
+    _dense_rows,
+    _fft_size,
+    _product,
+)
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
 
@@ -305,6 +312,15 @@ class TestFineOperator:
         # fine-node differences t_j - t_i carry rounding away from a = 0
         self._check(log_kernel(), L_exp_st, 7, a=0.3, b=2.9)
 
+    @pytest.mark.parametrize("n_fine", [22, 110, 1024])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
+    def test_half_grid_fold_matches_dense_product_rule(self, kernel, a, b, n_fine):
+        # the half grid's spectrum is folded from the fine one on an even
+        # circulant; _fft_size(2 n_fine) is odd at 22 and 110
+        assert _fft_size(2 * n_fine) % 2 == (n_fine != 1024)
+        self._check(kernel, L_exp_st, 7, a=a, b=b, n_fine=n_fine)
+
     @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
     def test_rank_above_the_check_rounding_floor(self, kernel):
         # cos(35 s t) needs 65 Chebyshev points; the check of that level
@@ -346,11 +362,67 @@ class TestFineOperator:
         dense_bytes = fn.points.size * (4096 + 1) * 8
         assert peaks[1] < dense_bytes / 2
 
+    def test_row_blocks_stay_small(self):
+        # 192 off-grid rows of the extrapolated rule at n_fine = 1024, built
+        # block by block: nothing but the output outlives a block
+        fine, half = make_grid(0.0, 1.0, 1024), make_grid(0.0, 1.0, 512)
+        s = (np.arange(192) + 0.5) / 192
+        tracemalloc.start()
+        try:
+            rows = _dense_rows([(fine, 4.0 / 3.0), (half, -1.0 / 3.0)], log_kernel(), L_exp_st, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (192, 1025)
+        assert peak <= rows.nbytes + 0.5e6
+
     def test_fft_size_is_scipy_next_fast_len(self):
         from scipy.fft import next_fast_len
 
         for n in range(1, 5000):
             assert _fft_size(n) == next_fast_len(n, real=True)
+
+
+class TestCompression:
+    """The Chebyshev factor of L at its numerical rank."""
+
+    @staticmethod
+    def _factor(L, a=0.0, b=1.0, n=1024):
+        return _chebyshev_factor(L, a, b, np.linspace(a, b, n + 1))
+
+    @pytest.mark.parametrize(
+        "L, a, b, n, rank",
+        [
+            (L_exp_st, 0.0, 1.0, 1024, 9),
+            (L_exp_st, 0.0, 1.0, 64, 9),
+            (L_exp_st, 0.3, 2.9, 1024, 12),
+            (L_one, 0.0, 1.0, 1501, 1),
+            (L_cos35, 0.0, 1.0, 1024, 25),
+        ],
+        ids=["exp_st", "exp_st_64", "exp_st_offset", "one_1501", "cos35"],
+    )
+    def test_rank_and_remainder(self, L, a, b, n, rank):
+        ell, samples = self._factor(L, a, b, n)
+        ell_q, Q = _compress(ell, samples)
+        assert Q.shape[0] <= rank < samples.shape[0]
+        np.testing.assert_allclose(Q @ Q.T, np.eye(Q.shape[0]), rtol=0, atol=1e-14)
+        R = samples @ Q.T
+        assert np.max(np.abs(samples - R @ Q)) <= 4 * _RANK_TOL * np.max(np.abs(samples))
+        np.testing.assert_allclose(ell_q, R.T @ ell, rtol=0, atol=1e-13)
+
+    def test_zero_compresses_to_an_exact_zero_operator(self):
+        _, Q = _compress(*self._factor(L_zero))
+        assert Q.shape[0] == 0
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_zero, get_nonlinearity("identity"), FUNCTIONS["zero"]
+        )
+        fn = solver_operator(prob, _g, LDSettings(sample_count=41))
+        assert np.all(fn.values == 0.0)
+
+    def test_full_rank_samples_come_back(self, rng):
+        ell, samples = rng.standard_normal((2, 17, 1025))
+        ell_q, Q = _compress(ell, samples)
+        assert ell_q is ell and Q is samples
 
 
 class TestSettings:

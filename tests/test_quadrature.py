@@ -144,6 +144,29 @@ class TestProductWeights:
         with pytest.raises(ValueError):
             product_weights(grid, log_kernel(), 1.5)
 
+    @pytest.mark.parametrize("beta", [None, 0.3], ids=["log", "alg0.3"])
+    def test_far_from_s_against_mpmath(self, beta):
+        # Far from s the panel differences of the antiderivatives cancel: the
+        # worst error here is 3.8e-13 (log) and 1.7e-13 (alg 0.3), and at
+        # j = 1023 it is 2.3e-7 of the log weight. This bounds what the
+        # fine rule's off-grid rows inherit.
+        import mpmath as mp
+
+        n, s = 1024, 0.00070123
+        kernel = log_kernel() if beta is None else algebraic_kernel(beta)
+        w = weight_matrix(make_grid(0.0, 1.0, n), kernel, [s])[0]
+        with mp.workdps(30):
+            sm, h = mp.mpf(s), mp.mpf(1) / n
+            if beta is None:
+                H = lambda t: mp.log(t - sm)
+            else:
+                H = lambda t: (t - sm) ** -mp.mpf(beta)
+            for j in (3, 100, 500, 1000, 1023):
+                tj = j * h  # s < t_(j-1): both panels are smooth
+                truth = mp.quad(lambda t: H(t) * (t - tj + h), [tj - h, tj]) / h
+                truth += mp.quad(lambda t: H(t) * (tj + h - t), [tj, tj + h]) / h
+                assert abs(w[j] - float(truth)) <= 1e-12
+
 
 class TestTangentRule:
     """Weight rows applied to nodal data, as the LD step applies them to the
@@ -266,6 +289,25 @@ class TestSubtractionPlan:
         )
         assert counts.min() == 752  # at a and b: one graded side
         assert counts[1:-1].min() == 1488 and counts.max() == 1520
+
+    def test_nodes_stay_in_the_interval(self):
+        # s - (s - a) and s + (b - s) round past a and b for some points: 600
+        # nodes fell below a and 160 above b here, and an L undefined there
+        # made 70 of the 257 values nan
+        a, b = 0.3, 2.9
+
+        def L_inside(s, t):
+            inside = (t >= a) & (t <= b)
+            return np.where(inside, L_exp_st(s, np.where(inside, t, a)), np.nan)
+
+        points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
+        points = a + (b - a) * points
+        prob = HammersteinProblem(
+            a, b, log_kernel(), L_inside, get_nonlinearity("square"), FUNCTIONS["zero"]
+        )
+        plan = SubtractionPlan(prob, points)
+        assert a <= plan.t_nodes.min() and plan.t_nodes.max() <= b
+        assert np.all(np.isfinite(plan.apply(np.cos(points))))
 
     @pytest.mark.parametrize(
         "points",
