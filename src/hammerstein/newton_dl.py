@@ -85,12 +85,12 @@ class _TwoGrid:
         self.nodes = grid.nodes
         if self.exact:
             self.tau = grid.nodes
-            self.G = _dense_rows([(grid, 1.0)], kernel, L, grid.nodes)
+            self.G = _dense_rows(grid, kernel, L, grid.nodes)
         else:
             coarse = make_grid(problem.a, problem.b, n_c)
             self.tau = coarse.nodes
-            self.G = _dense_rows([(coarse, 1.0)], kernel, L, coarse.nodes)
-            self.R = _dense_rows([(coarse, 1.0)], kernel, L, grid.nodes)
+            self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+            self.R = _dense_rows(coarse, kernel, L, grid.nodes)
 
     def inverse(self, df, K):
         """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
@@ -146,7 +146,7 @@ class _Workspace:
         sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
         self.out_points = np.unique(np.concatenate([sample_points, nodes]))
         self.node_idx = np.searchsorted(self.out_points, nodes)
-        self.rule = _ProductRule(problem, [(grid, 1.0)], self.out_points, self.node_idx)
+        self.rule = _ProductRule(problem, grid, self.out_points, self.node_idx)
         self.y_out = np.broadcast_to(
             np.asarray(problem.y(self.out_points), dtype=float), self.out_points.shape
         )

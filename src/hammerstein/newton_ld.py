@@ -1,38 +1,40 @@
 """Linearize-then-discretize solver.
 
 Newton is applied to the operator equation itself; each linear operator
-equation is then discretized by the product trapezoidal rule. Every step
-solves an (n+1) x (n+1) system for the nodal values and recovers the next
-iterate on a frozen evaluation point set (grid nodes, operator-quadrature
-nodes and output sample points), so the whole iteration works with function
-values that are never re-interpolated from coarser data.
+equation is then discretized by product integration. Every step solves an
+(n+1) x (n+1) system for the nodal values (product trapezoid rule of the
+Newton grid) and recovers the next iterate on a frozen evaluation point set
+(grid nodes, operator-quadrature nodes and output sample points), so the
+whole iteration works with function values that are never re-interpolated
+from coarser data.
 
 The limit of the iteration is set by the accuracy of the operator
 evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
 
-In fine mode the operator is the Richardson extrapolation of the product
-rule, K_R = (4 K_N - K_N/2) / 3, with K_N the rule on N = n_fine panels and
-K_N/2 the rule on the nested grid of the even fine nodes (Atkinson, The
-Numerical Solution of Integral Equations of the Second Kind, CUP 1997,
-ch. 4; Sidi, Practical Extrapolation Methods, CUP 2003). Both rules read F
-at the fine nodes only, so the operator stays closed under the iteration.
-Its error is O(h^3) for the log kernel and O(h^(3 - beta)) for the
-algebraic one, against the O(h^2) of K_N alone. It is applied without a
-dense matrix (`_ProductRule`): at the fine nodes the weights of each rule
-are a Toeplitz matrix plus two boundary columns, applied by FFT, and L
-enters through a Chebyshev interpolant in s of adaptively chosen size r,
-compressed to the numerical rank q of its samples (Cheng, Gimbutas,
-Martinsson & Rokhlin, SIAM J. Sci. Comput. 2005): q = 9 for exp_st on
-[0, 1], where r = 17. The half grid reads F at the even fine nodes, whose
-spectrum is a fold of the fine one, so an apply is one rfft and one irfft
-of q rows, O(q n_fine log n_fine), and the operator holds O(q n_fine)
-numbers, plus dense rows for the evaluation points off the fine grid.
+In fine mode the operator is the product Simpson rule on N = n_fine panels:
+H times the piecewise-quadratic interpolant of L F on the panel pairs
+[t_2g, t_2g+2], integrated exactly (Atkinson, The Numerical Solution of
+Integral Equations of the Second Kind, CUP 1997, sec. 4.2; de Hoog & Weiss,
+Math. Comp. 1973). It reads F at the fine nodes only, so the operator stays
+closed under the iteration. Its error is about O(h^4) for the log kernel
+and O(h^(4 - beta)) for the algebraic one (measured orders 3.8, 3.6 and 3.3
+per doubling at N = 80-640 for log, beta = 0.3 and beta = 0.7), against
+O(h^2) for the product trapezoid rule. It is applied without a dense matrix
+(`_ProductRule`): at the fine nodes the weights of the even and of the odd
+interior columns are each a Toeplitz matrix, plus two boundary columns,
+applied by FFT, and L enters through a Chebyshev interpolant in s of
+adaptively chosen size r, compressed to the numerical rank q of its samples
+(Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 2005): q = 9
+for exp_st on [0, 1], where r = 17. The even columns' spectrum is a fold of
+the whole one, so an apply is one rfft and one irfft of q rows,
+O(q n_fine log n_fine), and the operator holds O(q n_fine) numbers, plus
+dense rows for the evaluation points off the fine grid.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses),
 the settings it reads, the blocked builder of product-rule rows
-(`_dense_rows`, which gets the half grid's rows from the fine ones by the
-hat identity) and `_ProductRule` are shared with the DL solver in
-newton_dl, whose discrete operator is the product rule of its own grid.
+(`_dense_rows`) and `_ProductRule` are shared with the DL solver in
+newton_dl, whose discrete operator is the product trapezoid rule of its own
+grid.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -82,12 +83,14 @@ class _NewtonSettings:
 class LDSettings(_NewtonSettings):
     """Settings of ld_solve: the shared ones, and how the operator is evaluated.
 
-    mode "fine": the Richardson-extrapolated product rule on a uniform grid
-    of n_fine panels and its nested grid of n_fine / 2; n_fine must be even.
+    mode "fine": the product Simpson rule on a uniform grid of n_fine panels,
+    taken in pairs, so n_fine must be even. At the default 320 the LD
+    terminal error of the manufactured log-kernel problems with L = exp_st
+    (n = 16-64, F square or cubic) is at most 1.6e-10.
     mode "subtract": singularity subtraction (SubtractionPlan); n_fine unused.
     """
 
-    n_fine: int = 1024
+    n_fine: int = 320
     mode: str = "fine"
 
     def __post_init__(self):
@@ -129,14 +132,15 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # the golden-ratio sequence rather than a symmetric pattern.
 # An L that needs more than _MAX_RANK points keeps dense operator rows.
 # The operator applies the interpolant compressed to the numerical rank q of
-# its samples (`_compress`). LD's extrapolated rule at the default
-# n_fine = 1024, measured on a 2-vCPU host on 1225 evaluation points: with
-# L = cos(32 s t) (r = 65, q = 23) an apply takes 0.9 ms and the build
-# 32 ms; with cos(64 s t) (r = 129, q = 35) 1.3 ms and 53 ms. Uncompressed,
-# with two rffts per apply, they took 5.0 and 9.3 ms. Dense rows take
-# 63-67 ms to build and 0.5 ms to apply: they win after about 80 applies at
-# r = 65 and 13 at r = 129, so a rank-129 L costs a 31-apply solve
-# (max_iter 30) about 15 ms more than dense rows would.
+# its samples (`_compress`). LD's Simpson rule at the default n_fine = 320,
+# measured on a 2-vCPU host on 489 evaluation points (n = 40, 201 samples):
+# with L = exp_st (r = 17, q = 9) an apply takes 0.22 ms and the build
+# 7.7 ms; with cos(32 s t) (r = 65, q = 23) 0.25-0.37 ms and 9.5-13 ms; with
+# cos(64 s t) (r = 129, q = 35) 0.3-0.5 ms and 8.6-14 ms. Dense Simpson rows
+# take 11-16 ms to build and 0.07 ms to apply: they lose for exp_st and win
+# after a few applies for the two cosines. At n_fine = 1024 (1225 points)
+# the two cosines' applies took 0.9 and 1.3 ms compressed and 5.0 and 9.3 ms
+# uncompressed, with two rffts each.
 # The cap stays at 129 for DL, which applies the rule of its own grid about
 # 14 times per Newton step (two per two-grid update). There, at n = 1500,
 # an apply with L = cos(30 s t) (r = 65, q = 22) takes 1.2 ms, 4.0 ms
@@ -252,17 +256,24 @@ def _compress(ell: np.ndarray, samples: np.ndarray):
     """
     r = samples.shape[0]
     scale = np.max(np.abs(samples))
+    tol = _RANK_TOL * scale
     rest = samples.copy()
+    update = np.empty_like(samples)  # every step's rank-1 update, in one buffer
     Q = np.empty_like(samples)
     q = 0
-    while q < r and max(rest.max(), -rest.min()) > _RANK_TOL * scale:
+    while q < r:
+        norms = np.einsum("ij,ij->i", rest, rest)
+        # max|row| <= tol needs |row|^2 <= t.size tol^2, so the max-abs stop
+        # test only runs once no norm is above that
+        if norms.max() <= rest.shape[1] * tol * tol and max(rest.max(), -rest.min()) <= tol:
+            break
         v = Q[q]
-        v[:] = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
+        v[:] = rest[np.argmax(norms)]
         for _ in range(2):
             v -= _product(Q[:q].T, _product(Q[:q], v))
             v /= np.sqrt(v @ v)
         q += 1
-        rest -= _product(rest, v)[:, None] * v
+        rest -= np.multiply(_product(rest, v)[:, None], v, out=update)
     if q == r:
         return ell, samples
     Q = Q[:q]
@@ -283,39 +294,24 @@ def _compress(ell: np.ndarray, samples: np.ndarray):
 _ROW_BLOCK = 8192
 
 
-def _dense_rows(rules, kernel, L, s: np.ndarray) -> np.ndarray:
-    """Product-rule rows sum_g coef_g weight_matrix_g * L at the points s.
+def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False) -> np.ndarray:
+    """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
 
-    ``rules`` lists (grid, coefficient) pairs as _ProductRule takes them: the
-    finest grid first, then at most its nested half grid. The rows are on
-    the finest grid's nodes. Every such matrix of both solvers comes from
-    here: LD's recovery rows on the Newton grid and the off-grid rows of its
-    fine rule, and DL's rows.
-
-    Per block of at most _ROW_BLOCK entries: one weight_matrix call on the
-    finest grid and one L evaluation at its nodes. The half grid's rows come
-    from the fine ones by the hat identity: the hat of its node 2J is the
-    fine hat at 2J plus half of each fine neighbour's, 2J - 1 and 2J + 1
-    (one neighbour at an end node).
+    Every such matrix of both solvers comes from here: LD's recovery rows on
+    the Newton grid (trapezoid) and the off-grid rows of its fine rule
+    (``simpson``), and DL's rows (trapezoid). Per block of at most
+    _ROW_BLOCK entries: one weight_matrix call and one L evaluation at the
+    grid's nodes.
     """
-    fine, coef = rules[0]
-    wl = np.empty((s.size, fine.n + 1))
-    step = max(1, _ROW_BLOCK // (fine.n + 1))
+    wl = np.empty((s.size, grid.n + 1))
+    step = max(1, _ROW_BLOCK // (grid.n + 1))
     for start in range(0, s.size, step):
         block = s[start : start + step]
-        w = weight_matrix(fine, kernel, block)
-        out = wl[start : start + step]
-        if len(rules) == 1:
-            np.multiply(w, coef, out=out)
-        else:
-            half_coef = rules[1][1]
-            np.multiply(w[:, ::2], coef + half_coef, out=out[:, ::2])
-            np.multiply(w[:, 1::2], coef, out=out[:, 1::2])
-            odd = w[:, 1::2]
-            odd *= 0.5 * half_coef
-            out[:, :-1:2] += odd
-            out[:, 2::2] += odd
-        out *= _L_values(L, block, fine.nodes)
+        np.multiply(
+            weight_matrix(grid, kernel, block, simpson),
+            _L_values(L, block, grid.nodes),
+            out=wl[start : start + step],
+        )
     return wl
 
 
@@ -341,42 +337,35 @@ def _fft_size(n: int) -> int:
 
 
 class _ProductRule:
-    """A combination of product rules at every evaluation point.
+    """A product rule of ``grid`` at every evaluation point.
 
-    ``rules`` lists (grid, coefficient) pairs; the operator is the sum of
-    coefficient * (product rule of grid). The first grid is the finest, of N
-    panels; a second one, if given, is its nested half grid, whose nodes are
-    the even nodes of the first. LD combines the two into the Richardson
-    extrapolation (4 K_N - K_N/2) / 3; DL passes its own grid alone.
+    The product trapezoid rule by default (DL's operator on its own grid),
+    the product Simpson rule with ``simpson`` (LD's fine rule; the panel
+    count N must be even).
 
-    The N + 1 nodes of the first grid, the "fine nodes" below, are the points
-    at fine_idx. At a fine node t_i the log and alg weights of a grid's node
-    at fine index l depend only on l - i, except in the boundary columns
-    l = 0 and l = N. The interior columns of each grid are a Toeplitz matrix
-    T_g on the fine index (zero in the columns that are not its nodes),
-    applied by FFT on one circulant embedding, and L enters through its
-    Chebyshev interpolant in s at r points sigma_k, compressed to q <= r
-    orthonormal rows Q_j (`_compress`):
+    The N + 1 grid nodes, the "fine nodes" below, are the points at fine_idx.
+    At a fine node t_i the log and alg weights of node t_l depend only on
+    l - i and, for Simpson, on the parity of l, except in the boundary columns
+    l = 0 and l = N. The interior columns are a Toeplitz matrix (one per
+    parity for Simpson), applied by FFT on one circulant embedding, and L
+    enters through its Chebyshev interpolant in s at r points sigma_k,
+    compressed to q <= r orthonormal rows Q_j (`_compress`):
 
-        K(t_i) = sum_j ell_j(t_i) [sum_g coef_g T_g (Q_j F)]_i
-                 + col_first(t_i) F_0 + col_last(t_i) F_N,
+        K(t_i) = sum_j ell_j(t_i) [T (Q_j F)]_i
+                 + col_first(t_i) F_0 + col_last(t_i) F_N.
 
-    with the boundary columns of every grid summed into col_first and
-    col_last. The half grid reads F at the even fine nodes only. On an even
-    circulant length m the spectrum of a vector's even part is
-    (X[k] + conj X[m/2 - k]) / 2, so both rules fold into two symbols and an
-    apply costs one rfft and one irfft of q rows, O(q N log N), and O(q N)
-    memory. Dense rows sum_g coef_g weight_matrix_g * L remain for the
-    points off the fine grid, and for every point when H is smooth (not a
-    function of t - s) or L needs more than _MAX_RANK interpolation points.
+    For Simpson, T = S_odd + D P with D = S_even - S_odd and P the projection
+    on the even columns. On an even circulant length m the spectrum of a
+    vector's even part is (X[k] + conj X[m/2 - k]) / 2, so an apply is one
+    rfft and one irfft of q rows, O(q N log N), and O(q N) memory. Dense rows
+    remain for the points off the fine grid, and for every point when H is
+    smooth (not a function of t - s) or L needs more than _MAX_RANK
+    interpolation points.
     """
 
-    def __init__(self, problem: HammersteinProblem, rules, points, fine_idx):
+    def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
         kernel, L = problem.kernel, problem.L
-        fine = rules[0][0]
-        N, t = fine.n, fine.nodes
-        if len(rules) > 2 or any(2 * grid.n != N for grid, _ in rules[1:]):
-            raise ValueError("a product rule combines a grid and at most its half grid")
+        N, t = grid.n, grid.nodes
         self.size = points.size
         self.fine_idx = fine_idx
         self.ell = None
@@ -390,25 +379,19 @@ class _ProductRule:
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.dense_idx = np.flatnonzero(off_grid)
-            # the half grid's fold needs an even m; _fft_size(2 N) is odd
-            # for some even N (22, 62, 66, 110, ...)
-            self.m = _fft_size(2 * N) if len(rules) == 1 else 2 * _fft_size(N)
+            # the parity fold needs an even m; _fft_size(2 N) is odd for some
+            # even N (22, 62, 66, 110, ...)
+            self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
             # the samples on the interior fine nodes, zero at the ends; the
             # boundary columns are added exactly, outside the convolution
             self.L_interior = np.zeros_like(samples)
             self.L_interior[:, 1:N] = samples[:, 1:N]
-            self.symbol = rules[0][1] * _symbol(fine, fine, kernel, self.m)
-            self.mirror = None
-            if len(rules) > 1:
-                half, half_coef = rules[1]
-                self.mirror = 0.5 * half_coef * _symbol(fine, half, kernel, self.m)
-                self.symbol += self.mirror
-
-            ends = [[coef * w for w in _end_columns(grid, kernel, t)] for grid, coef in rules]
+            self.symbol, self.mirror = _symbol(grid, kernel, self.m, simpson)
+            first, last = _end_columns(grid, kernel, simpson)
             L_ends = _L_values(L, t, t[[0, N]])
-            self.col_first = reduce(np.add, [first for first, _ in ends]) * L_ends[:, 0]
-            self.col_last = reduce(np.add, [last for _, last in ends]) * L_ends[:, 1]
-        self.WL_dense = _dense_rows(rules, kernel, L, points[self.dense_idx])
+            self.col_first = first * L_ends[:, 0]
+            self.col_last = last * L_ends[:, 1]
+        self.WL_dense = _dense_rows(grid, kernel, L, points[self.dense_idx], simpson)
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
         """Operator values at every evaluation point from F at the fine nodes."""
@@ -441,44 +424,52 @@ class _ProductRule:
         )
 
 
-def _end_columns(grid: Grid, kernel, t: np.ndarray):
-    """The columns of ``grid`` at t_0 and t_N, weights at the fine nodes t.
+def _end_columns(grid: Grid, kernel, simpson: bool):
+    """The columns of ``grid`` at t_0 and t_N, weights at its nodes.
 
-    Each comes from a one-panel grid over the grid's end panel; weight_matrix
-    divides by that grid's h, so it is rescaled to the grid's own.
+    Each comes from a grid of p panels over the first or last p panels, p = 2
+    for Simpson (whose end columns see a panel pair) and 1 otherwise;
+    weight_matrix divides by that grid's h, so it is rescaled to the grid's
+    own.
     """
-    p = (t.size - 1) // grid.n
-    first = make_grid(t[0], t[p], 1)
-    last = make_grid(t[-1 - p], t[-1], 1)
+    t = grid.nodes
+    p = 2 if simpson else 1
+    first = make_grid(t[0], t[p], p)
+    last = make_grid(t[-1 - p], t[-1], p)
     return (
-        weight_matrix(first, kernel, t)[:, 0] * (first.h / grid.h),
-        weight_matrix(last, kernel, t)[:, 1] * (last.h / grid.h),
+        weight_matrix(first, kernel, t, simpson)[:, 0] * (first.h / grid.h),
+        weight_matrix(last, kernel, t, simpson)[:, -1] * (last.h / grid.h),
     )
 
 
-def _symbol(fine: Grid, grid: Grid, kernel, m: int) -> np.ndarray:
-    """rfft of the length-m circulant that applies the interior columns of
-    ``grid``, nested in ``fine`` at every p-th node, at the fine nodes.
+def _symbol(grid: Grid, kernel, m: int, simpson: bool):
+    """(symbol, mirror): rffts of the length-m circulants that apply the
+    interior columns of ``grid`` at its nodes; mirror is None for the
+    trapezoid rule.
 
-    Its entry c_k = w_J(t_i) with k = pJ - i, k = -(N-1)..N-1, comes from the
-    rows of ``grid`` at the first p + 1 and the last p fine nodes: the row at
-    t_i holds c_k for k = pJ - i, J = 1..n-1. Where two rows hold the same
-    c_k, the one nearer t_0 is kept. For p = 1 these are the rows at t_0,
-    t_1 (for c_0) and t_N. The k that no row holds pair no interior node
-    with any fine node and stay 0.
+    Entry c_k = w_l(t_i), k = l - i = -(N-1)..N-1, is read from the rows at
+    t_1, t_0 and t_N; where two rows hold the same c_k, the later one is
+    kept. Simpson has one such c per parity of l, read from the rows at t_2,
+    t_1, t_0, t_N-1 and t_N, and its spectra S_even and S_odd give symbol
+    (S_even + S_odd) / 2 and mirror (S_even - S_odd) / 2. The k that no row
+    holds pair no interior node with any node and stay 0.
     """
-    N, t = fine.n, fine.nodes
-    p = N // grid.n
-    at = [*range(p, -1, -1), *range(N - p + 1, N + 1)]
-    rows = weight_matrix(grid, kernel, t[at])
-    c = np.zeros(2 * N - 1)  # c_k at k + N - 1
-    J = np.arange(1, grid.n)
+    N, t = grid.n, grid.nodes
+    at = [2, 1, 0, N - 1, N] if simpson else [1, 0, N]
+    rows = weight_matrix(grid, kernel, t[at], simpson)
+    J = np.arange(1, N)
+    parity = J % 2 if simpson else np.zeros(N - 1, dtype=int)
+    c = np.zeros((2 if simpson else 1, 2 * N - 1))  # c_k at k + N - 1
     for i, row in zip(at, rows):
-        c[p * J - i + N - 1] = row[1:-1]
-    v = np.zeros(m)
-    v[:N] = c[N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
-    v[m - N + 1 :] = c[: N - 1 : -1]  # c_(N-1), ..., c_1
-    return np.fft.rfft(v)
+        c[parity, J - i + N - 1] = row[1:-1]
+    v = np.zeros((c.shape[0], m))
+    v[:, :N] = c[:, N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
+    v[:, m - N + 1 :] = c[:, : N - 1 : -1]  # c_(N-1), ..., c_1
+    spectra = np.fft.rfft(v)
+    if not simpson:
+        return spectra[0], None
+    even, odd = spectra
+    return 0.5 * (even + odd), 0.5 * (even - odd)
 
 
 class _Workspace:
@@ -500,16 +491,16 @@ class _Workspace:
 
         # recovery weights at every evaluation point; the rows at the nodes
         # are the Newton matrix, so nodal values stay consistent with them
-        self.WL_coarse = _dense_rows([(grid, 1.0)], problem.kernel, problem.L, self.points)
+        self.WL_coarse = _dense_rows(grid, problem.kernel, problem.L, self.points)
         self.G = self.WL_coarse[self.node_idx]
 
         if settings.mode == "fine":
             fine = make_grid(problem.a, problem.b, settings.n_fine)
             self.fine_nodes = fine.nodes
             self.fine_idx = self._locate(fine.nodes)
-            half = make_grid(problem.a, problem.b, settings.n_fine // 2)
-            rules = [(fine, 4.0 / 3.0), (half, -1.0 / 3.0)]
-            self.fine_rule = _ProductRule(problem, rules, self.points, self.fine_idx)
+            self.fine_rule = _ProductRule(
+                problem, fine, self.points, self.fine_idx, simpson=True
+            )
             self.plan = None
         else:
             self.plan = SubtractionPlan(problem, self.points)

@@ -1,8 +1,12 @@
-"""Product-trapezoidal quadrature for weakly singular kernels.
+"""Product-integration quadrature for weakly singular kernels.
 
 Weight vectors integrate the singular factor H exactly against the
 piecewise-linear hat basis on a grid, using closed-form antiderivatives for
 the built-in kernels and folded Gauss-Legendre panels for smooth ones.
+With ``simpson`` they integrate H against the piecewise-quadratic Lagrange
+basis on pairs of panels instead (product Simpson), built from the moments
+of H on each panel: midpoint expansions far from s, which keep each weight
+to a few eps, and the closed forms near s.
 `SubtractionPlan` evaluates the integral operator by singularity
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
@@ -10,10 +14,11 @@ at the Gauss nodes piecewise linearly, with np.interp; build and apply run
 in blocks of whole rows of at most 8192 nodes, so no temporary leaves the
 heap for a fresh mmap, and each row is summed by np.bincount in node order,
 which keeps every value bitwise what one whole-plan pass gives.
-The product rule of its fine mode is built in newton_ld from `weight_matrix`
-rows. On a uniform grid the log and alg weight rows at the grid nodes depend
-only on j - i, apart from the two boundary columns; the LD solver builds its
-fine operator from a few such rows instead of the full matrix.
+The product Simpson rule of its fine mode is built in newton_ld from
+`weight_matrix` rows. On a uniform grid the log and alg weight rows at the
+grid nodes depend only on j - i within each parity of j, apart from the two
+boundary columns; the LD solver builds its fine operator from a few such
+rows instead of the full matrix.
 
 An independent adaptive engine (`adaptive_kernel_batch`) supplies reference
 values for tests and manufactured right-hand sides. It never touches the
@@ -59,28 +64,18 @@ class QuadratureConvergenceError(RuntimeError):
 # analytic antiderivatives and moments
 
 
-def _antideriv0(kernel: SingularKernel, u: np.ndarray) -> np.ndarray:
-    """Antiderivative of H at offset u = t - s, normalized to 0 at u = 0."""
+def _antiderivs(kernel: SingularKernel, u: np.ndarray):
+    """Antiderivatives of H, u H and u^2 H at offsets u = t - s, each 0 at u = 0."""
     au = np.abs(u)
     if kernel.kind == KERNEL_LOG:
-        out = np.zeros_like(u)
-        m = au > _TINY
-        out[m] = u[m] * (np.log(au[m]) - 1.0)
-        return out
+        lg = np.log(np.maximum(au, _TINY))
+        return u * (lg - 1.0), u**2 * (0.5 * lg - 0.25), u**3 * (lg / 3.0 - 1.0 / 9.0)
     beta = kernel.beta
-    return np.sign(u) * au ** (1.0 - beta) / (1.0 - beta)
-
-
-def _antideriv1(kernel: SingularKernel, u: np.ndarray) -> np.ndarray:
-    """Antiderivative of u*H at offset u = t - s, normalized to 0 at u = 0."""
-    au = np.abs(u)
-    if kernel.kind == KERNEL_LOG:
-        out = np.zeros_like(u)
-        m = au > _TINY
-        out[m] = u[m] ** 2 * (0.5 * np.log(au[m]) - 0.25)
-        return out
-    beta = kernel.beta
-    return au ** (2.0 - beta) / (2.0 - beta)
+    return (
+        np.sign(u) * au ** (1.0 - beta) / (1.0 - beta),
+        au ** (2.0 - beta) / (2.0 - beta),
+        np.sign(u) * au ** (3.0 - beta) / (3.0 - beta),
+    )
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -121,7 +116,7 @@ def moment0(kernel: SingularKernel, s: float, c: float, d: float) -> float:
         vals = _smooth_panel_integrals(kernel, np.full(8, float(s)), lo, hi, lambda t: 1.0)
         return float(np.sum(vals))
     u = np.array([c - s, d - s], dtype=float)
-    f = _antideriv0(kernel, u)
+    f = _antiderivs(kernel, u)[0]
     return float(f[1] - f[0])
 
 
@@ -134,20 +129,24 @@ def _check_subinterval(c, d):
 # product-rule weights
 
 
-def weight_matrix(grid: Grid, kernel: SingularKernel, svals) -> np.ndarray:
-    """Rows of product-trapezoidal weights, one row per evaluation point.
+def weight_matrix(grid: Grid, kernel: SingularKernel, svals, simpson: bool = False) -> np.ndarray:
+    """Rows of product-rule weights, one row per evaluation point.
 
     Row i holds the n+1 weights that integrate H(svals[i], t) against the
-    piecewise-linear interpolant on the grid.
+    piecewise-linear interpolant on the grid (product trapezoid) or, with
+    ``simpson``, against the piecewise-quadratic one on the panel pairs
+    [t_2g, t_2g+2] (product Simpson; n must be even).
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    if simpson:
+        return _simpson_weight_rows(grid, kernel, svals)
     if kernel.kind == KERNEL_SMOOTH:
         return _smooth_weight_rows(grid, kernel, svals)
     return _analytic_weight_rows(grid, kernel, svals)
 
 
 def _analytic_weight_rows(grid, kernel, svals):
-    # _antideriv0 and _antideriv1 at every u = t_j - s, to the bit, with the
+    # the first two _antiderivs at every u = t_j - s, to the bit, with the
     # temporaries reused in place and one log per entry for log. There |u| is
     # raised to _TINY: u times the finite log(_TINY) is the exact 0 of both
     # antiderivatives at u = 0. For alg, |u|^(2 - beta) is its own power:
@@ -221,6 +220,130 @@ def _smooth_weight_rows(grid, kernel, svals, npts=16):
     if grid.n > 1:
         w[:, 1:-1] = up[:, :-1] + dn[:, 1:]
     return w / grid.h
+
+
+# Panels whose midpoint m lies within _NEAR_PANELS panel widths of s get
+# their moments from the closed-form antiderivatives, which lose at most
+# about (|m| / h)^3 eps of them to cancellation there; the others get the
+# midpoint expansions in z = h / (2m), |z| <= 1/8, cut after z^(2 _TERMS),
+# whose omitted terms are below 1e-16 of the leading one. Far from s the
+# expansions keep every moment to a few eps, where differences of the
+# antiderivatives lose (|m| / h)^2 eps or more (`_analytic_weight_rows`).
+_NEAR_PANELS = 4.0
+_TERMS = 8
+
+
+def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
+    """Scaled moments (M0 / 2, M1 / h, M2 / (2 h^2)) of H on every panel.
+
+    For panel j with midpoint c_j and half-width r = h/2, M0 = int H,
+    M1 = int H (t - c_j) and M2 = int H ((t - c_j)^2 - r^2), each over
+    [t_j, t_{j+1}]; one row per point s, shape (s.size, n). Far from s,
+    with m = c_j - s, z = r / m and k over the even (M0, M2) or odd (M1)
+    integers:
+
+        log: M0 = 2r (log|m| - sum z^k / (k (k+1))),
+             M1 = r^2 sum 2 z^k / (k (k+2)),
+             M2 = r^3 (-4/3 log|m| + sum 4 z^k / (k (k+1) (k+3)));
+        alg: with b_k = binom(-beta, k) and P = |m|^-beta,
+             M0 = 2r P sum b_k z^k / (k+1),
+             M1 = r^2 P sum 2 b_k z^k / (k+2),
+             M2 = -r^3 P sum 4 b_k z^k / ((k+1) (k+3)),
+
+    from the expansions of log(1 + z y) and (1 + z y)^-beta on t = c_j + r y.
+    Near s they are combinations of the antiderivatives of u^k H, k <= 2. A
+    smooth H takes folded 16-point Gauss-Legendre panels.
+    """
+    h = grid.h
+    r = 0.5 * h
+    mid = grid.a + h * (np.arange(grid.n) + 0.5)
+    if kernel.kind == KERNEL_SMOOTH:
+        x, wq = _gl_rule(16)
+        xp, wp = x[8:], wq[8:]
+        hp = np.asarray(kernel.func(svals[:, None, None], mid[:, None] + r * xp), dtype=float)
+        hm = np.asarray(kernel.func(svals[:, None, None], mid[:, None] - r * xp), dtype=float)
+        both = hp + hm
+        return (
+            both @ wp * (0.5 * r),
+            (hp - hm) @ (wp * xp) * (r * r / h),
+            both @ (wp * (xp**2 - 1.0)) * (0.125 * r),
+        )
+    m = mid[None, :] - svals[:, None]
+    am = np.abs(m)
+    near = am < _NEAR_PANELS * h
+    # node offsets t - s, which are exactly 0 where s is a node: near s the
+    # alg antiderivative |u|^(1 - beta) magnifies any rounding of them
+    row, col = np.nonzero(near)
+    u0 = grid.nodes[col] - svals[row]
+    u1 = grid.nodes[col + 1] - svals[row]
+    # the Taylor coefficients of the three scaled moments by power of z^2,
+    # before the last factor (z^2, or z for M1) and the leading terms
+    k = np.arange(1, 2 * _TERMS + 1.0)
+    if kernel.kind == KERNEL_LOG:
+        c0, c1, c2 = -r / (k * (k + 1.0)), r / (k * (k + 2.0)), 0.5 * r / (k * (k + 1.0) * (k + 3.0))
+    else:
+        binom = np.cumprod(-(kernel.beta + k - 1.0) / k)  # binom(-beta, k)
+        c0, c1 = r * binom / (k + 1.0), r * binom / (k + 2.0)
+        c2 = -0.5 * r * binom / ((k + 1.0) * (k + 3.0))
+    # near panels, |z| up to inf, get their closed forms below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.divide(r, m, out=m)
+        z2 = np.square(z)
+        a = _horner(c0[1::2], z2)
+        a *= z2
+        b = _horner(c1[0::2], z2)
+        b *= z
+        c = _horner(c2[1::2], z2)
+        c *= z2
+        if kernel.kind == KERNEL_LOG:
+            lead = np.log(am, out=am)
+            lead *= r
+            a += lead
+            lead *= -1.0 / 6.0
+            c += lead
+        else:
+            lead = np.power(am, -kernel.beta, out=am)
+            a += r
+            a *= lead
+            b *= lead
+            c -= r / 6.0
+            c *= lead
+    f = _antiderivs(kernel, np.concatenate([u0, u1]))
+    d0, d1, d2 = (fk[u0.size :] - fk[: u0.size] for fk in f)
+    a[near] = 0.5 * d0
+    b[near] = (d1 - 0.5 * (u0 + u1) * d0) / h
+    c[near] = (d2 - (u0 + u1) * d1 + u0 * u1 * d0) / (2.0 * h * h)
+    return a, b, c
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] x^i."""
+    out = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _simpson_weight_rows(grid, kernel, svals):
+    # with the scaled moments a, b, c of each panel, its trapezoid part gives
+    # a - b to its left node and a + b to its right one (the hat ramps over
+    # h); the Simpson rule adds mu_g = c_2g + c_2g+1 times (1, -2, 1) at
+    # columns 2g, 2g + 1, 2g + 2, which is b - mu on panel 2g and b + mu on
+    # panel 2g + 1
+    if grid.n % 2:
+        raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
+    a, b, c = _panel_moments(grid, kernel, svals)
+    mu = np.add(c[:, 0::2], c[:, 1::2])
+    b[:, 0::2] -= mu
+    b[:, 1::2] += mu
+    w = np.empty((svals.size, grid.n + 1))
+    np.subtract(a[:, 0], b[:, 0], out=w[:, 0])
+    np.add(a[:, -1], b[:, -1], out=w[:, -1])
+    inner = np.add(a[:, :-1], a[:, 1:], out=w[:, 1:-1])
+    inner += b[:, :-1]
+    inner -= b[:, 1:]
+    return w
 
 
 def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
@@ -321,7 +444,7 @@ class SubtractionPlan:
         if kernel.kind == KERNEL_SMOOTH:
             self.m0 = np.array([moment0(kernel, s, a, b) for s in svals])
         else:
-            f = _antideriv0(kernel, np.stack([a - svals, b - svals]))
+            f = _antiderivs(kernel, np.stack([a - svals, b - svals]))[0]
             self.m0 = f[1] - f[0]
         self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 

@@ -5,6 +5,8 @@ evaluated by the adaptive engine on the raw hat-function integrands. This
 never touches the analytic antiderivative path under test.
 """
 
+import functools
+
 import numpy as np
 
 from hammerstein import adaptive_kernel_batch
@@ -97,20 +99,64 @@ def direct_nystrom_solution(problem, grid):
 def dense_fine_operator(problem, points, n_fine, ft):
     """LD's fine operator values at ``points`` from F at the fine nodes.
 
-    The Richardson extrapolation (4 K_N - K_N/2) / 3 of the product rule on
-    N = n_fine panels and on the nested grid of N/2 panels, whose nodes are
-    the even fine nodes: full dense matrices w_j(points[i]) L(points[i], t_j),
-    with no use of Toeplitz or low-rank structure.
+    The product Simpson rule on N = n_fine panels: the full dense matrix
+    W_j(points[i]) L(points[i], t_j), with W_j the integral of H against the
+    piecewise-quadratic Lagrange basis function of node j (on the panel pairs
+    [t_2g, t_2g+2]), each piece a task of the adaptive engine. No Toeplitz or
+    low-rank structure and no closed form is used.
     """
-    from hammerstein import make_grid, weight_matrix
+    from hammerstein import make_grid
 
-    def dense(n):
-        grid = make_grid(problem.a, problem.b, n)
-        return weight_matrix(grid, problem.kernel, points) * np.asarray(
-            problem.L(points[:, None], grid.nodes[None, :]), dtype=float
+    kernel = problem.kernel
+    points = np.asarray(points, dtype=float)
+    if kernel.kind == "smooth":
+        W = _simpson_weight_rows(kernel, problem.a, problem.b, n_fine, points)
+    else:
+        W = _cached_simpson_rows(
+            kernel.kind, kernel.beta, problem.a, problem.b, n_fine, points.tobytes()
         )
+    nodes = make_grid(problem.a, problem.b, n_fine).nodes
+    return (W * np.asarray(problem.L(points[:, None], nodes[None, :]), dtype=float)) @ ft
 
-    return (4.0 * (dense(n_fine) @ ft) - dense(n_fine // 2) @ ft[::2]) / 3.0
+
+@functools.lru_cache(maxsize=16)
+def _cached_simpson_rows(kind, beta, a, b, n_fine, points):
+    from hammerstein import algebraic_kernel, log_kernel
+
+    kernel = log_kernel() if kind == "log" else algebraic_kernel(beta)
+    return _simpson_weight_rows(kernel, a, b, n_fine, np.frombuffer(points))
+
+
+def _simpson_weight_rows(kernel, a, b, n_fine, points):
+    from hammerstein import make_grid
+
+    grid = make_grid(a, b, n_fine)
+    groups = n_fine // 2
+    # task (i, g, r): point i, panel pair g, Lagrange basis function r of the
+    # pair's nodes t_2g, t_2g+1, t_2g+2
+    i, g, r = (x.ravel() for x in np.meshgrid(
+        np.arange(points.size), np.arange(groups), np.arange(3), indexing="ij"
+    ))
+    s, lo, hi = points[i], grid.nodes[2 * g], grid.nodes[2 * g + 2]
+    if kernel.kind != "smooth":
+        # H depends on t - s alone: integrating in t - s keeps the engine's
+        # nodes near s free of the rounding of s itself, which at 1e-13 h
+        # would stay above the tolerance for alg 0.7 at s >= 0.5
+        s, lo, hi = np.zeros_like(s), lo - s, hi - s
+
+    # the basis functions in x = 2 (t - t_2g) / (t_2g+2 - t_2g), expanded:
+    # (x - 1)(x - 2) / 2, x (2 - x) and x (x - 1) / 2
+    c0, c1, c2 = np.array([[1.0, 0.0, 0.0], [-1.5, 2.0, -0.5], [0.5, -1.0, 0.5]])[:, r]
+    scale = 2.0 / (hi - lo)
+
+    def basis(t, idx):
+        x = (t - lo[idx]) * scale[idx]
+        return c0[idx] + x * (c1[idx] + x * c2[idx])
+
+    vals = adaptive_kernel_batch(kernel, basis, s, lo, hi, tol=1e-13 * grid.h)
+    W = np.zeros((points.size, n_fine + 1))
+    np.add.at(W, (i, 2 * g + r), vals)
+    return W
 
 
 def profile_tables_by_task(smooth, svals, c, d, breaks, q):

@@ -48,7 +48,9 @@ def _errors(report):
 def ld_runs(cosine_problem):
     """Full-budget LD runs of the manufactured problem, keyed by n."""
     runs, elapsed = {}, {}
-    for n, iters in ((10, 14), (25, 12), (50, 12)):
+    # n = 10 contracts by about 0.18 per step and reaches the product Simpson
+    # rule's limit (1.6e-14 here, at every n) at step 17
+    for n, iters in ((10, 18), (25, 12), (50, 12)):
         tic = time.perf_counter()
         settings = LDSettings(tol=1e-30, max_iter=iters, n_fine=4096, sample_count=201)
         _, rep = ld_solve(cosine_problem, make_grid(0, 1, n), settings)

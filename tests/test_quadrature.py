@@ -148,8 +148,9 @@ class TestProductWeights:
     def test_far_from_s_against_mpmath(self, beta):
         # Far from s the panel differences of the antiderivatives cancel: the
         # worst error here is 3.8e-13 (log) and 1.7e-13 (alg 0.3), and at
-        # j = 1023 it is 2.3e-7 of the log weight. This bounds what the
-        # fine rule's off-grid rows inherit.
+        # j = 1023 it is 2.3e-7 of the log weight. This bounds what DL's rows
+        # and LD's recovery rows inherit; the Simpson rows of LD's fine rule
+        # come from the panel moments instead (TestSimpsonWeights).
         import mpmath as mp
 
         n, s = 1024, 0.00070123
@@ -166,6 +167,64 @@ class TestProductWeights:
                 truth = mp.quad(lambda t: H(t) * (t - tj + h), [tj - h, tj]) / h
                 truth += mp.quad(lambda t: H(t) * (tj + h - t), [tj, tj + h]) / h
                 assert abs(w[j] - float(truth)) <= 1e-12
+
+
+class TestSimpsonWeights:
+    """weight_matrix(..., simpson=True): H against the piecewise-quadratic
+    Lagrange basis on the panel pairs [t_2g, t_2g+2]."""
+
+    @pytest.mark.parametrize("beta", [None, 0.3, 0.7], ids=["log", "alg0.3", "alg0.7"])
+    def test_against_mpmath_near_and_far_from_s(self, beta):
+        # s lies in the first panel: j = 0 and 1 take the pair that holds s,
+        # j = 3 the closed forms next to it, the rest the midpoint
+        # expansions. Measured worst error over the whole row: 2.4e-17 (log),
+        # 1.3e-16 (alg 0.3) and 7.1e-16 (alg 0.7), where the trapezoid rows
+        # of the same grid are off by up to 1.2e-13 far from s
+        import mpmath as mp
+
+        n, s = 320, 0.00070123
+        kernel = log_kernel() if beta is None else algebraic_kernel(beta)
+        w = weight_matrix(make_grid(0.0, 1.0, n), kernel, [s], simpson=True)[0]
+        with mp.workdps(30):
+            sm, h = mp.mpf(s), mp.mpf(1) / n
+            if beta is None:
+                H = lambda t: mp.log(abs(t - sm))
+            else:
+                H = lambda t: abs(t - sm) ** -mp.mpf(beta)
+            for j in (0, 1, 3, 100, 160, 300, 319, 320):
+                truth = mp.mpf(0)
+                for g in {(j - 1) // 2, j // 2} & set(range(n // 2)):
+                    nodes = [(2 * g + i) * h for i in range(3)]
+                    others = [x for i, x in enumerate(nodes) if i != j - 2 * g]
+                    tj = j * h
+                    ell = lambda t: (t - others[0]) * (t - others[1]) / (
+                        (tj - others[0]) * (tj - others[1])
+                    )
+                    if nodes[0] <= sm <= nodes[2]:
+                        truth += mpmath_kernel_integral(beta, sm, nodes[0], nodes[2], ell)
+                    else:
+                        truth += mp.quad(lambda t: H(t) * ell(t), nodes)
+                assert abs(w[j] - float(truth)) <= 1e-12
+
+    def test_smooth_one_gives_composite_simpson(self):
+        grid = make_grid(0.0, 1.0, 6)
+        w = weight_matrix(grid, smooth_one(), [0.37], simpson=True)[0]
+        expected = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 18.0
+        assert np.all(np.abs(w - expected) <= 4 * np.spacing(expected))
+
+    @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.5)], ids=["log", "alg0.5"])
+    def test_exact_on_quadratics(self, kernel, rng):
+        # the rule integrates H times any piecewise quadratic on the pairs
+        # exactly: the row applied to t^2 is int H t^2, from the adaptive engine
+        grid = make_grid(0.0, 1.0, 8)
+        svals = np.concatenate([rng.uniform(0, 1, 5), grid.nodes[[0, 3, 8]]])
+        W = weight_matrix(grid, kernel, svals, simpson=True)
+        want = adaptive_kernel_batch(kernel, lambda t, i: t**2, svals, 0.0, 1.0, tol=1e-14)
+        np.testing.assert_allclose(W @ grid.nodes**2, want, rtol=0, atol=1e-13)
+
+    def test_rejects_odd_panel_count(self):
+        with pytest.raises(ValueError, match="even"):
+            weight_matrix(make_grid(0.0, 1.0, 5), log_kernel(), [0.5], simpson=True)
 
 
 class TestTangentRule:

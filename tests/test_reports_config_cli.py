@@ -106,7 +106,7 @@ class TestValidateConfig:
         cfg = validate_config(path)
         assert cfg.ld.tol == 1e-12
         assert cfg.ld.max_iter == 30
-        assert cfg.ld.n_fine == 1024
+        assert cfg.ld.n_fine == 320
         assert cfg.ld.mode == "fine"
         assert cfg.ld == LDSettings() and cfg.dl == DLSettings()
         assert cfg.solver == "both"
@@ -152,7 +152,7 @@ class TestValidateConfig:
             ({"mystery_key": 1}, "mystery_key"),
             ({"record_timings": "yes"}, "record_timings"),
             ({"kernel": {"kind": "log"}}, "kernel"),  # no object form
-            ({"n_fine": 63}, "n_fine"),  # the fine rule needs the grid of n_fine / 2
+            ({"n_fine": 63}, "n_fine"),  # the Simpson rule pairs the fine panels
         ],
     )
     def test_errors_name_the_field(self, patch, field):
