@@ -34,7 +34,6 @@ from .quadrature import (
     QuadratureConvergenceError,
     SubtractionPlan,
     adaptive_kernel_batch,
-    eval_operator_reference,
     moment0,
     product_weights,
     weight_matrix,
@@ -69,7 +68,6 @@ __all__ = [
     "compare_csv_text",
     "config_from_dict",
     "dl_solve",
-    "eval_operator_reference",
     "get_nonlinearity",
     "ld_solve",
     "log_kernel",

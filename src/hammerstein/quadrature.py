@@ -1,12 +1,14 @@
 """Product-integration quadrature for weakly singular kernels.
 
 Weight vectors integrate the singular factor H exactly against the
-piecewise-linear hat basis on a grid, using closed-form antiderivatives for
-the built-in kernels and folded Gauss-Legendre panels for smooth ones.
-With ``simpson`` they integrate H against the piecewise-quadratic Lagrange
-basis on pairs of panels instead (product Simpson), built from the moments
-of H on each panel: midpoint expansions far from s, which keep each weight
-to a few eps, and the closed forms near s.
+piecewise-linear hat basis on a grid (product trapezoid) or, with
+``simpson``, against the piecewise-quadratic Lagrange basis on pairs of
+panels (product Simpson). The log and alg trapezoid rows are differences of
+closed-form antiderivatives at the nodes; every other row is built from the
+moments of H on each panel: midpoint expansions far from s, which keep each
+weight to a few eps, the closed forms near s, and folded Gauss-Legendre
+panels for a smooth H, scaled so that H == 1 gives the trapezoid weights
+exactly.
 `SubtractionPlan` evaluates the integral operator by singularity
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
@@ -49,6 +51,7 @@ from .problem import (
     HammersteinProblem,
     SampledFunction,
     SingularKernel,
+    make_grid,
 )
 
 # Distances below this are treated as coincident with the singular point;
@@ -78,51 +81,28 @@ def _antiderivs(kernel: SingularKernel, u: np.ndarray):
     )
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    if npts not in _GL_CACHE:
-        _GL_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GL_CACHE[npts]
-
-
-def _smooth_panel_integrals(kernel, s, c, d, tfun, npts=16):
-    """Gauss-Legendre value of int_c^d H(s,t) tfun(t) dt for a smooth H.
-
-    Nodes are folded symmetrically about the panel midpoint so that constant
-    kernels reproduce hat-function integrals to a couple of ulp.
-    """
-    x, w = _gl_rule(npts)
-    half_n = npts // 2
-    xp = x[npts - half_n :]
-    wp = w[npts - half_n :]
-    mid = 0.5 * (c + d)
-    half = 0.5 * (d - c)
-    tp = mid[..., None] + half[..., None] * xp
-    tm = mid[..., None] - half[..., None] * xp
-    vals = kernel.func(s[..., None], tp) * tfun(tp) + kernel.func(s[..., None], tm) * tfun(tm)
-    return half * (vals @ wp)
+# 16-point Gauss-Legendre on [-1, 1], ascending: folded about each panel
+# midpoint for the moments of a smooth H, and the rule of SubtractionPlan's
+# graded panels
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def moment0(kernel: SingularKernel, s: float, c: float, d: float) -> float:
     """int_c^d H(s,t) dt, exact for the built-in singular kernels."""
-    _check_subinterval(c, d)
-    if c == d:
-        return 0.0
-    if kernel.kind == KERNEL_SMOOTH:
-        edges = np.linspace(c, d, 9)
-        lo, hi = edges[:-1], edges[1:]
-        vals = _smooth_panel_integrals(kernel, np.full(8, float(s)), lo, hi, lambda t: 1.0)
-        return float(np.sum(vals))
-    u = np.array([c - s, d - s], dtype=float)
-    f = _antiderivs(kernel, u)[0]
-    return float(f[1] - f[0])
-
-
-def _check_subinterval(c, d):
     if not (c <= d):
         raise ValueError(f"need c <= d, got c={c}, d={d}")
+    if c == d:
+        return 0.0
+    return float(_moment0(kernel, np.array([float(s)]), c, d)[0])
+
+
+def _moment0(kernel: SingularKernel, svals: np.ndarray, c: float, d: float) -> np.ndarray:
+    """int_c^d H(s,t) dt at every point s, for c < d: the antiderivative
+    difference for log and alg, the moments of 8 equal panels for a smooth H."""
+    if kernel.kind == KERNEL_SMOOTH:
+        return 2.0 * _panel_moments(make_grid(c, d, 8), kernel, svals)[0].sum(axis=1)
+    f = _antiderivs(kernel, np.stack([c - svals, d - svals]))[0]
+    return f[1] - f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +118,13 @@ def weight_matrix(grid: Grid, kernel: SingularKernel, svals, simpson: bool = Fal
     [t_2g, t_2g+2] (product Simpson; n must be even).
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    if simpson:
-        return _simpson_weight_rows(grid, kernel, svals)
-    if kernel.kind == KERNEL_SMOOTH:
-        return _smooth_weight_rows(grid, kernel, svals)
+    # Two row builders. The log and alg trapezoid rows keep their closed-form
+    # path: they are the rows DL builds (about a quarter of a dl_large_n op),
+    # and on a 2-vCPU host they cost 13-24 ns per entry against 47-88 ns from
+    # the panel moments (log and alg 0.3; 1500 panels x 5 rows and 52-64
+    # panels x 128-160 rows). Every other row comes from the panel moments.
+    if simpson or kernel.kind == KERNEL_SMOOTH:
+        return _moment_weight_rows(grid, kernel, svals, simpson)
     return _analytic_weight_rows(grid, kernel, svals)
 
 
@@ -195,33 +178,6 @@ def _analytic_weight_rows(grid, kernel, svals):
     return w
 
 
-def _smooth_weight_rows(grid, kernel, svals, npts=16):
-    # hat ramps are formed in panel-local coordinates half*(1 +- xi), and the
-    # panel geometry comes from index arithmetic rather than node differences:
-    # both t - t_j and t_{j+1} - t_j carry absolute roundoff at the node
-    # magnitude, which is dozens of ulp relative to one panel width
-    x, wq = _gl_rule(npts)
-    half_n = npts // 2
-    xp = x[npts - half_n :]
-    wp = wq[npts - half_n :]
-    half = grid.h / 2.0
-    mid = grid.a + grid.h * (np.arange(grid.n) + 0.5)
-    tp = mid[:, None] + half * xp  # (panels, fold)
-    tm = mid[:, None] - half * xp
-    hp = np.asarray(kernel.func(svals[:, None, None], tp[None]), dtype=float)
-    hm = np.asarray(kernel.func(svals[:, None, None], tm[None]), dtype=float)
-    ramp_p = 1.0 + xp
-    ramp_m = 1.0 - xp
-    up = (hp * ramp_p + hm * ramp_m) @ wp * half**2
-    dn = (hp * ramp_m + hm * ramp_p) @ wp * half**2
-    w = np.empty((svals.size, grid.n + 1))
-    w[:, 0] = dn[:, 0]
-    w[:, -1] = up[:, -1]
-    if grid.n > 1:
-        w[:, 1:-1] = up[:, :-1] + dn[:, 1:]
-    return w / grid.h
-
-
 # Panels whose midpoint m lies within _NEAR_PANELS panel widths of s get
 # their moments from the closed-form antiderivatives, which lose at most
 # about (|m| / h)^3 eps of them to cancellation there; the others get the
@@ -252,21 +208,27 @@ def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
 
     from the expansions of log(1 + z y) and (1 + z y)^-beta on t = c_j + r y.
     Near s they are combinations of the antiderivatives of u^k H, k <= 2. A
-    smooth H takes folded 16-point Gauss-Legendre panels.
+    smooth H takes 16-point Gauss-Legendre panels folded about c_j, with M0
+    divided by the rule's own value for H == 1, so that a constant H has an
+    exact M0.
     """
     h = grid.h
     r = 0.5 * h
     mid = grid.a + h * (np.arange(grid.n) + 0.5)
     if kernel.kind == KERNEL_SMOOTH:
-        x, wq = _gl_rule(16)
-        xp, wp = x[8:], wq[8:]
+        # einsum sums each row on its own in one fixed order, so for H == 1
+        # the sum and its norm are the same double, and a is r to the bit
+        xp, wp = _GL_X[8:], _GL_W[8:]
         hp = np.asarray(kernel.func(svals[:, None, None], mid[:, None] + r * xp), dtype=float)
         hm = np.asarray(kernel.func(svals[:, None, None], mid[:, None] - r * xp), dtype=float)
         both = hp + hm
+        a = np.einsum("ijk,k->ij", both, wp)
+        a /= np.einsum("ijk,k->ij", np.full((1, 1, xp.size), 2.0), wp)
+        a *= r
         return (
-            both @ wp * (0.5 * r),
-            (hp - hm) @ (wp * xp) * (r * r / h),
-            both @ (wp * (xp**2 - 1.0)) * (0.125 * r),
+            a,
+            np.einsum("ijk,k->ij", hp - hm, wp * xp) * (r * r / h),
+            np.einsum("ijk,k->ij", both, wp * (xp**2 - 1.0)) * (0.125 * r),
         )
     m = mid[None, :] - svals[:, None]
     am = np.abs(m)
@@ -325,18 +287,19 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simpson_weight_rows(grid, kernel, svals):
+def _moment_weight_rows(grid, kernel, svals, simpson):
     # with the scaled moments a, b, c of each panel, its trapezoid part gives
     # a - b to its left node and a + b to its right one (the hat ramps over
     # h); the Simpson rule adds mu_g = c_2g + c_2g+1 times (1, -2, 1) at
     # columns 2g, 2g + 1, 2g + 2, which is b - mu on panel 2g and b + mu on
     # panel 2g + 1
-    if grid.n % 2:
+    if simpson and grid.n % 2:
         raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
     a, b, c = _panel_moments(grid, kernel, svals)
-    mu = np.add(c[:, 0::2], c[:, 1::2])
-    b[:, 0::2] -= mu
-    b[:, 1::2] += mu
+    if simpson:
+        mu = np.add(c[:, 0::2], c[:, 1::2])
+        b[:, 0::2] -= mu
+        b[:, 1::2] += mu
     w = np.empty((svals.size, grid.n + 1))
     np.subtract(a[:, 0], b[:, 0], out=w[:, 0])
     np.add(a[:, -1], b[:, -1], out=w[:, -1])
@@ -358,7 +321,6 @@ def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
 # operator evaluation by singularity subtraction (the LD solver's subtract mode)
 
 _GRADE_LEVELS = 46  # dyadic panels per side; innermost width ~1e-14 of the side
-_PANEL_GAUSS_POINTS = 16  # Gauss-Legendre points per graded panel
 
 # Nodes per block of a SubtractionPlan's build and apply, at most. Whole-plan
 # temporaries (1.3M nodes and about 10 MB each over the four plans of an
@@ -404,8 +366,8 @@ class SubtractionPlan:
         self.problem = problem
         self.svals = svals
         kernel = problem.kernel
-        npts = _PANEL_GAUSS_POINTS
-        x, w = _gl_rule(npts)
+        x, w = _GL_X, _GL_W
+        npts = x.size
         # rows per block: a row has at most 2 * _GRADE_LEVELS + 3 panels
         step = max(1, _PLAN_BLOCK // (npts * (2 * _GRADE_LEVELS + 3)))
         panels = []
@@ -441,11 +403,7 @@ class SubtractionPlan:
             self.h_weights[nodes] = hv * (half[:, None] * w).ravel()
             self.L_nodes[nodes] = np.asarray(problem.L(s, t), dtype=float)
             self.blocks.append((r0, r1, nodes, count, coincident))
-        if kernel.kind == KERNEL_SMOOTH:
-            self.m0 = np.array([moment0(kernel, s, a, b) for s in svals])
-        else:
-            f = _antiderivs(kernel, np.stack([a - svals, b - svals]))[0]
-            self.m0 = f[1] - f[0]
+        self.m0 = _moment0(kernel, svals, a, b)
         self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 
     @staticmethod
@@ -685,6 +643,8 @@ def adaptive_kernel_batch(
 
     Raises
     ------
+    ValueError
+        If some c > d, or tol is not positive.
     QuadratureConvergenceError
         If a task's summed roundoff floor, about eps times int |H g|, is
         above ``tol`` and stopped falling (the message names the floor and
@@ -696,6 +656,8 @@ def adaptive_kernel_batch(
     d = np.broadcast_to(np.asarray(d, dtype=float), svals.shape).astype(float)
     if np.any(c > d):
         raise ValueError("need c <= d for every task")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     n_tasks = svals.size
     breaks = np.unique(np.asarray(breaks, dtype=float)) if len(breaks) else np.empty(0)
 
@@ -823,7 +785,13 @@ def _interval_table(lo, hi, cut_of, cuts):
 def eval_operator_reference_parts(
     kernel, L, nonlin, x, svals, a, b, tol=1e-10, max_evals: int = 10**6
 ) -> np.ndarray:
-    """Reference operator values built from problem parts (see eval_operator_reference)."""
+    """Reference values of the integral operator int_a^b H L F(t, x(t)) dt at svals.
+
+    Adaptive quadrature split (and transformed) at t = s, refined until the
+    estimated absolute error of each value is at most tol; the kinks of a
+    SampledFunction x are breaks. Raises QuadratureConvergenceError when that
+    fails (see adaptive_kernel_batch).
+    """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
     breaks = x.points[1:-1] if isinstance(x, SampledFunction) else ()
 
@@ -837,28 +805,3 @@ def eval_operator_reference_parts(
         kernel, g, svals, a, b, tol=tol, max_evals=max_evals, breaks=breaks
     )
 
-
-def eval_operator_reference(
-    problem: HammersteinProblem, x, s, tol: float = 1e-10, max_evals: int = 10**6
-):
-    """High-accuracy reference value of the integral operator at s.
-
-    Adaptive quadrature split (and transformed) at t = s, refined until the
-    estimated absolute error is at most tol. Raises
-    QuadratureConvergenceError when the evaluation budget is exhausted.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scalar = np.ndim(s) == 0
-    vals = eval_operator_reference_parts(
-        problem.kernel,
-        problem.L,
-        problem.nonlin,
-        x,
-        np.atleast_1d(np.asarray(s, dtype=float)),
-        problem.a,
-        problem.b,
-        tol=tol,
-        max_evals=max_evals,
-    )
-    return float(vals[0]) if scalar else vals

@@ -45,9 +45,6 @@ class SolveReport:
             return None
         return self.records[-1].true_error
 
-    def true_errors(self) -> list[Optional[float]]:
-        return [r.true_error for r in self.records]
-
     def iterations_to(self, target: float) -> Optional[int]:
         """First k whose true error is at or below target, if any."""
         for r in self.records:

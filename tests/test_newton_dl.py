@@ -308,11 +308,15 @@ class TestSettings:
             DLSettings(**kwargs)
 
 
-def test_import_does_not_load_scipy_sparse():
-    # importing scipy.sparse.linalg takes 31-33 ms more on a 2-vCPU host, and
-    # every cold start would pay it; DL's linear steps need no sparse solver
+@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.integrate", "scipy.fft"])
+def test_import_does_not_load_heavy_scipy_modules(module):
+    # every cold start would pay these imports: scipy.sparse.linalg takes
+    # 31-33 ms on a 2-vCPU host and scipy.fft 53 ms. DL's linear steps need
+    # no sparse solver, the qk21 tables of the reference quadrature are
+    # hard-coded instead of read from scipy.integrate, and newton_ld picks
+    # its FFT sizes itself instead of with scipy.fft.next_fast_len
     src = str(Path(hammerstein.__file__).resolve().parents[1])
-    code = "import sys, hammerstein; print([m for m in sys.modules if 'scipy.sparse' in m])"
+    code = f"import sys, hammerstein; print([m for m in sys.modules if {module!r} in m])"
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60,

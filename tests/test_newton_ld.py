@@ -9,7 +9,6 @@ from hammerstein import (
     LDSettings,
     SingularOperatorError,
     algebraic_kernel,
-    eval_operator_reference,
     get_nonlinearity,
     ld_solve,
     log_kernel,
@@ -26,6 +25,7 @@ from hammerstein.newton_ld import (
     _product,
 )
 from hammerstein.problem import L_exp_st, L_one, L_zero
+from hammerstein.quadrature import eval_operator_reference_parts
 from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
 
 FAST = LDSettings(n_fine=256, sample_count=41)
@@ -168,18 +168,11 @@ class TestSolve:
         grid = make_grid(0, 1, 12)
         settings = LDSettings(max_iter=1, n_fine=1024, sample_count=41)
         # the residual of the exact solution measures the quadrature floor
-        ws_floor = np.max(
-            np.abs(
-                np.cos(grid.nodes)
-                - np.array(
-                    [
-                        eval_operator_reference(cosine_problem, np.cos, s, tol=1e-12)
-                        for s in grid.nodes
-                    ]
-                )
-                - cosine_problem.y(grid.nodes)
-            )
+        p = cosine_problem
+        k_ref = eval_operator_reference_parts(
+            p.kernel, p.L, p.nonlin, np.cos, grid.nodes, p.a, p.b, tol=1e-12
         )
+        ws_floor = np.max(np.abs(np.cos(grid.nodes) - k_ref - p.y(grid.nodes)))
         _, report = ld_solve(cosine_problem, grid, settings, phi0=np.cos)
         moved = report.records[1].step_norm  # max nodal change of the one step
         quad_floor = max(ws_floor, 3e-8)  # fine-rule error scale at n_fine=1024

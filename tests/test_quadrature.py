@@ -15,7 +15,6 @@ from hammerstein import (
     SubtractionPlan,
     adaptive_kernel_batch,
     algebraic_kernel,
-    eval_operator_reference,
     get_nonlinearity,
     log_kernel,
     make_grid,
@@ -103,6 +102,17 @@ class TestProductWeights:
         w = product_weights(grid, smooth_one(), 0.37)
         expected = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
         assert np.all(np.abs(w - expected) <= 2 * np.spacing(expected))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 7, 9, 50, 320])
+    def test_constant_kernel_gives_trapezoid_weights_exactly(self, a, b, n, rng):
+        # H == 1 must give h (1/2, 1, ..., 1, 1/2) to the bit: the LD solver's
+        # singular-linearization check relies on I - G being exactly singular
+        grid = make_grid(a, b, n)
+        svals = np.concatenate([grid.nodes, rng.uniform(a, b, 20)])
+        w = weight_matrix(grid, smooth_one(), svals)
+        expected = grid.h * np.concatenate([[0.5], np.ones(n - 1), [0.5]])
+        np.testing.assert_array_equal(w, np.broadcast_to(expected, w.shape))
 
     def test_log_weights_match_oracle_n2(self):
         grid = make_grid(0.0, 1.0, 2)
@@ -251,8 +261,10 @@ class TestTangentRule:
         interp = SampledFunction(grid.nodes, h_vals)
         for s in (0.0, 0.3, 0.5, 1.0):
             val = weight_matrix(grid, prob.kernel, [s])[0] @ h_vals
-            ref = eval_operator_reference(prob, interp, s, tol=1e-12)
-            assert val == pytest.approx(ref, abs=1e-10)
+            ref = quadrature.eval_operator_reference_parts(
+                prob.kernel, L_one, prob.nonlin, interp, s, 0.0, 1.0, tol=1e-12
+            )
+            assert val == pytest.approx(ref[0], abs=1e-10)
 
 
 class TestEvalOperator:
@@ -278,7 +290,9 @@ class TestEvalOperator:
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("identity"), FUNCTIONS["zero"]
         )
         x = lambda t: np.asarray(t, dtype=float)
-        ref = eval_operator_reference(prob, x, 0.5, tol=1e-9)
+        ref = quadrature.eval_operator_reference_parts(
+            prob.kernel, L_one, prob.nonlin, x, 0.5, 0.0, 1.0, tol=1e-9
+        )[0]
         fine = solver_operator(prob, x, LDSettings(n_fine=4096, sample_count=41))
         sub = solver_operator(prob, x, LDSettings(mode="subtract", sample_count=41))
         assert fine(0.5) == pytest.approx(ref, abs=1e-6)
@@ -403,7 +417,10 @@ class TestReferenceQuadrature:
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("zero"), FUNCTIONS["one"]
         )
-        assert eval_operator_reference(prob, FUNCTIONS["one"], 0.3, tol=1e-10) == 0.0
+        ref = quadrature.eval_operator_reference_parts(
+            prob.kernel, L_one, prob.nonlin, FUNCTIONS["one"], 0.3, 0.0, 1.0, tol=1e-10
+        )
+        assert ref[0] == 0.0
 
     def test_constant_integrand_reduces_to_moment(self, rng):
         # F(t, u) = u**0 via the polynomial registry would need t; use identity
@@ -411,9 +428,12 @@ class TestReferenceQuadrature:
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("identity"), FUNCTIONS["one"]
         )
-        for s in rng.uniform(0, 1, 8):
-            ref = eval_operator_reference(prob, FUNCTIONS["one"], s, tol=1e-11)
-            assert ref == pytest.approx(moment0(log_kernel(), s, 0.0, 1.0), abs=1e-10)
+        svals = rng.uniform(0, 1, 8)
+        ref = quadrature.eval_operator_reference_parts(
+            prob.kernel, L_one, prob.nonlin, FUNCTIONS["one"], svals, 0.0, 1.0, tol=1e-11
+        )
+        for s, value in zip(svals, ref):
+            assert value == pytest.approx(moment0(log_kernel(), s, 0.0, 1.0), abs=1e-10)
 
     def test_agrees_with_production_modes_on_random_smooth_iterates(self, rng):
         prob = HammersteinProblem(
@@ -428,7 +448,9 @@ class TestReferenceQuadrature:
             x = lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c)
             sub = solver_operator(prob, x, sub_settings, n=3)
             fine = solver_operator(prob, x, fine_settings, n=3)(sub.points)
-            ref = eval_operator_reference(prob, x, sub.points, tol=1e-9)
+            ref = quadrature.eval_operator_reference_parts(
+                prob.kernel, L_one, prob.nonlin, x, sub.points, 0.0, 1.0, tol=1e-9
+            )
             scale = 1.0 + np.abs(ref)
             assert np.all(np.abs(ref - fine) <= 1e-6 * scale)
             assert np.all(np.abs(ref - sub.values) <= 1e-8 * scale)
@@ -440,7 +462,9 @@ class TestReferenceQuadrature:
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
         )
         with pytest.raises(QuadratureConvergenceError, match="roundoff floor") as info:
-            eval_operator_reference(prob, np.cos, 0.5, tol=1e-19)
+            quadrature.eval_operator_reference_parts(
+                prob.kernel, L_one, prob.nonlin, np.cos, 0.5, 0.0, 1.0, tol=1e-19
+            )
         assert "tolerance 1e-19" in str(info.value)
         assert "budget" not in str(info.value)
 
@@ -466,14 +490,18 @@ class TestReferenceQuadrature:
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("square"), FUNCTIONS["zero"]
         )
         with pytest.raises(QuadratureConvergenceError):
-            eval_operator_reference(prob, np.cos, 0.5, tol=1e-13, max_evals=80)
+            quadrature.eval_operator_reference_parts(
+                prob.kernel, L_one, prob.nonlin, np.cos, 0.5, 0.0, 1.0, tol=1e-13, max_evals=80
+            )
 
     def test_rejects_nonpositive_tolerance(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("zero"), FUNCTIONS["one"]
         )
         with pytest.raises(ValueError):
-            eval_operator_reference(prob, FUNCTIONS["one"], 0.4, tol=0.0)
+            quadrature.eval_operator_reference_parts(
+                prob.kernel, L_one, prob.nonlin, FUNCTIONS["one"], 0.4, 0.0, 1.0, tol=0.0
+            )
 
     def test_batch_handles_subinterval_tasks(self):
         # panels away from, touching, and containing the singular point
