@@ -15,8 +15,12 @@ Atkinson-Brakhage two-grid inverse on a uniform coarse grid (`_TwoGrid`;
 Atkinson, The Numerical Solution of Integral Equations of the Second Kind,
 CUP 1997; Kelley, Iterative Methods for Linear and Nonlinear Equations,
 SIAM 1995). M only sets the rate; each residual is the grid's true one, so
-a step is taken only once checked. After a miss, this step and the later
-ones are LU solves of the Newton matrix on the grid itself.
+a step is taken only once checked. It is solved only as far as Newton can
+use: to a forcing term eta = O(|res|) relative, which keeps the convergence
+quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982;
+Eisenstat & Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the
+rounding of the iterate. After a miss, this step and the later ones are LU
+solves of the Newton matrix on the grid itself.
 """
 
 from __future__ import annotations
@@ -41,22 +45,25 @@ from .quadrature import weight_matrix  # noqa: F401 (perfbench/tracing.py hooks 
 from .reports import SolveReport
 
 # Panels of the coarse grid. On log-sine (L = one, F = sin_pi, x0 =
-# 0.85) at n = 1437 and 1563, a Newton step took 13-20 two-grid updates with
-# 16 panels (the last step missed and fell back to the LU), 8-18 with 32,
-# 6-11 with 64 and 5-8 with 128. A whole solve took 0.20-0.21 s with 16
-# panels, 0.036-0.042 s with 32 or 64 and 0.042-0.044 s with 128 on a 2-vCPU
-# host; 64 keeps the count furthest below _STEP_MAXITER at that cost. The
-# coarse rows hold 65 * (n + 1) numbers, 0.8 MB at n = 1600. A grid of at
-# most this many panels is its own coarse grid: its steps are LU steps.
+# 0.80-0.95) at n = 1400-1583, 32 solves took 1367 structured applies in all
+# with 16 panels, 989 with 32, 866 with 64 and 698 with 128, at about the
+# same CPU time on a 2-vCPU host. Against exact steps, 16 and 128 panels
+# added a Newton step to 1 and 2 solves, 32 saved one on 1 and 64 kept every
+# Newton count. The coarse rows hold 65 * (n + 1) numbers, 0.8 MB at
+# n = 1600. A grid of at most this many panels is its own coarse grid: its
+# steps are LU steps.
 _COARSE_N = 64
-# Bound on the max-norm of an accepted step's true linear residual, relative
-# to the Newton residual. At 1e-13, twenty dl_large_n solves (n = 1416-1568)
-# kept the Newton iteration counts of exact LU steps, with terminal errors
-# of at most 1.0e-15.
+# Smallest forcing term: an accepted step's true linear residual is at most
+# max(eta |res|, eps |X|) in the max-norm, eta = max(_STEP_RTOL, min(1e-3,
+# |res|^2)). On those 32 solves that took 866 applies, against 2162 with
+# eta = _STEP_RTOL and no floor, with the same statuses and Newton counts
+# and terminal errors of at most 8.9e-16. The forcing term alone
+# took 1554 applies and the floor alone 1476; a cap of 1e-2 in place of
+# 1e-3, or eta = min(1e-3, 1e-2 |res|), added a Newton step to 2 solves.
 _STEP_RTOL = 1e-13
 # Two-grid updates before the step falls back to the grid's own LU; an
 # update that does not shrink the residual ends the iteration sooner. Where
-# the coarse grid resolves the problem a step takes 6-11. On alg beta = 0.7
+# the coarse grid resolves the problem a step takes 1-5. On alg beta = 0.7
 # at n = 256 (L = one, F = square) the first update already fails to shrink
 # it on the coarse grid of 64 panels.
 _STEP_MAXITER = 20
@@ -112,21 +119,23 @@ class _TwoGrid:
 def _two_grid_solve(op, precond, b, tol: float, maxiter: int):
     """x with max|b - op(x)| <= tol by x <- x + precond(b - op(x)) from x = 0.
 
-    Every residual measured is the true one, so a returned x is checked. None
-    once the residual fails to shrink (a NaN one never shrinks) or after
-    maxiter updates.
+    At least one update is made, so a step at the rounding floor is noise,
+    not zero, as an LU step is. Every residual measured is the true one, so a
+    returned x is checked. None once the residual fails to shrink (a NaN one
+    never shrinks) or after maxiter updates. The tolerance is tested first: a
+    zero b gives a zero residual, which is met and does not shrink.
     """
     x, r = np.zeros_like(b), b
     size = np.max(np.abs(r))
     for _ in range(maxiter):
-        if size <= tol:
-            return x
         x = x + precond(r)
         r = b - op(x)
         last, size = size, np.max(np.abs(r))
+        if size <= tol:
+            return x
         if not size < last:
             return None
-    return x if size <= tol else None
+    return None
 
 
 class _Workspace:
@@ -174,11 +183,15 @@ class _Workspace:
         df = np.broadcast_to(
             np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float), X.shape
         )
-        X_new = X + self._newton_step(df, -res)
+        X_new = X + self._newton_step(df, -res, X)
         return self._iterate(X_new), float(np.max(np.abs(X_new - X)))
 
-    def _newton_step(self, df, rhs) -> np.ndarray:
-        """delta with (I - A D) delta = rhs: a checked two-grid step, else an LU step."""
+    def _newton_step(self, df, rhs, X) -> np.ndarray:
+        """delta with (I - A D) delta = rhs: a checked two-grid step, else an LU step.
+
+        The two-grid step stops at the accuracy Newton at X can use (see
+        _STEP_RTOL): an inexact-Newton forcing term, floored at eps |X|.
+        """
 
         def K(v):
             return self.rule.at_nodes(df * v)
@@ -189,7 +202,9 @@ class _Workspace:
             except SingularSystemError:
                 pass  # a singular coarse system says nothing about the grid's own
             else:
-                tol = _STEP_RTOL * np.max(np.abs(rhs))
+                size = np.max(np.abs(rhs))
+                eta = max(_STEP_RTOL, min(1e-3, size * size))
+                tol = max(eta * size, np.finfo(float).eps * np.max(np.abs(X)))
                 delta = _two_grid_solve(lambda v: v - K(v), precond, rhs, tol, _STEP_MAXITER)
                 if delta is not None:
                     return delta

@@ -300,6 +300,55 @@ class TestStructured:
         assert newton_dl._two_grid_solve(np.zeros_like, precond, np.ones(5), 1e-13, 5) is None
         assert len(updates) == 1
 
+    def test_two_grid_solve_makes_at_least_one_update(self):
+        # a b already within tol is still updated once, so the step is b,
+        # not zero; a zero b meets the tolerance and is not read as a miss
+        def identity(v):
+            return v
+
+        b = np.full(5, 1e-20)
+        np.testing.assert_array_equal(newton_dl._two_grid_solve(identity, identity, b, 1.0, 5), b)
+        x = newton_dl._two_grid_solve(identity, identity, np.zeros(5), 1.0, 5)
+        assert x is not None
+        np.testing.assert_array_equal(x, np.zeros(5))
+
+    def test_steps_at_the_rounding_floor_take_few_updates(self, benchmark_problem, monkeypatch):
+        # a step is accepted once its linear residual is below the rounding
+        # of the iterate: the last step here starts from a Newton residual
+        # of ~3e-16 and took 10 updates when every step was solved to 1e-13
+        # relative; it takes 1 now
+        steps = []
+        solve = newton_dl._two_grid_solve
+
+        def recorded(op, precond, b, tol, maxiter):
+            updates = []
+
+            def counted(r):
+                updates.append(1)
+                return precond(r)
+
+            x = solve(op, counted, b, tol, maxiter)
+            steps.append((np.max(np.abs(b)), len(updates)))
+            return x
+
+        monkeypatch.setattr(newton_dl, "_two_grid_solve", recorded)
+        _, report = dl_solve(benchmark_problem, make_grid(0, 1, self.N), FAST, x0=0.85)
+        assert report.status == "converged"
+        floor = [count for residual, count in steps if residual <= 1e-12]
+        assert floor
+        assert max(floor) <= 2, steps
+
+    def test_steps_below_rounding_are_noise_not_zero(self, benchmark_problem):
+        # as with LU steps at n <= _COARSE_N, a tol below eps is never met:
+        # each step at the rounding floor is a noise-level update, never an
+        # exactly zero step that would read "converged"
+        n = 100
+        assert n > _COARSE_N
+        settings = DLSettings(tol=1e-30, max_iter=8, sample_count=41)
+        _, report = dl_solve(benchmark_problem, make_grid(0, 1, n), settings, x0=0.85)
+        assert report.status == "max_iter"
+        assert all(r.step_norm > 0 for r in report.records[1:])
+
 
 class TestSettings:
     @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"max_iter": 0}, {"sample_count": 0}])
