@@ -1,12 +1,12 @@
 """Linearize-then-discretize solver.
 
 Newton is applied to the operator equation itself; each linear operator
-equation is then discretized by product integration. Every step solves an
-(n+1) x (n+1) system for the nodal values (product trapezoid rule of the
-Newton grid) and recovers the next iterate on a frozen evaluation point set
-(grid nodes, operator-quadrature nodes and output sample points), so the
-whole iteration works with function values that are never re-interpolated
-from coarser data.
+equation is then discretized by product integration. Every step solves for
+the nodal step on the Newton grid (product trapezoid rule) and recovers the
+next iterate on a frozen evaluation point set (grid nodes,
+operator-quadrature nodes and output sample points) by the same rule, so
+the whole iteration works with function values that are never
+re-interpolated from coarser data.
 
 The limit of the iteration is set by the accuracy of the operator
 evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
@@ -30,11 +30,25 @@ the whole one, so an apply is one rfft and one irfft of q rows,
 O(q n_fine log n_fine), and the operator holds O(q n_fine) numbers, plus
 dense rows for the evaluation points off the fine grid.
 
+The Newton linear step is that of the DL solver too: with A the product
+trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
+iterate X, it solves (I - A D) delta = -res by the stationary iteration
+delta <- delta + M (-res - (I - A D) delta), with M the Atkinson-Brakhage
+two-grid inverse on a uniform coarse grid (`_TwoGrid`; Atkinson 1997;
+Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
+M only sets the rate; each residual is the grid's true one, so a step is
+taken only once checked. It is solved only as far as Newton can use: to a
+forcing term eta = O(|res|) relative, which keeps the convergence quadratic
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982; Eisenstat &
+Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the rounding of
+the iterate. After a miss, this step and the later ones are LU solves of
+the Newton matrix on the grid itself.
+
 The Newton loop itself (`_newton`: records, stopping and failure statuses),
 the settings it reads, the blocked builder of product-rule rows
-(`_dense_rows`) and `_ProductRule` are shared with the DL solver in
-newton_dl, whose discrete operator is the product trapezoid rule of its own
-grid.
+(`_dense_rows`), `_ProductRule` and the step are shared with the DL solver
+in newton_dl, whose discrete operator is the product trapezoid rule of its
+own grid.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import SingularSystemError, solve_dense
+from .linalg import SingularSystemError, factor_dense, solve_dense
 from .problem import KERNEL_SMOOTH, Grid, HammersteinProblem, SampledFunction, make_grid
 from .quadrature import SubtractionPlan, weight_matrix
 from .reports import IterationRecord, SolveReport
@@ -141,12 +155,12 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
 # after a few applies for the two cosines. At n_fine = 1024 (1225 points)
 # the two cosines' applies took 0.9 and 1.3 ms compressed and 5.0 and 9.3 ms
 # uncompressed, with two rffts each.
-# The cap stays at 129 for DL, which applies the rule of its own grid about
-# 14 times per Newton step (two per two-grid update). There, at n = 1500,
-# an apply with L = cos(30 s t) (r = 65, q = 22) takes 1.2 ms, 4.0 ms
-# uncompressed. Uncompressed, 30 steps of log-kernel DL with that L
-# (F = sin_pi, y = 1) took 2.0 s with 414 applies, against 3.6 s with dense
-# rows and LU steps.
+# The cap stays at 129 for the trapezoid rule of the Newton grid, which
+# both solvers apply about 14 times per Newton step (two per two-grid
+# update). For DL at n = 1500 an apply with L = cos(30 s t) (r = 65,
+# q = 22) takes 1.2 ms, 4.0 ms uncompressed. Uncompressed, 30 steps of
+# log-kernel DL with that L (F = sin_pi, y = 1) took 2.0 s with 414
+# applies, against 3.6 s with dense rows and LU steps.
 _RANK_TOL = 64 * np.finfo(float).eps
 _MAX_RANK = 129
 _CHECK_COUNT = 32
@@ -269,9 +283,13 @@ def _compress(ell: np.ndarray, samples: np.ndarray):
             break
         v = Q[q]
         v[:] = rest[np.argmax(norms)]
-        for _ in range(2):
-            v -= _product(Q[:q].T, _product(Q[:q], v))
-            v /= np.sqrt(v @ v)
+        v -= _product(Q[:q].T, _product(Q[:q], v))
+        norm = np.sqrt(v @ v)
+        if norm <= np.sqrt(v.size) * tol:
+            break  # the row is rounding of the rows already taken
+        v /= norm
+        v -= _product(Q[:q].T, _product(Q[:q], v))
+        v /= np.sqrt(v @ v)
         q += 1
         rest -= np.multiply(_product(rest, v)[:, None], v, out=update)
     if q == r:
@@ -297,9 +315,9 @@ _ROW_BLOCK = 8192
 def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False) -> np.ndarray:
     """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
 
-    Every such matrix of both solvers comes from here: LD's recovery rows on
-    the Newton grid (trapezoid) and the off-grid rows of its fine rule
-    (``simpson``), and DL's rows (trapezoid). Per block of at most
+    Every such matrix of both solvers comes from here: the off-grid rows of
+    the structured rules (trapezoid, and ``simpson`` for LD's fine rule) and
+    the coarse and exact rows of the Newton step. Per block of at most
     _ROW_BLOCK entries: one weight_matrix call and one L evaluation at the
     grid's nodes.
     """
@@ -489,10 +507,11 @@ class _Workspace:
         self.sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
         self.sample_idx = self._locate(self.sample_points)
 
-        # recovery weights at every evaluation point; the rows at the nodes
-        # are the Newton matrix, so nodal values stay consistent with them
-        self.WL_coarse = _dense_rows(grid, problem.kernel, problem.L, self.points)
-        self.G = self.WL_coarse[self.node_idx]
+        # the product trapezoid rule of the Newton grid at every evaluation
+        # point: its values at the nodes are the Newton matrix's, so nodal
+        # values stay consistent with the recovered ones
+        self.rule = _ProductRule(problem, grid, self.points, self.node_idx)
+        self.two_grid = _TwoGrid(problem, grid, self.rule)
 
         if settings.mode == "fine":
             fine = make_grid(problem.a, problem.b, settings.n_fine)
@@ -530,33 +549,146 @@ class _Workspace:
         values = _sample_initial(self.problem, phi0, self.points)
         return values, self.operator_values(values)
 
+    def _residual(self, iterate) -> np.ndarray:
+        values, K_points = iterate
+        return values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
+
     def step(self, iterate):
         """One Newton step: the next iterate and the nodal step norm."""
         values, K_points = iterate
-        nl = self.problem.nonlin
-        nodes = self.grid.nodes
-        nodal_old = values[self.node_idx]
-        df = np.asarray(nl.dF(nodes, nodal_old), dtype=float)
-        A = self.G * df[None, :]
-        rhs = K_points[self.node_idx] + self.y_points[self.node_idx] - A @ nodal_old
-        M = np.eye(self.grid.n + 1) - A
-        nodal_new = solve_dense(M, rhs)
-        correction = self.WL_coarse @ (df * (nodal_new - nodal_old))
-        values_new = correction + K_points + self.y_points
-        step_norm = float(np.max(np.abs(nodal_new - nodal_old)))
-        return (values_new, self.operator_values(values_new)), step_norm
+        nodal = values[self.node_idx]
+        df = np.asarray(self.problem.nonlin.dF(self.grid.nodes, nodal), dtype=float)
+        delta = self.two_grid.solve(df, -self._residual(iterate), nodal)
+        values_new = self.rule(df * delta) + K_points + self.y_points
+        return (values_new, self.operator_values(values_new)), float(np.max(np.abs(delta)))
 
     def measure(self, iterate) -> tuple[float, Optional[float]]:
         """Nodal residual norm and sampled true error (None without exact)."""
-        values, K_points = iterate
-        r = values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
-        residual_norm = float(np.max(np.abs(r)))
+        residual_norm = float(np.max(np.abs(self._residual(iterate))))
         if self.exact_samples is None:
             return residual_norm, None
-        return residual_norm, float(np.max(np.abs(values[self.sample_idx] - self.exact_samples)))
+        error = iterate[0][self.sample_idx] - self.exact_samples
+        return residual_norm, float(np.max(np.abs(error)))
 
     def result(self, iterate) -> SampledFunction:
         return SampledFunction(self.points, iterate[0])
+
+
+# Panels of the coarse grid. On log-sine (L = one, F = sin_pi, x0 =
+# 0.80-0.95) at n = 1400-1583, 32 DL solves took 1367 structured applies in
+# all with 16 panels, 989 with 32, 866 with 64 and 698 with 128, at about the
+# same CPU time on a 2-vCPU host. Against exact steps, 16 and 128 panels
+# added a Newton step to 1 and 2 solves, 32 saved one on 1 and 64 kept every
+# Newton count. The coarse rows hold 65 * (n + 1) numbers, 0.8 MB at
+# n = 1600. A grid of at most this many panels is its own coarse grid: its
+# steps are LU steps.
+_COARSE_N = 64
+# Smallest forcing term: an accepted step's true linear residual is at most
+# max(eta |res|, eps |X|) in the max-norm, eta = max(_STEP_RTOL, min(1e-3,
+# |res|^2)). On those 32 solves that took 866 applies, against 2162 with
+# eta = _STEP_RTOL and no floor, with the same statuses and Newton counts
+# and terminal errors of at most 8.9e-16. The forcing term alone
+# took 1554 applies and the floor alone 1476; a cap of 1e-2 in place of
+# 1e-3, or eta = min(1e-3, 1e-2 |res|), added a Newton step to 2 solves.
+_STEP_RTOL = 1e-13
+# Two-grid updates before the step falls back to the grid's own LU; an
+# update that does not shrink the residual ends the iteration sooner. Where
+# the coarse grid resolves the problem a step takes 1-5. On alg beta = 0.7
+# at n = 256 (L = one, F = square) the first update already fails to shrink
+# it on the coarse grid of 64 panels.
+_STEP_MAXITER = 20
+
+
+class _TwoGrid:
+    """The Newton linear step of both solvers: delta with (I - A D) delta = rhs.
+
+    A is applied by ``rule``, the trapezoid rule of ``grid`` with its nodes as
+    fine nodes, and D = diag(df). With K = A D, a coarse grid of n_c =
+    min(n, _COARSE_N) panels with nodes tau, its product rule G at tau and
+    rows R at the grid nodes, and D_c = D interpolated to tau,
+
+        M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
+
+    where (K r)(tau) is K r interpolated to tau. When n_c = n, G is the dense
+    A and M the LU solve of I - A D; after a miss the step becomes that one.
+    """
+
+    def __init__(self, problem: HammersteinProblem, grid: Grid, rule: _ProductRule):
+        self.problem, self.grid, self.rule = problem, grid, rule
+        self._coarsen(min(grid.n, _COARSE_N))
+
+    def _coarsen(self, n_c: int) -> None:
+        kernel, L, grid = self.problem.kernel, self.problem.L, self.grid
+        self.exact = n_c == grid.n
+        if self.exact:
+            self.tau = grid.nodes
+            self.G = _dense_rows(grid, kernel, L, grid.nodes)
+        else:
+            coarse = make_grid(self.problem.a, self.problem.b, n_c)
+            self.tau = coarse.nodes
+            self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+            self.R = _dense_rows(coarse, kernel, L, grid.nodes)
+
+    def inverse(self, df, K):
+        """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
+        d_c = np.interp(self.tau, self.grid.nodes, df)
+        M = np.eye(self.tau.size) - self.G * d_c[None, :]
+        if self.exact:
+            # the LU of the Newton matrix itself; the two-grid form would
+            # add and cancel terms of size |A D| |r|, and a runaway iterate
+            # makes |A D| large
+            return lambda r: solve_dense(M, r)
+        solve = factor_dense(M)
+
+        def apply(r):
+            Kr = K(r)
+            return r + Kr + _product(self.R, d_c * solve(np.interp(self.tau, self.grid.nodes, Kr)))
+
+        return apply
+
+    def solve(self, df, rhs, X) -> np.ndarray:
+        """A two-grid step checked to the accuracy Newton at the iterate X can
+        use (see _STEP_RTOL), else an LU step."""
+
+        def K(v):
+            return self.rule.at_nodes(df * v)
+
+        if not self.exact:
+            try:
+                precond = self.inverse(df, K)
+            except SingularSystemError:
+                pass  # a singular coarse system says nothing about the grid's own
+            else:
+                size = np.max(np.abs(rhs))
+                eta = max(_STEP_RTOL, min(1e-3, size * size))
+                tol = max(eta * size, np.finfo(float).eps * np.max(np.abs(X)))
+                delta = _two_grid_solve(lambda v: v - K(v), precond, rhs, tol, _STEP_MAXITER)
+                if delta is not None:
+                    return delta
+            self._coarsen(self.grid.n)
+        return self.inverse(df, K)(rhs)
+
+
+def _two_grid_solve(op, precond, b, tol: float, maxiter: int):
+    """x with max|b - op(x)| <= tol by x <- x + precond(b - op(x)) from x = 0.
+
+    At least one update is made, so a step at the rounding floor is noise,
+    not zero, as an LU step is. Every residual measured is the true one, so a
+    returned x is checked. None once the residual fails to shrink (a NaN one
+    never shrinks) or after maxiter updates. The tolerance is tested first: a
+    zero b gives a zero residual, which is met and does not shrink.
+    """
+    x, r = np.zeros_like(b), b
+    size = np.max(np.abs(r))
+    for _ in range(maxiter):
+        x = x + precond(r)
+        r = b - op(x)
+        last, size = size, np.max(np.abs(r))
+        if size <= tol:
+            return x
+        if not size < last:
+            return None
+    return None
 
 
 def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):

@@ -25,8 +25,8 @@ from hammerstein import (
     solve_dense,
     weight_matrix,
 )
-from hammerstein import newton_dl
-from hammerstein.newton_dl import _COARSE_N
+from hammerstein import newton_dl, newton_ld
+from hammerstein.newton_ld import _COARSE_N
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from oracles import frozen_problem
 
@@ -248,10 +248,10 @@ class TestStructured:
         # panel count of its coarse grid
         levels, applies = [], []
 
-        class Recorded(newton_dl._TwoGrid):
-            def __init__(self, problem, grid, n_c):
+        class Recorded(newton_ld._TwoGrid):
+            def _coarsen(self, n_c):
                 levels.append(n_c)
-                super().__init__(problem, grid, n_c)
+                super()._coarsen(n_c)
 
             def inverse(self, df, K):
                 apply = super().inverse(df, K)
@@ -279,14 +279,14 @@ class TestStructured:
         def op(v):
             return np.full_like(v, np.nan)
 
-        assert newton_dl._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+        assert newton_ld._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
 
     def test_two_grid_solve_overflowing_operator_is_a_miss(self):
         def op(v):
             return v * 1e308 * 1e10
 
         with np.errstate(over="ignore"):
-            assert newton_dl._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
+            assert newton_ld._two_grid_solve(op, lambda v: v, np.ones(5), 1e-13, 5) is None
 
     def test_two_grid_solve_residual_that_does_not_shrink_is_a_miss(self):
         # op = 0 leaves the residual at b: a miss after one update, not after
@@ -297,7 +297,7 @@ class TestStructured:
             updates.append(1)
             return r
 
-        assert newton_dl._two_grid_solve(np.zeros_like, precond, np.ones(5), 1e-13, 5) is None
+        assert newton_ld._two_grid_solve(np.zeros_like, precond, np.ones(5), 1e-13, 5) is None
         assert len(updates) == 1
 
     def test_two_grid_solve_makes_at_least_one_update(self):
@@ -307,8 +307,8 @@ class TestStructured:
             return v
 
         b = np.full(5, 1e-20)
-        np.testing.assert_array_equal(newton_dl._two_grid_solve(identity, identity, b, 1.0, 5), b)
-        x = newton_dl._two_grid_solve(identity, identity, np.zeros(5), 1.0, 5)
+        np.testing.assert_array_equal(newton_ld._two_grid_solve(identity, identity, b, 1.0, 5), b)
+        x = newton_ld._two_grid_solve(identity, identity, np.zeros(5), 1.0, 5)
         assert x is not None
         np.testing.assert_array_equal(x, np.zeros(5))
 
@@ -318,7 +318,7 @@ class TestStructured:
         # of ~3e-16 and took 10 updates when every step was solved to 1e-13
         # relative; it takes 1 now
         steps = []
-        solve = newton_dl._two_grid_solve
+        solve = newton_ld._two_grid_solve
 
         def recorded(op, precond, b, tol, maxiter):
             updates = []
@@ -331,7 +331,7 @@ class TestStructured:
             steps.append((np.max(np.abs(b)), len(updates)))
             return x
 
-        monkeypatch.setattr(newton_dl, "_two_grid_solve", recorded)
+        monkeypatch.setattr(newton_ld, "_two_grid_solve", recorded)
         _, report = dl_solve(benchmark_problem, make_grid(0, 1, self.N), FAST, x0=0.85)
         assert report.status == "converged"
         floor = [count for residual, count in steps if residual <= 1e-12]

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hammerstein
 from hammerstein import (
     FUNCTIONS,
     HammersteinProblem,
@@ -16,6 +23,7 @@ from hammerstein import (
     manufactured_problem,
     smooth_kernel,
 )
+from hammerstein import newton_ld
 from hammerstein.newton_ld import (
     _RANK_TOL,
     _chebyshev_factor,
@@ -445,6 +453,73 @@ class TestCompression:
         ell, samples = rng.standard_normal((2, 17, 1025))
         ell_q, Q = _compress(ell, samples)
         assert ell_q is ell and Q is samples
+
+    def test_constant_compresses_to_rank_one(self):
+        # after the first row the remainder of L = one is rounding, yet at
+        # some of these n one entry of it exceeds the tolerance; the next
+        # row, re-orthogonalized, is then at most sqrt(n) tol long (at some n
+        # exactly 0) and ends the search instead of being divided by its norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in range(1176, 1601):
+                _, Q = _compress(*self._factor(L_one, n=n))
+                assert Q.shape[0] == 1, n
+
+
+class TestLargeGrid:
+    """LD on grids of more than _COARSE_N panels: two-grid Newton steps on the
+    structured trapezoid rule of the Newton grid, no dense recovery matrix."""
+
+    CONFIG = {"kernel": "log", "L": "exp_st", "F": "square", "y": {"manufactured": "cos"}}
+
+    @staticmethod
+    def _problem():
+        return manufactured_problem(
+            kernel=log_kernel(), L=L_exp_st, nonlin=get_nonlinearity("square"),
+            exact=np.cos, quad_tol=1e-10,
+        )
+
+    def test_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # with an (n+1)^2 LU and dense recovery products per step, the CSV
+        # at n = 512 differed at the 1e-15 level between 1 and 2 threads
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.CONFIG, "n": 512, "solver": "ld"}))
+        src = str(Path(hammerstein.__file__).resolve().parents[1])
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "hammerstein.cli", "compare",
+                 "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csvs.append((out / "compare.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_memory_stays_below_the_recovery_matrix(self):
+        # the dense recovery rows alone took 1920 x 1501 x 8 = 23 MB at
+        # n = 1500, and the whole solve peaked at 99.5 MB
+        tracemalloc.start()
+        try:
+            _, report = ld_solve(self._problem(), make_grid(0, 1, 1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert peak <= 20e6
+
+    def test_two_grid_steps_match_exact_steps(self, monkeypatch):
+        prob = self._problem()
+        grid = make_grid(0, 1, 256)
+        _, two_grid = ld_solve(prob, grid)
+        monkeypatch.setattr(newton_ld, "_COARSE_N", grid.n)
+        _, exact = ld_solve(prob, grid)
+        assert two_grid.status == exact.status == "converged"
+        assert len(two_grid.records) == len(exact.records)
+        errors = [r.records[-1].true_error for r in (two_grid, exact)]
+        assert abs(errors[0] - errors[1]) <= 1e-15
 
 
 class TestSettings:
