@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: solve (one method per config), compare (both methods side by
-side), nsweep (LD solver across grid sizes), weights (inspect a product-rule
-weight vector). Exit codes: 0 success, 2 configuration error, 3 solver
-failure (partial results are still written).
+Subcommands: solve (the solver selected in the config), compare (the same
+run, written to compare.csv), nsweep (LD solver across grid sizes), weights
+(inspect a product-rule weight vector). Exit codes: 0 success, 2
+configuration error, 3 solver failure (partial results are still written).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the solver selected in the config")
     _add_common(p_solve)
 
-    p_cmp = sub.add_parser("compare", help="run both methods on the same problem")
+    p_cmp = sub.add_parser("compare", help="the same run as solve, written to compare.csv")
     _add_common(p_cmp)
 
     p_sweep = sub.add_parser("nsweep", help="run the LD solver for several grid sizes")

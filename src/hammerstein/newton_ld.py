@@ -22,13 +22,13 @@ per doubling at N = 80-640 for log, beta = 0.3 and beta = 0.7), against
 O(h^2) for the product trapezoid rule. It is applied without a dense matrix
 (`_ProductRule`): at the fine nodes the weights of the even and of the odd
 interior columns are each a Toeplitz matrix, plus two boundary columns,
-applied by FFT, and L enters through a Chebyshev interpolant in s of
-adaptively chosen size r, compressed to the numerical rank q of its samples
-(Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 2005): q = 9
-for exp_st on [0, 1], where r = 17. The even columns' spectrum is a fold of
-the whole one, so an apply is one rfft and one irfft of q rows,
-O(q n_fine log n_fine), and the operator holds O(q n_fine) numbers, plus
-dense rows for the evaluation points off the fine grid.
+applied by FFT, and L enters through a cross approximation of rank q on the
+lattice of the fine nodes (Bebendorf, Numer. Math. 2000; Tyrtyshnikov,
+Computing 2000): q = 9 for exp_st on [0, 1], 1 for L = one. The even
+columns' spectrum is a fold of the whole one, so an apply is one rfft and
+one irfft of q rows, O(q n_fine log n_fine), and the operator holds
+O(q n_fine) numbers, plus dense rows for the evaluation points off the fine
+grid.
 
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
@@ -132,37 +132,24 @@ def _sample_initial(problem, phi0, points) -> np.ndarray:
     return np.full(points.shape, float(phi0))
 
 
-# Rank search for L(s, t) in s: Chebyshev points of the second kind, nested
-# as 2, 3, 5, 9, ... points. A level is accepted once its interpolant
-# reproduces L to _RANK_TOL * max|L| at the next level's new points and at
-# _CHECK_COUNT fine nodes s = t_i, each against every t_j. _RANK_TOL is the
-# rounding floor of the check itself, the barycentric sum of r terms: for
-# L = cos(35 s t) on [0, 1] that error stays near 1.1e-14 max|L| at r = 65,
-# 129 and 257, so a tolerance of 1e-14 left it dense rows at every point. At
-# 64 eps (1.42e-14) cos(35 s t) gets r = 65 on a 1024-panel grid.
-# The nested points alone can be aliased: cos(pi s) on [0, 1] is 0 at the
-# one new point of level 3, and so is its linear interpolant. The fine
-# nodes are where the operator uses the interpolant; the checked ones follow
-# the golden-ratio sequence rather than a symmetric pattern.
-# An L that needs more than _MAX_RANK points keeps dense operator rows.
-# The operator applies the interpolant compressed to the numerical rank q of
-# its samples (`_compress`). LD's Simpson rule at the default n_fine = 320,
-# measured on a 2-vCPU host on 489 evaluation points (n = 40, 201 samples):
-# with L = exp_st (r = 17, q = 9) an apply takes 0.22 ms and the build
-# 7.7 ms; with cos(32 s t) (r = 65, q = 23) 0.25-0.37 ms and 9.5-13 ms; with
-# cos(64 s t) (r = 129, q = 35) 0.3-0.5 ms and 8.6-14 ms. Dense Simpson rows
-# take 11-16 ms to build and 0.07 ms to apply: they lose for exp_st and win
-# after a few applies for the two cosines. At n_fine = 1024 (1225 points)
-# the two cosines' applies took 0.9 and 1.3 ms compressed and 5.0 and 9.3 ms
-# uncompressed, with two rffts each.
-# The cap stays at 129 for the trapezoid rule of the Newton grid, which
-# both solvers apply about 14 times per Newton step (two per two-grid
-# update). For DL at n = 1500 an apply with L = cos(30 s t) (r = 65,
-# q = 22) takes 1.2 ms, 4.0 ms uncompressed. Uncompressed, 30 steps of
-# log-kernel DL with that L (F = sin_pi, y = 1) took 2.0 s with 414
-# applies, against 3.6 s with dense rows and LU steps.
+# Cross factor of L on the lattice of a rule's nodes (`_cross_factor`). It
+# is accepted once a pivot and _CHECK_COUNT check rows, nodes picked by the
+# golden-ratio sequence, are within _RANK_TOL * max|L| of it. The pivots
+# alone can stop short: with one check row, the bump exp(-((s - 0.5)^2 +
+# (t - 0.5)^2) / 0.001) on [0.3, 2.9] passed as rank 0 (lattice error 1.0
+# max|L|) and exp_st there as rank 11 at 2.4e-13; with 32, rank 1 at 2e-16
+# and rank 12 at 1.1e-14. _RANK_TOL sits above the rounding of the residual,
+# a sum of q rank-1 terms: at 32 eps cos(35 s t) on [0, 1] took 59 crosses at
+# N = 1500, at 64 eps (1.42e-14) 27.
+# An L that takes more than _MAX_RANK crosses keeps dense operator rows.
+# Measured on a 2-vCPU host, one BLAS thread, with L = cos(w s t) on [0, 1]:
+# LD's Simpson rule at n_fine = 320 on 489 evaluation points builds in
+# 6.5-8.5 ms at q = 28-61 and applies in 0.17-0.38 ms, against 7.7-9.3 ms and
+# 0.02 ms with dense rows; the trapezoid rule of a 1500-panel grid on 1600
+# points builds in 7-10 ms at q = 27-50 and applies in 1.0-1.7 ms, against
+# 50-76 ms (a 19 MB matrix) and 0.8 ms dense.
 _RANK_TOL = 64 * np.finfo(float).eps
-_MAX_RANK = 129
+_MAX_RANK = 64
 _CHECK_COUNT = 32
 
 
@@ -170,11 +157,11 @@ _CHECK_COUNT = 32
 # OpenBLAS runs a product this small on the calling thread. A larger one
 # wakes its worker threads, and each worker then spins on its core for
 # about 0.1 s after the call returns. On a 2-vCPU host the whole-matrix
-# products of the rank search and the dense-row apply kept a worker
-# spinning for 0.21 s of each 0.78 s compare_fine op, and made the op 14%
-# slower whenever another process wanted that core; split, they wake no
-# worker (measured: a 16 x 17 x 963 product and a 256 x 1024 matvec stayed
-# on one thread, 16 x 17 x 4097 and 500 x 1024 did not).
+# products of a former Chebyshev rank search of L and the dense-row apply
+# kept a worker spinning for 0.21 s of each 0.78 s compare_fine op, and made
+# the op 14% slower whenever another process wanted that core; split, they
+# wake no worker (measured: a 16 x 17 x 963 product and a 256 x 1024
+# matvec stayed on one thread, 16 x 17 x 4097 and 500 x 1024 did not).
 _BLAS_BLOCK = 2**18
 
 
@@ -202,103 +189,55 @@ def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, (s.size, t.size))
 
 
-def _barycentric_basis(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Lagrange basis ell_k(x_i), shape (nodes.size, x.size), by the second
-    barycentric formula; a point that coincides with a node gets its unit
-    column exactly."""
-    d = x[None, :] - nodes[:, None]
-    hit = d == 0.0
-    on_node = hit.any(axis=0)
-    d[:, on_node] = 1.0
-    q = weights[:, None] / d
-    denom = q.sum(axis=0)
-    denom[on_node] = 1.0
-    basis = q / denom
-    basis[:, on_node] = hit[:, on_node]
-    return basis
+def _cross_factor(L, t: np.ndarray):
+    """Low-rank factor (E, V) of L on the lattice t x t, each of shape
+    (q, t.size) with L(t_i, t_l) ~ sum_k E[k, i] V[k, l], or None when none
+    of at most _MAX_RANK crosses meets _RANK_TOL.
 
-
-def _chebyshev_factor(L, a: float, b: float, t: np.ndarray):
-    """Low-rank form of L(s, t_j) in s, or None when none meets _RANK_TOL.
-
-    Returns (ell, samples): the Lagrange basis of the r interpolation points
-    sigma_k on [a, b] at the nodes t, shape (r, t.size), and L(sigma_k, t_j),
-    shape (r, t.size).
+    Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 2000; Tyrtyshnikov, Computing 2000): from a row i, the residual row
+    L(t_i, .) - E[:, i] V pivots on its largest entry j, the residual column
+    at t_j makes the cross, and the next row is the column's largest unused
+    entry. Crosses stop at a pivot of at most _RANK_TOL max|L|, max|L| over
+    the entries evaluated so far. The check rows are then held to that
+    tolerance too: the worst one above it starts the next crosses, and one
+    already crossed gives None. The first crosses start at the check row of
+    largest |L|.
     """
+    n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
-    check = np.unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * t.size).astype(int))
+    check = np.unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * n).astype(int))
     L_check = _L_values(L, t[check], t)
-    sigma = np.array([b, a])
-    samples = _L_values(L, sigma, t)
-    scale = max(np.max(np.abs(samples)), np.max(np.abs(L_check)))
-    while True:
-        r = sigma.size
-        weights = (-1.0) ** np.arange(r)
-        weights[[0, -1]] *= 0.5
-        m = 2 * (r - 1)
-        new_sigma = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * np.arange(1, m, 2) / m)
-        new = _L_values(L, new_sigma, t)
-        scale = max(scale, np.max(np.abs(new)))
-        tol = _RANK_TOL * scale
-        basis = _barycentric_basis(new_sigma, sigma, weights)
-        if np.max(np.abs(_product(basis.T, samples) - new)) <= tol:
-            basis = _barycentric_basis(t[check], sigma, weights)
-            if np.max(np.abs(_product(basis.T, samples) - L_check)) <= tol:
-                return _barycentric_basis(t, sigma, weights), samples
-        if r >= _MAX_RANK:
-            return None
-        # the next level interleaves the current points with the new ones
-        merged = np.empty(m + 1)
-        merged[0::2], merged[1::2] = sigma, new_sigma
-        merged_samples = np.empty((m + 1, t.size))
-        merged_samples[0::2], merged_samples[1::2] = samples, new
-        sigma, samples = merged, merged_samples
-
-
-def _compress(ell: np.ndarray, samples: np.ndarray):
-    """(ell, samples) of _chebyshev_factor at the numerical rank of samples.
-
-    A pivoted Gram-Schmidt on the sample rows, each new row orthogonalized
-    twice, stops once the rows' remainder is at most _RANK_TOL * max|samples|.
-    With its orthonormal rows Q (q, t.size) and R = samples Q^T, the factor
-    sum_k ell_k samples_k becomes sum_j (R^T ell)_j Q_j. It is kept only if
-    max|samples - R Q| <= 4 _RANK_TOL max|samples| at every node, which
-    leaves room for the rounding of R and R Q (the remainder measured 0.01
-    to 0.73 _RANK_TOL max|samples| for exp_st, one and cos(35 s t)).
-    Otherwise, or at full rank, the input comes back. Every product goes
-    through _product, so none wakes the BLAS worker threads.
-    """
-    r = samples.shape[0]
-    scale = np.max(np.abs(samples))
-    tol = _RANK_TOL * scale
-    rest = samples.copy()
-    update = np.empty_like(samples)  # every step's rank-1 update, in one buffer
-    Q = np.empty_like(samples)
+    check_max = np.max(np.abs(L_check), axis=1)
+    scale = check_max.max()
+    E, V = np.empty((2, _MAX_RANK, n))
+    used = np.zeros(n, dtype=bool)
     q = 0
-    while q < r:
-        norms = np.einsum("ij,ij->i", rest, rest)
-        # max|row| <= tol needs |row|^2 <= t.size tol^2, so the max-abs stop
-        # test only runs once no norm is above that
-        if norms.max() <= rest.shape[1] * tol * tol and max(rest.max(), -rest.min()) <= tol:
-            break
-        v = Q[q]
-        v[:] = rest[np.argmax(norms)]
-        v -= _product(Q[:q].T, _product(Q[:q], v))
-        norm = np.sqrt(v @ v)
-        if norm <= np.sqrt(v.size) * tol:
-            break  # the row is rounding of the rows already taken
-        v /= norm
-        v -= _product(Q[:q].T, _product(Q[:q], v))
-        v /= np.sqrt(v @ v)
-        q += 1
-        rest -= np.multiply(_product(rest, v)[:, None], v, out=update)
-    if q == r:
-        return ell, samples
-    Q = Q[:q]
-    R = _product(samples, Q.T)
-    if np.max(np.abs(samples - _product(R, Q))) > 4 * _RANK_TOL * scale:
-        return ell, samples
-    return _product(R.T, ell), Q
+    i = check[np.argmax(check_max)]
+    while True:
+        while True:
+            used[i] = True
+            row = _L_values(L, t[i : i + 1], t)[0]
+            scale = max(scale, np.max(np.abs(row)))
+            row = row - _product(V[:q].T, E[:q, i])
+            j = np.argmax(np.abs(row))
+            if abs(row[j]) <= _RANK_TOL * scale:
+                break
+            if q == _MAX_RANK:
+                return None
+            col = _L_values(L, t, t[j : j + 1])[:, 0]
+            scale = max(scale, np.max(np.abs(col)))
+            col = col - _product(E[:q].T, V[:q, j])
+            E[q], V[q] = col / row[j], row
+            q += 1
+            i = np.argmax(np.where(used, 0.0, np.abs(col)))
+        rest = np.max(np.abs(L_check - _product(E[:q, check].T, V[:q])), axis=1)
+        if rest.max() <= _RANK_TOL * scale:
+            # copies: the rule keeps q rows, not the _MAX_RANK-row buffers
+            return E[:q].copy(), V[:q].copy()
+        i = check[np.argmax(rest)]
+        if used[i]:
+            return None
 
 
 # Entries per block of _dense_rows, at most, as _REF_BLOCK and _PLAN_BLOCK:
@@ -366,10 +305,10 @@ class _ProductRule:
     l - i and, for Simpson, on the parity of l, except in the boundary columns
     l = 0 and l = N. The interior columns are a Toeplitz matrix (one per
     parity for Simpson), applied by FFT on one circulant embedding, and L
-    enters through its Chebyshev interpolant in s at r points sigma_k,
-    compressed to q <= r orthonormal rows Q_j (`_compress`):
+    enters through its cross factor L(t_i, t_l) ~ sum_k ell_k(t_i) v_k(t_l)
+    of q terms (`_cross_factor`):
 
-        K(t_i) = sum_j ell_j(t_i) [T (Q_j F)]_i
+        K(t_i) = sum_k ell_k(t_i) [T (v_k F)]_i
                  + col_first(t_i) F_0 + col_last(t_i) F_N.
 
     For Simpson, T = S_odd + D P with D = S_even - S_odd and P the projection
@@ -377,8 +316,8 @@ class _ProductRule:
     vector's even part is (X[k] + conj X[m/2 - k]) / 2, so an apply is one
     rfft and one irfft of q rows, O(q N log N), and O(q N) memory. Dense rows
     remain for the points off the fine grid, and for every point when H is
-    smooth (not a function of t - s) or L needs more than _MAX_RANK
-    interpolation points.
+    smooth (not a function of t - s) or L has no factor of at most _MAX_RANK
+    terms.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
@@ -389,11 +328,11 @@ class _ProductRule:
         self.ell = None
         factor = None
         if kernel.kind != KERNEL_SMOOTH:
-            factor = _chebyshev_factor(L, problem.a, problem.b, t)
+            factor = _cross_factor(L, t)
         if factor is None:
             self.dense_idx = np.arange(points.size)
         else:
-            self.ell, samples = _compress(*factor)
+            self.ell, samples = factor
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.dense_idx = np.flatnonzero(off_grid)

@@ -49,9 +49,29 @@ def _write_echo(cfg: RunConfig, out: Path) -> None:
     )
 
 
-def _quad_tol_message(cfg: RunConfig, exc: QuadratureConvergenceError) -> str:
-    # the manufactured right-hand side is a run's only reference quadrature
-    return f"manufactured right-hand side missed quad_tol = {cfg.effective['quad_tol']:g}: {exc}"
+def _solve(
+    cfg: RunConfig, method: str, n: int, label: str
+) -> tuple[Optional[SolveReport], Optional[str]]:
+    """One solve on a grid of n panels: (report, fatal).
+
+    fatal is None on success. A solver that dies returns its partial report,
+    if it has one, and a message that starts with ``label``.
+    """
+    try:
+        grid = make_grid(cfg.problem.a, cfg.problem.b, n)
+        if method == "ld":
+            _, report = ld_solve(cfg.problem, grid, cfg.ld, phi0=cfg.phi0)
+        else:
+            _, report = dl_solve(cfg.problem, grid, cfg.dl, x0=cfg.phi0)
+        return report, None
+    except SingularOperatorError as exc:
+        return exc.report, str(exc)
+    except MemoryError as exc:
+        return None, f"{label}: out of memory: {exc}"
+    except QuadratureConvergenceError as exc:
+        # the manufactured right-hand side is a run's only reference quadrature
+        tol = cfg.effective["quad_tol"]
+        return None, f"{label}: manufactured right-hand side missed quad_tol = {tol:g}: {exc}"
 
 
 def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
@@ -61,23 +81,10 @@ def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
     methods = {"ld": ["ld"], "dl": ["dl"], "both": ["ld", "dl"]}[cfg.solver]
     outcome = RunOutcome()
     for method in methods:
-        try:
-            grid = make_grid(cfg.problem.a, cfg.problem.b, cfg.n)
-            if method == "ld":
-                _, report = ld_solve(cfg.problem, grid, cfg.ld, phi0=cfg.phi0)
-            else:
-                _, report = dl_solve(cfg.problem, grid, cfg.dl, x0=cfg.phi0)
+        report, outcome.fatal = _solve(cfg, method, cfg.n, method)
+        if report is not None:
             outcome.reports.append(report)
-        except SingularOperatorError as exc:
-            if exc.report is not None:
-                outcome.reports.append(exc.report)
-            outcome.fatal = str(exc)
-            break
-        except MemoryError as exc:
-            outcome.fatal = f"{method}: out of memory: {exc}"
-            break
-        except QuadratureConvergenceError as exc:
-            outcome.fatal = f"{method}: {_quad_tol_message(cfg, exc)}"
+        if outcome.fatal is not None:
             break
     outcome.csv_path = out / csv_name
     outcome.csv_path.write_text(
@@ -105,23 +112,12 @@ def run_nsweep(cfg: RunConfig, n_list: list[int], csv_name: str = "nsweep.csv") 
     outcome = RunOutcome()
     by_n: list[tuple[int, SolveReport]] = []
     for n in n_list:
-        try:
-            grid = make_grid(cfg.problem.a, cfg.problem.b, n)
-            _, report = ld_solve(cfg.problem, grid, cfg.ld, phi0=cfg.phi0)
-        except SingularOperatorError as exc:
-            if exc.report is not None:
-                by_n.append((n, exc.report))
-                outcome.reports.append(exc.report)
-            outcome.fatal = str(exc)
+        report, outcome.fatal = _solve(cfg, "ld", n, f"ld at n={n}")
+        if report is not None:
+            by_n.append((n, report))
+            outcome.reports.append(report)
+        if outcome.fatal is not None:
             break
-        except MemoryError as exc:
-            outcome.fatal = f"ld at n={n}: out of memory: {exc}"
-            break
-        except QuadratureConvergenceError as exc:
-            outcome.fatal = f"ld at n={n}: {_quad_tol_message(cfg, exc)}"
-            break
-        by_n.append((n, report))
-        outcome.reports.append(report)
     outcome.csv_path = out / csv_name
     outcome.csv_path.write_text(nsweep_csv_text(by_n), encoding="utf-8")
     outcome.summary_path = out / (Path(csv_name).stem + "_summary.csv")

@@ -26,10 +26,10 @@ from hammerstein import (
 from hammerstein import newton_ld
 from hammerstein.newton_ld import (
     _RANK_TOL,
-    _chebyshev_factor,
-    _compress,
+    _cross_factor,
     _dense_rows,
     _fft_size,
+    _L_values,
     _product,
 )
 from hammerstein.problem import L_exp_st, L_one, L_zero
@@ -256,13 +256,12 @@ def _g(t):
 
 
 def L_kinked(s, t):
-    # not smooth in s: no Chebyshev interpolant of bounded size resolves it
+    # not smooth in s, yet of rank 1 on any lattice
     return np.abs(np.asarray(s, dtype=float) - 0.3) + 0.0 * t
 
 
 # Smooth in s, but each agrees with its linear interpolant at s = 0, 0.5, 1,
-# the first nested Chebyshev points, so a rank check on nested points alone
-# would take them for rank 2.
+# so a factor checked at those points alone would take them for rank 2.
 def L_cos_pi(s, t):
     return np.cos(np.pi * np.asarray(s, dtype=float)) + 0.0 * t
 
@@ -283,6 +282,10 @@ def L_cos35(s, t):
 
 def L_cos64(s, t):
     return np.cos(64.0 * np.asarray(s, dtype=float) * t)
+
+
+def L_sqrt(s, t):
+    return np.sqrt(s + t + 0.01)
 
 
 class TestFineOperator:
@@ -329,10 +332,10 @@ class TestFineOperator:
 
     @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
     def test_rank_above_the_check_rounding_floor(self, kernel):
-        # cos(35 s t) needs 65 Chebyshev points; the check of that level
-        # rounds to 1.09e-14 max|L|, above a bare 1e-14
-        ell, _ = _chebyshev_factor(L_cos35, 0.0, 1.0, np.linspace(0.0, 1.0, 1025))
-        assert ell.shape[0] == 65
+        # cos(35 s t) takes about 26 crosses on 1025 nodes, and their
+        # residual rounds near 1e-14 max|L|; the rule applies that factor,
+        # not dense rows
+        assert _cross_factor(L_cos35, np.linspace(0.0, 1.0, 1025)) is not None
         self._check(kernel, L_cos35, 7, n_fine=1024)
 
     @pytest.mark.parametrize("shape", [(0, 4097), (1, 4097), (200, 4097), (10, 70000)])
@@ -343,7 +346,8 @@ class TestFineOperator:
 
     @pytest.mark.parametrize("m, r, N", [(1, 2, 257), (16, 17, 4097), (32, 65, 4097)])
     def test_split_matrix_product_matches_whole(self, m, r, N, rng):
-        # basis.T @ samples in the rank search, with columns over several calls
+        # E[:, check].T @ V in the cross factor's check, with columns over
+        # several calls
         basis = rng.standard_normal((r, m))
         samples = rng.standard_normal((r, N))
         np.testing.assert_allclose(
@@ -390,80 +394,56 @@ class TestFineOperator:
             assert _fft_size(n) == next_fast_len(n, real=True)
 
 
-class TestCompression:
-    """The Chebyshev factor of L at its numerical rank."""
+class TestCrossFactor:
+    """The cross factor of L on the lattice of a rule's nodes."""
 
     @staticmethod
-    def _factor(L, a=0.0, b=1.0, n=1024):
-        return _chebyshev_factor(L, a, b, np.linspace(a, b, n + 1))
+    def _lattice_error(L, a, b, n):
+        t = np.linspace(a, b, n + 1)
+        E, V = _cross_factor(L, t)
+        full = _L_values(L, t, t)
+        return E.shape[0], np.max(np.abs(full - E.T @ V)), np.max(np.abs(full))
 
+    @pytest.mark.parametrize("n", [16, 64, 320, 1024, 1500])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("L", [L_one, L_zero, L_exp_st], ids=["one", "zero", "exp_st"])
+    def test_lattice_error(self, L, a, b, n):
+        _, error, scale = self._lattice_error(L, a, b, n)
+        assert error <= 4 * _RANK_TOL * scale
+
+    @pytest.mark.parametrize("n", [16, 64, 320, 1024, 1500])
     @pytest.mark.parametrize(
-        "L, a, b, n, rank",
-        [
-            (L_exp_st, 0.0, 1.0, 1024, 9),
-            (L_exp_st, 0.0, 1.0, 64, 9),
-            (L_exp_st, 0.3, 2.9, 1024, 12),
-            (L_one, 0.0, 1.0, 1501, 1),
-            (L_cos35, 0.0, 1.0, 1024, 25),
-        ],
-        ids=["exp_st", "exp_st_64", "exp_st_offset", "one_1501", "cos35"],
+        "L", [L_cos_pi, L_kinked, L_cos35, L_cos64], ids=["cos_pi", "kinked", "cos35", "cos64"]
     )
-    def test_rank_and_remainder(self, L, a, b, n, rank):
-        ell, samples = self._factor(L, a, b, n)
-        ell_q, Q = _compress(ell, samples)
-        assert Q.shape[0] <= rank < samples.shape[0]
-        np.testing.assert_allclose(Q @ Q.T, np.eye(Q.shape[0]), rtol=0, atol=1e-14)
-        R = samples @ Q.T
-        assert np.max(np.abs(samples - R @ Q)) <= 4 * _RANK_TOL * np.max(np.abs(samples))
-        np.testing.assert_allclose(ell_q, R.T @ ell, rtol=0, atol=1e-13)
+    def test_lattice_error_of_harder_L(self, L, n):
+        _, error, scale = self._lattice_error(L, 0.0, 1.0, n)
+        assert error <= 16 * _RANK_TOL * scale
 
-    def test_matches_plain_gram_schmidt(self):
-        # _compress reuses one update buffer and runs the max-abs stop test
-        # only once no row norm rules it out; the reference, the same
-        # pivoted Gram-Schmidt written plainly, gives the same factor
-        ell, samples = self._factor(L_cos64)
-        tol = _RANK_TOL * np.max(np.abs(samples))
-        rest = samples.copy()
-        Q_ref = np.empty_like(samples)
-        q = 0
-        while max(rest.max(), -rest.min()) > tol:
-            v = Q_ref[q]
-            v[:] = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
-            for _ in range(2):
-                v -= _product(Q_ref[:q].T, _product(Q_ref[:q], v))
-                v /= np.sqrt(v @ v)
-            q += 1
-            rest -= _product(rest, v)[:, None] * v
-        Q_ref = Q_ref[:q]
-        assert ell.shape[0] == 129 and q == 35
-        _, Q = _compress(ell, samples)
-        assert Q.shape == Q_ref.shape
-        np.testing.assert_array_equal(Q, Q_ref)
-
-    def test_zero_compresses_to_an_exact_zero_operator(self):
-        _, Q = _compress(*self._factor(L_zero))
-        assert Q.shape[0] == 0
+    def test_zero_is_an_exact_zero_operator(self):
+        E, V = _cross_factor(L_zero, np.linspace(0.0, 1.0, 1025))
+        assert E.shape[0] == V.shape[0] == 0
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_zero, get_nonlinearity("identity"), FUNCTIONS["zero"]
         )
         fn = solver_operator(prob, _g, LDSettings(sample_count=41))
         assert np.all(fn.values == 0.0)
 
-    def test_full_rank_samples_come_back(self, rng):
-        ell, samples = rng.standard_normal((2, 17, 1025))
-        ell_q, Q = _compress(ell, samples)
-        assert ell_q is ell and Q is samples
-
-    def test_constant_compresses_to_rank_one(self):
-        # after the first row the remainder of L = one is rounding, yet at
-        # some of these n one entry of it exceeds the tolerance; the next
-        # row, re-orthogonalized, is then at most sqrt(n) tol long (at some n
-        # exactly 0) and ends the search instead of being divided by its norm
+    def test_constant_is_rank_one(self):
+        # the residual of L = one after one cross is exactly 0, and nothing
+        # is divided by a rounding-level pivot
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for n in range(1176, 1601):
-                _, Q = _compress(*self._factor(L_one, n=n))
-                assert Q.shape[0] == 1, n
+                E, _ = _cross_factor(L_one, np.linspace(0.0, 1.0, n + 1))
+                assert E.shape[0] == 1, n
+
+    def test_rank_follows_the_lattice_not_smoothness_in_s(self):
+        # |s - 0.3| has no short interpolant in s but is rank 1 on the
+        # lattice; sqrt(s + t + 0.01) is near-singular at the corner
+        E, _ = _cross_factor(L_kinked, np.linspace(0.0, 1.0, 321))
+        assert E.shape[0] == 1
+        q, _, _ = self._lattice_error(L_sqrt, 0.0, 1.0, 320)
+        assert q <= 24
 
 
 class TestLargeGrid:
