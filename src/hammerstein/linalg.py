@@ -1,18 +1,31 @@
 """Dense solves for the small Newton systems.
 
-Matrices are plain 2-D float arrays. Factorization is LAPACK LU with
-partial pivoting (via scipy); on top of it we enforce an explicit pivot
-threshold so that a numerically singular system raises instead of silently
-amplifying noise.
+Matrices are plain 2-D float arrays. A solve is one call of numpy's LAPACK
+gesv (LU with partial pivoting) on [rhs, p1, p2]: p1 is all ones and
+p2_i = (-1)^i (1 + i/(m - 1)) is the alternating test vector of LAPACK's
+dlacn2. gesv flags only an exact zero pivot and numpy exposes no pivots, so
+the probes give the singularity check: with x_j = M^-1 p_j,
+
+    ||M||_inf * max_j ||x_j||_inf / ||p_j||_inf  <=  cond_inf(M),
+
+a lower bound (Hager, SIAM J. Sci. Stat. Comput. 1984; Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, section 15.3). Above 1/eps the
+system is numerically singular and SingularSystemError is raised instead of
+returning amplified noise. The smooth probe finds smooth near-null vectors,
+the alternating one oscillating ones; a defect orthogonal to both is missed,
+as the pivot threshold this check replaced missed some of its own. scipy's
+LU would keep its factors for reuse, but importing scipy.linalg was over
+half of every cold start.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+_EPS = np.finfo(float).eps
 
 
 class SingularSystemError(RuntimeError):
@@ -20,41 +33,21 @@ class SingularSystemError(RuntimeError):
 
 
 def factor_dense(M) -> Callable[[np.ndarray], np.ndarray]:
-    """LU factors of M with partial pivoting, as a function rhs -> M^-1 rhs.
+    """M checked once, as a function rhs -> M^-1 rhs.
 
-    Raises SingularSystemError when any pivot magnitude falls below
-    machine epsilon times the max-norm of M. M is not modified, and the
-    returned function does not modify its argument.
+    Raises SingularSystemError here, with solve_dense's message, when gesv
+    meets an exact zero pivot or the condition estimate exceeds 1/eps. Each
+    call refactors M (numpy has no getrs) in the same gesv call as
+    solve_dense, so factor_dense(M)(rhs) equals solve_dense(M, rhs) bytewise.
+    M is not modified, and the returned function does not modify its argument.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix and rhs entries must be finite")
-    norm = np.max(np.sum(np.abs(M), axis=1))
-    try:
-        with warnings.catch_warnings():
-            # an exact zero pivot only warns in scipy; the threshold check
-            # below turns it into SingularSystemError
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    pivots = np.abs(np.diag(lu))
-    threshold = np.finfo(float).eps * norm
-    if norm == 0.0 or np.any(pivots < threshold):
-        raise SingularSystemError(
-            f"pivot below threshold {threshold:.3e}; system is numerically singular"
-        )
-
-    def solve(rhs) -> np.ndarray:
-        return lu_solve((lu, piv), _checked_rhs(rhs, M.shape[0]))
-
+    solve = _solver(M)
+    solve(np.zeros(len(M)))
     return solve
 
 
 def solve_dense(M, rhs) -> np.ndarray:
-    """Solve M x = rhs by LU with partial pivoting: factor_dense(M)(rhs).
+    """Solve M x = rhs by LU with partial pivoting: one gesv on [rhs, p1, p2].
 
     A malformed rhs raises ValueError before M is factored; a singular M
     raises SingularSystemError as in factor_dense. The inputs are not
@@ -62,7 +55,47 @@ def solve_dense(M, rhs) -> np.ndarray:
     """
     if np.ndim(M) == 2:
         _checked_rhs(rhs, np.shape(M)[0])
-    return factor_dense(M)(rhs)
+    return _solver(M)(rhs)
+
+
+def _solver(M) -> Callable[[np.ndarray], np.ndarray]:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    m = M.shape[0]
+    norm = np.abs(M).sum(axis=1).max()
+    if not np.isfinite(norm) and not np.isfinite(M).all():
+        raise ValueError("matrix and rhs entries must be finite")
+    block = _probe_block(m)
+
+    def solve(rhs) -> np.ndarray:
+        B = block.copy()
+        B[:, 0] = _checked_rhs(rhs, m)
+        try:
+            X = np.linalg.solve(M, B)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(str(exc)) from exc
+        # the probes have unit max-norm, so this is kappa * eps
+        kappa_eps = np.abs(X[:, 1:]).max() * norm * _EPS
+        if not kappa_eps <= 1.0:
+            raise SingularSystemError(
+                f"condition estimate {kappa_eps / _EPS:.1e} above 1/eps; "
+                "system is numerically singular"
+            )
+        return X[:, 0].copy()
+
+    return solve
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_block(m: int) -> np.ndarray:
+    """The read-only block [0, p1, p2], each probe scaled by a power of two
+    to unit max-norm, so its solve is that of the probe scaled exactly."""
+    i = np.arange(m)
+    p2 = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / max(m - 1, 1))
+    block = np.stack((np.zeros(m), np.ones(m), p2 / np.abs(p2).max()), axis=1)
+    block.flags.writeable = False
+    return block
 
 
 def _checked_rhs(rhs, size: int) -> np.ndarray:

@@ -116,3 +116,51 @@ def test_factor_solves_many_right_hand_sides(rng):
         np.testing.assert_array_equal(solve(rhs), solve_dense(M, rhs))
     with pytest.raises(ValueError):
         solve(np.ones(19))
+
+
+# The singularity check is a lower bound on cond_inf(M), from one solve on
+# two probes (ones, and LAPACK dlacn2's alternating vector): a defect
+# orthogonal to both probes is not caught, as the pivot threshold it replaced
+# did not catch every defect either. These rank-one defects along smooth,
+# constant and oscillating directions are caught.
+def _rank_one_defect(m, u, delta):
+    t = (np.arange(m) + 0.5) / m
+    u = {
+        "constant": np.ones(m),
+        "sine": np.sin(np.pi * t),
+        "alternating": np.where(np.arange(m) % 2 == 0, 1.0, -1.0),
+    }[u]
+    return np.eye(m) - (1.0 - delta) * np.outer(u, u) / (u @ u)
+
+
+@pytest.mark.parametrize("u", ["constant", "sine", "alternating"])
+@pytest.mark.parametrize("m", [2, 9, 65, 257])
+def test_rank_one_defect_at_roundoff_raises(m, u):
+    # 1 - 1e-17 rounds to 1, so M is a projector up to rounding
+    M = _rank_one_defect(m, u, 1e-17)
+    with pytest.raises(SingularSystemError) as from_solve:
+        solve_dense(M, np.ones(m))
+    with pytest.raises(SingularSystemError) as from_factor:
+        factor_dense(M)
+    assert str(from_factor.value) == str(from_solve.value)
+
+
+@pytest.mark.parametrize("u", ["constant", "sine", "alternating"])
+@pytest.mark.parametrize("m", [2, 9, 65, 257])
+def test_rank_one_defect_of_1e_3_solves(m, u, rng):
+    M = _rank_one_defect(m, u, 1e-3)
+    rhs = rng.standard_normal(m)
+    x = solve_dense(M, rhs)
+    resid = np.max(np.abs(M @ x - rhs))
+    scale = np.max(np.abs(M)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+    assert resid / scale <= 1e-13
+    np.testing.assert_array_equal(factor_dense(M)(rhs), x)
+
+
+@pytest.mark.parametrize("m", [65, 1025])
+def test_factor_and_solve_agree_bytewise(m, rng):
+    M = rng.standard_normal((m, m)) + 4.0 * np.sqrt(m) * np.eye(m)
+    solve = factor_dense(M)
+    for _ in range(3):
+        rhs = rng.standard_normal(m)
+        np.testing.assert_array_equal(solve(rhs), solve_dense(M, rhs))

@@ -392,7 +392,7 @@ class TestCli:
         assert [r.status for r in outcome.reports] == ["diverged"]
 
     def test_growing_residual_before_singular_system_diverges(self, tmp_path, capsys):
-        # the residual norm grows at k = 2..5 (to 4.0e209), then the Newton
+        # the residual norm grows at k = 2..5 (to 3.0e209), then the Newton
         # matrix of step 6 is numerically singular
         cfg = self._write(tmp_path, RUNAWAY)
         out = tmp_path / "out"
@@ -400,6 +400,48 @@ class TestCli:
         assert "ld: status=diverged" in capsys.readouterr().out
         rows = (out / "solve.csv").read_text().splitlines()
         assert rows[0].startswith("method,k,")
+        assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only. With it blocked, the exact LU
+        # steps at n = 40 (both solvers), a DL run at n = 96 on alg 0.7 with
+        # one 65-node coarse factor and then the full-grid fallback, the
+        # weights command, and a Newton matrix that the condition check
+        # finds singular (RUNAWAY, step 6) all run as usual
+        configs = {
+            "fine": {"kernel": "log", "L": "exp_st", "F": "square",
+                     "y": {"manufactured": "cos"}, "n": 40, "solver": "both"},
+            "fallback": {"kernel": "alg", "beta": 0.7, "L": "one", "F": "square",
+                         "y": {"manufactured": "cos"}, "n": 96, "solver": "dl"},
+            "runaway": RUNAWAY,
+        }
+        for name, payload in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        runs = [
+            ["compare", "--config", "fine.json", "--out", "fine"],
+            ["compare", "--config", "fallback.json", "--out", "fallback"],
+            ["weights", "--n", "8", "--s", "0.7"],
+            ["solve", "--config", "runaway.json", "--out", "runaway"],
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from hammerstein.cli import main\n"
+            f"codes = [main(args) for args in {runs!r}]\n"
+            "print(json.dumps(codes))\n"
+        )
+        src = str(Path(hammerstein.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 3]
+        assert "ld: status=diverged" in proc.stdout
+        for csv in ("fine/compare.csv", "fallback/compare.csv", "runaway/solve.csv"):
+            assert (tmp_path / csv).read_text().startswith("method,k,")
+        rows = (tmp_path / "runaway/solve.csv").read_text().splitlines()
         assert [row.split(",")[1] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
 
     @staticmethod
