@@ -7,21 +7,29 @@ solution of the *discrete* system, so its accuracy plateaus at the
 discretization error of the grid no matter how many Newton steps run.
 
 A, the product rule of the grid at its own nodes, is never formed: it is
-applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L),
-which also gives the natural extension at the output samples. Each Newton
-step solves (I - A D) delta = -res, D = diag F'(X), by the linear step the
-LD solver takes too (newton_ld._TwoGrid).
+applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L).
+The natural extension at the output samples off the grid is read after the
+loop from dense rows, built in blocks. Each Newton step solves
+(I - A D) delta = -res, D = diag F'(X), by the linear step the LD solver
+takes too (newton_ld._TwoGrid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .linalg import solve_dense  # noqa: F401 (perfbench/tracing.py hooks this name)
-from .newton_ld import _NewtonSettings, _newton, _ProductRule, _sample_initial, _TwoGrid
+from .newton_ld import (
+    _dense_rows,
+    _NewtonSettings,
+    _newton,
+    _ProductRule,
+    _sample_initial,
+    _Samples,
+    _TwoGrid,
+)
 from .problem import Grid, HammersteinProblem, SampledFunction
 from .quadrature import weight_matrix  # noqa: F401 (perfbench/tracing.py hooks this name)
 from .reports import SolveReport
@@ -37,34 +45,35 @@ class _Workspace:
 
     The extension psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j) gives
     off-grid values defined by the discrete equation itself. An iterate is
-    the pair (X, operator values at the output samples and the nodes), so one
-    operator apply serves the residual, the measurement and the result.
+    the pair (X, operator values at the nodes), so one operator apply serves
+    the residual and the step. Each iterate's F(X) is kept, and its
+    extension at the output samples off the grid is read after the loop.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
         self.problem = problem
+        self.grid = grid
         self.nodes = nodes = grid.nodes
-        self.Y = np.broadcast_to(np.asarray(problem.y(nodes), dtype=float), nodes.shape).copy()
-        sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
-        self.out_points = np.unique(np.concatenate([sample_points, nodes]))
-        self.node_idx = np.searchsorted(self.out_points, nodes)
-        self.rule = _ProductRule(problem, grid, self.out_points, self.node_idx)
-        self.y_out = np.broadcast_to(
-            np.asarray(problem.y(self.out_points), dtype=float), self.out_points.shape
-        )
-        self.sample_sel = np.searchsorted(self.out_points, sample_points)
-        self.exact_samples = None
-        if problem.exact is not None:
-            self.exact_samples = np.asarray(problem.exact(sample_points), dtype=float)
+        self.samples = _Samples(problem, settings, nodes)
+        self.rule = _ProductRule(problem, grid, nodes, np.arange(nodes.size))
+        self.Y = self.samples.y_iteration
         self.two_grid = _TwoGrid(problem, grid, self.rule)
+        self.fx: list[np.ndarray] = []
 
     def _iterate(self, X):
         fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
-        return X, self.rule(fx)
+        K = self.rule.at_nodes(fx)
+        self.fx.append(fx)
+        self.samples.keep(self.Y + K)
+        return X, K
 
     def _residual(self, iterate) -> np.ndarray:
-        X, K_out = iterate
-        return X - K_out[self.node_idx] - self.Y
+        X, K = iterate
+        return X - K - self.Y
+
+    def residual_norm(self, iterate) -> float:
+        """Residual norm of the discrete system."""
+        return float(np.max(np.abs(self._residual(iterate))))
 
     def start(self, x0):
         return self._iterate(_sample_initial(self.problem, x0, self.nodes))
@@ -79,16 +88,16 @@ class _Workspace:
         X_new = X + self.two_grid.solve(df, -res, X)
         return self._iterate(X_new), float(np.max(np.abs(X_new - X)))
 
-    def measure(self, iterate) -> tuple[float, Optional[float]]:
-        """Residual norm of the discrete system and true error of the extension."""
-        residual_norm = float(np.max(np.abs(self._residual(iterate))))
-        if self.exact_samples is None:
-            return residual_norm, None
-        ext = self.y_out + iterate[1]
-        return residual_norm, float(np.max(np.abs(ext[self.sample_sel] - self.exact_samples)))
+    def sample_values(self, ks: range) -> np.ndarray:
+        """The extensions of iterates ks at the output samples."""
+        fx = np.stack(self.fx[ks[0] : ks[-1] + 1], axis=1)
+        off = _dense_rows(
+            self.grid, self.problem.kernel, self.problem.L, self.samples.off_points, times=fx
+        )
+        return self.samples.values(ks, (self.samples.y_off[:, None] + off).T)
 
-    def result(self, iterate) -> SampledFunction:
-        return SampledFunction(self.out_points, self.y_out + iterate[1])
+    def result(self, iterate, sample_values) -> SampledFunction:
+        return self.samples.result(self.Y + iterate[1], sample_values)
 
 
 def dl_solve(

@@ -3,10 +3,10 @@
 Newton is applied to the operator equation itself; each linear operator
 equation is then discretized by product integration. Every step solves for
 the nodal step on the Newton grid (product trapezoid rule) and recovers the
-next iterate on a frozen evaluation point set (grid nodes,
-operator-quadrature nodes and output sample points) by the same rule, so
-the whole iteration works with function values that are never
-re-interpolated from coarser data.
+next iterate on a frozen set of iteration points (grid nodes and
+operator-quadrature nodes) by the same rule, so the whole iteration works
+with function values that are never re-interpolated from coarser data. The
+output samples are read from the same rules after the loop (`_Samples`).
 
 The limit of the iteration is set by the accuracy of the operator
 evaluation (LDSettings.mode and n_fine), not by the Newton grid size n.
@@ -27,7 +27,7 @@ lattice of the fine nodes (Bebendorf, Numer. Math. 2000; Tyrtyshnikov,
 Computing 2000): q = 9 for exp_st on [0, 1], 1 for L = one. The even
 columns' spectrum is a fold of the whole one, so an apply is one rfft and
 one irfft of q rows, O(q n_fine log n_fine), and the operator holds
-O(q n_fine) numbers, plus dense rows for the evaluation points off the fine
+O(q n_fine) numbers, plus dense rows for the iteration points off the fine
 grid.
 
 The Newton linear step is that of the DL solver too: with A the product
@@ -44,9 +44,10 @@ Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the rounding of
 the iterate. After a miss, this step and the later ones are LU solves of
 the Newton matrix on the grid itself.
 
-The Newton loop itself (`_newton`: records, stopping and failure statuses),
-the settings it reads, the blocked builder of product-rule rows
-(`_dense_rows`), `_ProductRule` and the step are shared with the DL solver
+The Newton loop itself (`_newton`: records, stopping and failure statuses,
+the output samples read after it), the settings it reads, the blocked
+builder of product-rule rows (`_dense_rows`), `_ProductRule` and the step
+are shared with the DL solver
 in newton_dl, whose discrete operator is the product trapezoid rule of its
 own grid.
 """
@@ -55,14 +56,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .linalg import SingularSystemError, factor_dense, solve_dense
-from .problem import KERNEL_SMOOTH, Grid, HammersteinProblem, SampledFunction, make_grid
-from .quadrature import SubtractionPlan, weight_matrix
+from .problem import (
+    KERNEL_SMOOTH,
+    Grid,
+    HammersteinProblem,
+    SampledFunction,
+    _sorted_unique,
+    make_grid,
+)
+from .quadrature import SubtractionPlan, _moment_weight_rows, weight_matrix
 from .reports import IterationRecord, SolveReport
 
 
@@ -117,11 +125,52 @@ class LDSettings(_NewtonSettings):
             raise ValueError(f"mode must be 'fine' or 'subtract', got {self.mode!r}")
 
 
-def _evaluation_points(problem, grid, settings) -> np.ndarray:
-    pieces = [grid.nodes, np.linspace(problem.a, problem.b, settings.sample_count)]
-    if settings.mode == "fine":
-        pieces.append(np.linspace(problem.a, problem.b, settings.n_fine + 1))
-    return np.unique(np.concatenate(pieces))
+class _Samples:
+    """The sample_count output points of a solve, read after its Newton loop.
+
+    ``iteration_points`` (sorted) are the points the loop holds each
+    iterate's values at. A sample among them reads those values, kept per
+    iterate by ``keep``; the others, ``off_points``, are evaluated by the
+    workspace after the loop. ``points``, the sorted union of the two sets,
+    are the points of the returned function. y is requested at all of them
+    at once, so a manufactured y runs its reference quadrature once.
+    """
+
+    def __init__(self, problem: HammersteinProblem, settings, iteration_points):
+        samples = np.linspace(problem.a, problem.b, settings.sample_count)
+        self.points = _sorted_unique(np.concatenate([iteration_points, samples]))
+        self.iteration_pos = np.searchsorted(self.points, iteration_points)
+        self.sample_pos = np.searchsorted(self.points, samples)
+        at = np.minimum(np.searchsorted(iteration_points, samples), iteration_points.size - 1)
+        held = iteration_points[at] == samples
+        self.held_at = at[held]
+        self.held, self.off = np.flatnonzero(held), np.flatnonzero(~held)
+        self.off_points = samples[self.off]
+        y = np.broadcast_to(np.asarray(problem.y(self.points), dtype=float), self.points.shape)
+        self.y_iteration, self.y_off = y[self.iteration_pos], y[self.sample_pos[self.off]]
+        self.exact = None
+        if problem.exact is not None:
+            self.exact = np.asarray(problem.exact(samples), dtype=float)
+        self.kept: list[np.ndarray] = []
+
+    def keep(self, values: np.ndarray) -> None:
+        """Keeps an iterate's values at the held samples, from its values at
+        the iteration points; the first call of a solve is its iterate 0."""
+        self.kept.append(values[self.held_at])
+
+    def values(self, ks: range, off_values: np.ndarray) -> np.ndarray:
+        """Iterates ks at every sample, from their values off the iteration
+        points, shape (len(ks), off_points.size)."""
+        out = np.empty((len(ks), self.sample_pos.size))
+        out[:, self.held] = [self.kept[k] for k in ks]
+        out[:, self.off] = off_values
+        return out
+
+    def result(self, iteration_values, sample_values) -> SampledFunction:
+        values = np.empty(self.points.size)
+        values[self.iteration_pos] = iteration_values
+        values[self.sample_pos] = sample_values
+        return SampledFunction(self.points, values)
 
 
 def _sample_initial(problem, phi0, points) -> np.ndarray:
@@ -206,11 +255,14 @@ def _cross_factor(L, t: np.ndarray):
     """
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
-    check = np.unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * n).astype(int))
+    check = _sorted_unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * n).astype(int))
     L_check = _L_values(L, t[check], t)
     check_max = np.max(np.abs(L_check), axis=1)
     scale = check_max.max()
-    E, V = np.empty((2, _MAX_RANK, n))
+    # rows for q crosses, doubled when full: a rank-1 L holds 2 rows, not
+    # the 2 _MAX_RANK (1.6 MB at N = 1558) of a buffer for the largest q
+    E, V = np.empty((2, 1, n))
+    step = max(1, _ROW_BLOCK // n)
     used = np.zeros(n, dtype=bool)
     q = 0
     i = check[np.argmax(check_max)]
@@ -225,15 +277,22 @@ def _cross_factor(L, t: np.ndarray):
                 break
             if q == _MAX_RANK:
                 return None
+            if q == len(E):
+                E = np.concatenate([E, np.empty_like(E)])
+                V = np.concatenate([V, np.empty_like(V)])
             col = _L_values(L, t, t[j : j + 1])[:, 0]
             scale = max(scale, np.max(np.abs(col)))
             col = col - _product(E[:q].T, V[:q, j])
             E[q], V[q] = col / row[j], row
             q += 1
             i = np.argmax(np.where(used, 0.0, np.abs(col)))
-        rest = np.max(np.abs(L_check - _product(E[:q, check].T, V[:q])), axis=1)
+        # check rows in blocks of at most _ROW_BLOCK entries, so no temporary
+        # of the whole check block (three of 0.4 MB at N = 1558)
+        rest = np.empty(check.size)
+        for c in range(0, check.size, step):
+            part = L_check[c : c + step] - _product(E[:q, check[c : c + step]].T, V[:q])
+            rest[c : c + step] = np.max(np.abs(part, out=part), axis=1)
         if rest.max() <= _RANK_TOL * scale:
-            # copies: the rule keeps q rows, not the _MAX_RANK-row buffers
             return E[:q].copy(), V[:q].copy()
         i = check[np.argmax(rest)]
         if used[i]:
@@ -251,25 +310,34 @@ def _cross_factor(L, t: np.ndarray):
 _ROW_BLOCK = 8192
 
 
-def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False) -> np.ndarray:
-    """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
+def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False, times=None):
+    """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s, or
+    with ``times``, a matrix of grid.n + 1 rows, those rows times it.
 
     Every such matrix of both solvers comes from here: the off-grid rows of
-    the structured rules (trapezoid, and ``simpson`` for LD's fine rule) and
-    the coarse and exact rows of the Newton step. Per block of at most
-    _ROW_BLOCK entries: one weight_matrix call and one L evaluation at the
-    grid's nodes.
+    the structured rules (trapezoid, and ``simpson`` for LD's fine rule),
+    the coarse and exact rows of the Newton step, and the output samples off
+    the iteration's points. Per block of at most _ROW_BLOCK entries: one
+    weight_matrix call and one L evaluation at the grid's nodes, and with
+    ``times`` one _product, so the rows are never held whole.
     """
-    wl = np.empty((s.size, grid.n + 1))
+    out = np.empty((s.size, grid.n + 1 if times is None else times.shape[1]))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
     for start in range(0, s.size, step):
         block = s[start : start + step]
-        np.multiply(
-            weight_matrix(grid, kernel, block, simpson),
-            _L_values(L, block, grid.nodes),
-            out=wl[start : start + step],
-        )
-    return wl
+        # no name holds a block's temporaries into the next block
+        if times is None:
+            np.multiply(
+                weight_matrix(grid, kernel, block, simpson),
+                _L_values(L, block, grid.nodes),
+                out=out[start : start + step],
+            )
+        else:
+            out[start : start + step] = _product(
+                weight_matrix(grid, kernel, block, simpson) * _L_values(L, block, grid.nodes),
+                times,
+            )
+    return out
 
 
 def _fft_size(n: int) -> int:
@@ -385,17 +453,18 @@ def _end_columns(grid: Grid, kernel, simpson: bool):
     """The columns of ``grid`` at t_0 and t_N, weights at its nodes.
 
     Each comes from a grid of p panels over the first or last p panels, p = 2
-    for Simpson (whose end columns see a panel pair) and 1 otherwise;
-    weight_matrix divides by that grid's h, so it is rescaled to the grid's
-    own.
+    for Simpson (whose end columns see a panel pair) and 1 otherwise; the
+    rows divide by that grid's h, so they are rescaled to the grid's own.
+    Like _symbol's, the rows come from the panel moments, which keep each
+    weight far from s to a few eps.
     """
     t = grid.nodes
     p = 2 if simpson else 1
     first = make_grid(t[0], t[p], p)
     last = make_grid(t[-1 - p], t[-1], p)
     return (
-        weight_matrix(first, kernel, t, simpson)[:, 0] * (first.h / grid.h),
-        weight_matrix(last, kernel, t, simpson)[:, -1] * (last.h / grid.h),
+        _moment_weight_rows(first, kernel, t, simpson)[:, 0] * (first.h / grid.h),
+        _moment_weight_rows(last, kernel, t, simpson)[:, -1] * (last.h / grid.h),
     )
 
 
@@ -410,10 +479,17 @@ def _symbol(grid: Grid, kernel, m: int, simpson: bool):
     t_1, t_0, t_N-1 and t_N, and its spectra S_even and S_odd give symbol
     (S_even + S_odd) / 2 and mirror (S_even - S_odd) / 2. The k that no row
     holds pair no interior node with any node and stay 0.
+
+    The rows come from the panel moments, for the trapezoid rule too: the
+    closed-form rows of weight_matrix lose up to (|t - s| / h)^2 eps of a
+    weight far from s, which cancels within one row but not in an operator
+    stitched from three of them: at N = 1558 (log, L = one, F = sin 3t +
+    1.2, 22 nodes against mpmath at 40 digits) 4.1e-13 off, against 2.1e-15
+    from the panel moments and 2.4e-15 for dense rows.
     """
     N, t = grid.n, grid.nodes
     at = [2, 1, 0, N - 1, N] if simpson else [1, 0, N]
-    rows = weight_matrix(grid, kernel, t[at], simpson)
+    rows = _moment_weight_rows(grid, kernel, t[at], simpson)
     J = np.arange(1, N)
     parity = J % 2 if simpson else np.zeros(N - 1, dtype=int)
     c = np.zeros((2 if simpson else 1, 2 * N - 1))  # c_k at k + N - 1
@@ -432,85 +508,100 @@ def _symbol(grid: Grid, kernel, m: int, simpson: bool):
 class _Workspace:
     """LD discretization: geometry-dependent factors shared by every step.
 
-    An iterate is the pair (values on the evaluation points, integral-operator
-    values there), so each operator application serves both the residual of
-    one iterate and the step that leaves it.
+    An iterate is its values at the iteration points (the grid nodes and,
+    in fine mode, the fine nodes; in subtract mode the output samples too,
+    whose values set the plan's interpolant), the integral-operator values
+    there, and F at the fine nodes, so each operator application serves both
+    the residual of one iterate and the step that leaves it. The step k
+    keeps df * delta and that F, from which the output samples off the
+    iteration points are read after the loop:
+
+        u_(k+1)(s) = A(s) (df delta)_k + K_fine(s) F_k + y(s),
+
+    with A the trapezoid rule of the grid and K_fine the fine rule.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: LDSettings):
         self.problem = problem
         self.grid = grid
-        self.settings = settings
-        self.points = _evaluation_points(problem, grid, settings)
-        self.node_idx = self._locate(grid.nodes)
-        self.sample_points = np.linspace(problem.a, problem.b, settings.sample_count)
-        self.sample_idx = self._locate(self.sample_points)
+        a, b = problem.a, problem.b
+        if settings.mode == "fine":
+            self.fine = make_grid(a, b, settings.n_fine)
+            points = _sorted_unique(np.concatenate([grid.nodes, self.fine.nodes]))
+        else:
+            samples = np.linspace(a, b, settings.sample_count)
+            points = _sorted_unique(np.concatenate([grid.nodes, samples]))
+        self.points = points
+        self.samples = _Samples(problem, settings, points)
+        self.node_idx = np.searchsorted(points, grid.nodes)
 
-        # the product trapezoid rule of the Newton grid at every evaluation
+        # the product trapezoid rule of the Newton grid at every iteration
         # point: its values at the nodes are the Newton matrix's, so nodal
         # values stay consistent with the recovered ones
-        self.rule = _ProductRule(problem, grid, self.points, self.node_idx)
+        self.rule = _ProductRule(problem, grid, points, self.node_idx)
         self.two_grid = _TwoGrid(problem, grid, self.rule)
 
         if settings.mode == "fine":
-            fine = make_grid(problem.a, problem.b, settings.n_fine)
-            self.fine_nodes = fine.nodes
-            self.fine_idx = self._locate(fine.nodes)
+            self.fine_idx = np.searchsorted(points, self.fine.nodes)
             self.fine_rule = _ProductRule(
-                problem, fine, self.points, self.fine_idx, simpson=True
+                problem, self.fine, points, self.fine_idx, simpson=True
             )
             self.plan = None
         else:
-            self.plan = SubtractionPlan(problem, self.points)
+            self.plan = SubtractionPlan(problem, points)
+        self.y_points = self.samples.y_iteration
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
 
-        self.y_points = np.broadcast_to(
-            np.asarray(problem.y(self.points), dtype=float), self.points.shape
-        ).copy()
-        self.exact_samples = None
-        if problem.exact is not None:
-            self.exact_samples = np.asarray(problem.exact(self.sample_points), dtype=float)
-
-    def _locate(self, targets) -> np.ndarray:
-        idx = np.searchsorted(self.points, targets)
-        if not np.array_equal(self.points[idx], targets):
-            raise ValueError("evaluation point set does not contain the requested points")
-        return idx
-
-    def operator_values(self, values: np.ndarray) -> np.ndarray:
-        """Integral-operator values at every evaluation point."""
-        nl = self.problem.nonlin
-        if self.plan is None:
-            ft = np.asarray(nl.F(self.fine_nodes, values[self.fine_idx]), dtype=float)
-            return self.fine_rule(ft)
-        return self.plan.apply(values)
+    def _iterate(self, values):
+        self.samples.keep(values)
+        if self.plan is not None:
+            return values, self.plan.apply(values), None
+        ft = np.asarray(self.problem.nonlin.F(self.fine.nodes, values[self.fine_idx]), dtype=float)
+        return values, self.fine_rule(ft), ft
 
     def start(self, phi0):
-        values = _sample_initial(self.problem, phi0, self.points)
-        return values, self.operator_values(values)
+        self.phi0_off = _sample_initial(self.problem, phi0, self.samples.off_points)
+        return self._iterate(_sample_initial(self.problem, phi0, self.points))
 
     def _residual(self, iterate) -> np.ndarray:
-        values, K_points = iterate
+        values, K_points, _ = iterate
         return values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
+
+    def residual_norm(self, iterate) -> float:
+        return float(np.max(np.abs(self._residual(iterate))))
 
     def step(self, iterate):
         """One Newton step: the next iterate and the nodal step norm."""
-        values, K_points = iterate
+        values, K_points, ft = iterate
         nodal = values[self.node_idx]
         df = np.asarray(self.problem.nonlin.dF(self.grid.nodes, nodal), dtype=float)
         delta = self.two_grid.solve(df, -self._residual(iterate), nodal)
-        values_new = self.rule(df * delta) + K_points + self.y_points
-        return (values_new, self.operator_values(values_new)), float(np.max(np.abs(delta)))
+        d_delta = df * delta
+        if ft is not None:
+            self.steps.append((d_delta, ft))
+        values_new = self.rule(d_delta) + K_points + self.y_points
+        return self._iterate(values_new), float(np.max(np.abs(delta)))
 
-    def measure(self, iterate) -> tuple[float, Optional[float]]:
-        """Nodal residual norm and sampled true error (None without exact)."""
-        residual_norm = float(np.max(np.abs(self._residual(iterate))))
-        if self.exact_samples is None:
-            return residual_norm, None
-        error = iterate[0][self.sample_idx] - self.exact_samples
-        return residual_norm, float(np.max(np.abs(error)))
+    def sample_values(self, ks: range) -> np.ndarray:
+        """Iterates ks at the output samples, shape (len(ks), sample_count)."""
+        off = np.empty((len(ks), self.samples.off.size))
+        later = ks
+        if ks[0] == 0:
+            off[0] = self.phi0_off
+            later = ks[1:]
+        if len(later) and off.shape[1]:
+            kernel, L, s = self.problem.kernel, self.problem.L, self.samples.off_points
+            steps = self.steps[later[0] - 1 : later[-1]]
+            d_delta, ft = (np.stack(parts, axis=1) for parts in zip(*steps))
+            off[len(ks) - len(later) :] = (
+                _dense_rows(self.grid, kernel, L, s, times=d_delta)
+                + _dense_rows(self.fine, kernel, L, s, simpson=True, times=ft)
+                + self.samples.y_off[:, None]
+            ).T
+        return self.samples.values(ks, off)
 
-    def result(self, iterate) -> SampledFunction:
-        return SampledFunction(self.points, iterate[0])
+    def result(self, iterate, sample_values) -> SampledFunction:
+        return self.samples.result(iterate[0], sample_values)
 
 
 # Panels of the coarse grid. On log-sine (L = one, F = sin_pi, x0 =
@@ -634,16 +725,30 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
     """The Newton loop of both solvers over one discretization ``disc``.
 
     ``disc`` provides start(phi0) -> iterate, step(iterate) -> (iterate,
-    step_norm), measure(iterate) -> (residual_norm, true_error) and
-    result(iterate) -> SampledFunction. The loop stops when the step norm
-    drops to settings.tol ("converged") or after settings.max_iter steps
-    ("max_iter", not fatal). A numerically singular linear system
-    ("singular") or a non-finite residual or step norm ("diverged") raises
-    SingularOperatorError carrying the partial report. A linear system that
-    fails after the residual norm grew at each of the last two recorded
-    iterations is reported as "diverged": the iterate ran away, and the
-    singular matrix is a symptom of that.
+    step_norm), residual_norm(iterate), samples (its _Samples),
+    sample_values(ks) -> the values of the recorded iterates ks at the
+    output samples, and result(iterate, sample_values) -> SampledFunction.
+    The loop stops when the step norm drops to settings.tol ("converged") or
+    after settings.max_iter steps ("max_iter", not fatal). A numerically
+    singular linear system ("singular") or a non-finite residual or step norm
+    ("diverged") raises SingularOperatorError carrying the partial report. A
+    linear system that fails after the residual norm grew at each of the last
+    two recorded iterations is reported as "diverged": the iterate ran away,
+    and the singular matrix is a symptom of that.
+
+    No step reads the output samples, so they are read once, after the loop
+    and before a partial report is raised: the records' true errors, and the
+    values of the returned function. Record wall times exclude that pass.
     """
+    try:
+        iterate = _iterations(disc, settings, report, phi0)
+    except SingularOperatorError:
+        _read_samples(disc, report, last=False)
+        raise
+    return disc.result(iterate, _read_samples(disc, report, last=True)), report
+
+
+def _iterations(disc, settings: _NewtonSettings, report: SolveReport, phi0):
     tic = time.perf_counter()
     iterate = disc.start(phi0)
     _record(disc, report, 0, None, iterate, tic)
@@ -669,17 +774,31 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
             break
     else:
         report.status = "max_iter"
-    return disc.result(iterate), report
+    return iterate
+
+
+def _read_samples(disc, report: SolveReport, last: bool):
+    """Fills every record's true error from its iterate's values at the
+    output samples, when the problem has an exact solution, and returns the
+    last iterate's values there (None without exact unless ``last``)."""
+    count = len(report.records)
+    exact = disc.samples.exact
+    if exact is None:
+        return disc.sample_values(range(count - 1, count))[0] if last else None
+    values = disc.sample_values(range(count))
+    errors = np.max(np.abs(values - exact), axis=1)
+    report.records[:] = [replace(r, true_error=float(e)) for r, e in zip(report.records, errors)]
+    return values[-1]
 
 
 def _record(disc, report: SolveReport, k: int, step_norm, iterate, tic: float) -> None:
-    residual_norm, true_error = disc.measure(iterate)
+    residual_norm = disc.residual_norm(iterate)
     report.records.append(
         IterationRecord(
             k=k,
             step_norm=step_norm,
             residual_norm=residual_norm,
-            true_error=true_error,
+            true_error=None,
             wall_ms=(time.perf_counter() - tic) * 1e3,
         )
     )

@@ -42,6 +42,16 @@ def _frozen_array(x) -> np.ndarray:
     return arr
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """np.unique of a 1-D array: its sorted distinct values. np.unique calls
+    np.ma.is_masked, and importing numpy.ma took 9-14 ms of a cold start."""
+    x = np.sort(x)
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def make_grid(a: float, b: float, n: int) -> Grid:
     """Uniform grid with n subintervals; endpoints are reproduced exactly."""
     a = float(a)

@@ -51,6 +51,7 @@ from .problem import (
     HammersteinProblem,
     SampledFunction,
     SingularKernel,
+    _sorted_unique,
     make_grid,
 )
 
@@ -659,7 +660,7 @@ def adaptive_kernel_batch(
     if not tol > 0:
         raise ValueError("tol must be positive")
     n_tasks = svals.size
-    breaks = np.unique(np.asarray(breaks, dtype=float)) if len(breaks) else np.empty(0)
+    breaks = _sorted_unique(np.asarray(breaks, dtype=float)) if len(breaks) else np.empty(0)
 
     if kernel.kind == KERNEL_LOG:
         power = float(_LOG_POWER)

@@ -40,10 +40,12 @@ def ones_kernel():
     )
 
 
-def operator_rows(prob, grid):
-    """A[i, j] = w_j(t_i) L(t_i, t_j), the discrete operator of dl_solve."""
+def operator_rows(prob, grid, s=None):
+    """A[i, j] = w_j(s_i) L(s_i, t_j), the discrete operator of dl_solve at
+    the points s (default: the nodes t)."""
     nodes = grid.nodes
-    return weight_matrix(grid, prob.kernel, nodes) * prob.L(nodes[:, None], nodes[None, :])
+    s = nodes if s is None else s
+    return weight_matrix(grid, prob.kernel, s) * prob.L(s[:, None], nodes[None, :])
 
 
 def dl_operator(prob, x, grid):
@@ -203,19 +205,24 @@ class TestStructured:
 
     @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
     def test_operator_matches_dense_rows(self, L):
+        # the structured rule is stitched from the rows at t_0, t_1 and t_N;
+        # with closed-form rows, whose far-field weights lose (|t - s| / h)^2
+        # eps, it was 1357-1599 eps max|K| off the dense rows at N = 1558
+        # and 179-214 at N = 301; from the panel moments it is at most 17
         assert self.N > _COARSE_N
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L, get_nonlinearity("square"), FUNCTIONS["one"]
         )
-        grid = make_grid(0, 1, self.N)
-        x = np.cos
-        fn = dl_operator(prob, x, grid)
-        f = prob.nonlin.F(grid.nodes, x(grid.nodes))
-        np.testing.assert_allclose(fn(grid.nodes), operator_rows(prob, grid) @ f,
-                                   rtol=0, atol=1e-12)
-        samples = np.linspace(0, 1, 41)
-        rows = weight_matrix(grid, prob.kernel, samples) * L(samples[:, None], grid.nodes)
-        np.testing.assert_allclose(fn(samples), rows @ f, rtol=0, atol=1e-12)
+        for n in (self.N, 1558):
+            grid = make_grid(0, 1, n)
+            fn = dl_operator(prob, np.cos, grid)
+            f = prob.nonlin.F(grid.nodes, np.cos(grid.nodes))
+            for s in (grid.nodes, np.linspace(0, 1, 41)):
+                want = np.concatenate(
+                    [operator_rows(prob, grid, s[i : i + 256]) @ f for i in range(0, s.size, 256)]
+                )
+                bound = 32 * np.finfo(float).eps * np.max(np.abs(want))
+                np.testing.assert_allclose(fn(s), want, rtol=0, atol=bound)
 
     def test_nodal_values_match_dense_newton(self):
         prob = HammersteinProblem(
@@ -228,17 +235,46 @@ class TestStructured:
         np.testing.assert_allclose(fn(grid.nodes), oracle, rtol=0, atol=1e-12)
 
     def test_memory_stays_below_one_dense_matrix(self, benchmark_problem):
-        n = 3000
-        grid = make_grid(0, 1, n)
-        tracemalloc.start()
-        try:
-            _, report = dl_solve(benchmark_problem, grid, x0=0.9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.status == "converged"
-        assert report.records[-1].true_error <= 1e-12
-        assert peak < 0.5 * n * n * 8
+        # at n = 3000 every output sample is a node; at 1454, 198 of them
+        # are off the grid. With their dense rows held through the loop a
+        # solve peaked at 230-400 doubles per node; read after it, in
+        # blocks, at 99-124
+        for n in (1454, 3000):
+            tracemalloc.start()
+            try:
+                _, report = dl_solve(benchmark_problem, make_grid(0, 1, n), x0=0.9)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.status == "converged"
+            assert report.records[-1].true_error <= 1e-12
+            assert peak < 150 * (n + 1) * 8, n
+
+    def test_samples_read_after_the_loop_match_dense_rows(self, cosine_problem, monkeypatch):
+        # the extension at the output samples is read once, after the loop:
+        # at the 21 samples on the grid from the loop's own operator values,
+        # at the other 20 from blocked dense rows; both are the dense rows'
+        # extension of each iterate's F(X), in every record's true error
+        spaces = []
+
+        class Kept(newton_dl._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spaces.append(self)
+
+        monkeypatch.setattr(newton_dl, "_Workspace", Kept)
+        prob, grid = cosine_problem, make_grid(0, 1, 100)
+        settings = DLSettings(tol=1e-30, max_iter=4, sample_count=41)
+        fn, report = dl_solve(prob, grid, settings, x0=0.5)
+        s = np.linspace(0, 1, 41)
+        fx = np.stack(spaces[0].fx, axis=1)
+        ext = prob.y(s)[:, None] + operator_rows(prob, grid, s) @ fx
+        errors = np.max(np.abs(ext - np.cos(s)[:, None]), axis=0)
+        assert len(report.records) == fx.shape[1] == 5
+        np.testing.assert_allclose(
+            [r.true_error for r in report.records], errors, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(fn(s), ext[:, -1], rtol=0, atol=1e-14)
 
     def test_coarse_grid_that_stalls_falls_back_to_exact_steps(self, monkeypatch):
         # the two-grid iteration on the coarse grid of 64 panels stops
@@ -370,6 +406,28 @@ def test_import_does_not_load_heavy_scipy_modules(module):
     # submodule cases name the ones the runtime once imported
     src = str(Path(hammerstein.__file__).resolve().parents[1])
     code = f"import sys, hammerstein; print([m for m in sys.modules if {module!r} in m])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_solves_do_not_import_numpy_ma():
+    # np.unique calls np.ma.is_masked, and the import of numpy.ma took 9-14 ms
+    # of every cold start; a DL solve and a fine-mode LD solve on a
+    # manufactured problem (reference quadrature included) load no numpy.ma
+    code = (
+        "import sys\n"
+        "from hammerstein import LDSettings, dl_solve, ld_solve, make_grid\n"
+        "from hammerstein.problem import manufactured_cosine_square\n"
+        "prob = manufactured_cosine_square()\n"
+        "dl_solve(prob, make_grid(0, 1, 7))\n"
+        "ld_solve(prob, make_grid(0, 1, 7), LDSettings(n_fine=64))\n"
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n"
+    )
+    src = str(Path(hammerstein.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60,

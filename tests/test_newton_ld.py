@@ -12,16 +12,19 @@ import pytest
 import hammerstein
 from hammerstein import (
     FUNCTIONS,
+    DLSettings,
     HammersteinProblem,
     LDSettings,
     SingularOperatorError,
     algebraic_kernel,
+    dl_solve,
     get_nonlinearity,
     ld_solve,
     log_kernel,
     make_grid,
     manufactured_problem,
     smooth_kernel,
+    weight_matrix,
 )
 from hammerstein import newton_ld
 from hammerstein.newton_ld import (
@@ -208,6 +211,62 @@ class TestSolve:
         assert info.value.report is not None
         assert info.value.report.status == "singular"
         assert len(info.value.report.records) >= 1
+
+    def test_samples_read_after_the_loop_match_dense_rows(self, cosine_problem, monkeypatch):
+        # u_0 = phi0 and u_(k+1)(s) = A(s) (df delta)_k + K_fine(s) F_k + y(s)
+        # at every output sample, with A and K_fine the dense trapezoid and
+        # Simpson rows: at the 13 samples on the nodes or the fine nodes the
+        # loop's own values, at the other 28 the blocked pass after it
+        spaces = []
+
+        class Kept(newton_ld._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                spaces.append(self)
+
+        monkeypatch.setattr(newton_ld, "_Workspace", Kept)
+        prob, grid, fine = cosine_problem, make_grid(0, 1, 12), make_grid(0, 1, 64)
+        settings = LDSettings(tol=1e-30, max_iter=3, n_fine=64, sample_count=41)
+        fn, report = ld_solve(prob, grid, settings, phi0=np.sin)
+        s = np.linspace(0, 1, 41)
+        A = weight_matrix(grid, prob.kernel, s) * prob.L(s[:, None], grid.nodes)
+        K = weight_matrix(fine, prob.kernel, s, simpson=True) * prob.L(s[:, None], fine.nodes)
+        u = [np.sin(s)] + [A @ dd + K @ ft + prob.y(s) for dd, ft in spaces[0].steps]
+        errors = [np.max(np.abs(v - np.cos(s))) for v in u]
+        assert len(report.records) == len(u) == 4
+        np.testing.assert_allclose(
+            [r.true_error for r in report.records], errors, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(fn(s), u[-1], rtol=0, atol=1e-14)
+
+    def test_partial_reports_keep_every_true_error(self):
+        # the samples are read before a partial report is raised too: a
+        # runaway iterate (residual 3e209 at k = 5, then a singular Newton
+        # matrix) and a singular first step, for both solvers
+        exact = FUNCTIONS["one"]
+        runaway = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_one, get_nonlinearity("cubic"),
+            lambda s: np.full(np.shape(s), 80.0), exact=exact,
+        )
+        ones_kernel = smooth_kernel(
+            lambda s, t: np.full(np.broadcast_shapes(np.shape(s), np.shape(t)), 1.0)
+        )
+        singular = HammersteinProblem(
+            0.0, 1.0, ones_kernel, L_one, get_nonlinearity("identity"), exact, exact=exact
+        )
+        runs = [
+            (ld_solve, runaway, 8, LDSettings(n_fine=64), "diverged", 6),
+            (ld_solve, singular, 6, FAST, "singular", 1),
+            (dl_solve, singular, 6, DLSettings(sample_count=41), "singular", 1),
+        ]
+        for solve, prob, n, settings, status, count in runs:
+            with pytest.raises(SingularOperatorError) as info:
+                solve(prob, make_grid(0, 1, n), settings)
+            report = info.value.report
+            assert report.status == status
+            errors = [r.true_error for r in report.records]
+            assert len(errors) == count
+            assert all(isinstance(e, float) and np.isfinite(e) for e in errors), errors
 
     def test_report_environment_echo(self, benchmark_problem):
         grid = make_grid(0, 1, 10)
