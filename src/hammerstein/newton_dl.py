@@ -11,7 +11,8 @@ applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L).
 The natural extension at the output samples off the grid is read after the
 loop from dense rows, built in blocks. Each Newton step solves
 (I - A D) delta = -res, D = diag F'(X), by the linear step the LD solver
-takes too (newton_ld._TwoGrid).
+takes too (newton_ld._TwoGrid), whose coarse correction is prolonged to the
+grid through the same structured rule.
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
 iterate X, it solves (I - A D) delta = -res by the stationary iteration
 delta <- delta + M (-res - (I - A D) delta), with M the Atkinson-Brakhage
 two-grid inverse on a uniform coarse grid (`_TwoGrid`; Atkinson 1997;
-Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
+Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995),
+whose coarse correction reaches the grid through the rule's Toeplitz part
+and cross factor, not through dense coarse rows at the grid nodes.
 M only sets the rate; each residual is the grid's true one, so a step is
 taken only once checked. It is solved only as far as Newton can use: to a
 forcing term eta = O(|res|) relative, which keeps the convergence quadratic
@@ -257,7 +259,8 @@ def _cross_factor(L, t: np.ndarray):
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     check = _sorted_unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * n).astype(int))
     L_check = _L_values(L, t[check], t)
-    check_max = np.max(np.abs(L_check), axis=1)
+    # max |L| per check row without a temporary of the whole block
+    check_max = np.maximum(L_check.max(axis=1), -L_check.min(axis=1))
     scale = check_max.max()
     # rows for q crosses, doubled when full: a rank-1 L holds 2 rows, not
     # the 2 _MAX_RANK (1.6 MB at N = 1558) of a buffer for the largest q
@@ -400,17 +403,13 @@ class _ProductRule:
         if factor is None:
             self.dense_idx = np.arange(points.size)
         else:
-            self.ell, samples = factor
+            self.ell, self.v = factor
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.dense_idx = np.flatnonzero(off_grid)
             # the parity fold needs an even m; _fft_size(2 N) is odd for some
             # even N (22, 62, 66, 110, ...)
             self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
-            # the samples on the interior fine nodes, zero at the ends; the
-            # boundary columns are added exactly, outside the convolution
-            self.L_interior = np.zeros_like(samples)
-            self.L_interior[:, 1:N] = samples[:, 1:N]
             self.symbol, self.mirror = _symbol(grid, kernel, self.m, simpson)
             first, last = _end_columns(grid, kernel, simpson)
             L_ends = _L_values(L, t, t[[0, N]])
@@ -423,17 +422,22 @@ class _ProductRule:
         out = np.empty(self.size)
         out[self.dense_idx] = _product(self.WL_dense, ft)
         if self.ell is not None:
-            out[self.fine_idx] = self._structured(ft)
+            out[self.fine_idx] = self.convolve(self.v * ft, ft[0], ft[-1])
         return out
 
     def at_nodes(self, ft: np.ndarray) -> np.ndarray:
         """Operator values at the fine nodes alone."""
         if self.ell is None:
             return self(ft)[self.fine_idx]
-        return self._structured(ft)
+        return self.convolve(self.v * ft, ft[0], ft[-1])
 
-    def _structured(self, ft: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft(self.L_interior * ft, self.m)
+    def convolve(self, rows: np.ndarray, f_first, f_last) -> np.ndarray:
+        """K at the fine nodes from rows = v_k F, shape (q, N + 1), and F at
+        t_0 and t_N (see the class docstring). The ends of rows are zeroed in
+        place: the boundary columns are added exactly, outside the
+        convolution."""
+        rows[:, 0] = rows[:, -1] = 0.0
+        spectrum = np.fft.rfft(rows, self.m)
         if self.mirror is None:
             spectrum *= self.symbol
         else:
@@ -443,9 +447,9 @@ class _ProductRule:
             spectrum += mirrored
         conv = np.fft.irfft(spectrum, self.m)
         return (
-            np.einsum("ki,ki->i", self.ell, conv[:, : ft.size])
-            + self.col_first * ft[0]
-            + self.col_last * ft[-1]
+            np.einsum("ki,ki->i", self.ell, conv[:, : rows.shape[1]])
+            + self.col_first * f_first
+            + self.col_last * f_last
         )
 
 
@@ -609,9 +613,10 @@ class _Workspace:
 # all with 16 panels, 989 with 32, 866 with 64 and 698 with 128, at about the
 # same CPU time on a 2-vCPU host. Against exact steps, 16 and 128 panels
 # added a Newton step to 1 and 2 solves, 32 saved one on 1 and 64 kept every
-# Newton count. The coarse rows hold 65 * (n + 1) numbers, 0.8 MB at
-# n = 1600. A grid of at most this many panels is its own coarse grid: its
-# steps are LU steps.
+# Newton count. The coarse rows G hold 65^2 numbers; dense coarse rows R at
+# the grid nodes, 65 (n + 1) numbers (0.8 MB at n = 1600), only a rule
+# without a cross factor keeps, next to its own (n + 1)^2. A grid of at most
+# this many panels is its own coarse grid: its steps are LU steps.
 _COARSE_N = 64
 # Smallest forcing term: an accepted step's true linear residual is at most
 # max(eta |res|, eps |X|) in the max-norm, eta = max(_STEP_RTOL, min(1e-3,
@@ -635,12 +640,27 @@ class _TwoGrid:
     A is applied by ``rule``, the trapezoid rule of ``grid`` with its nodes as
     fine nodes, and D = diag(df). With K = A D, a coarse grid of n_c =
     min(n, _COARSE_N) panels with nodes tau, its product rule G at tau and
-    rows R at the grid nodes, and D_c = D interpolated to tau,
+    D_c = D interpolated to tau,
 
         M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
 
-    where (K r)(tau) is K r interpolated to tau. When n_c = n, G is the dense
-    A and M the LU solve of I - A D; after a miss the step becomes that one.
+    where (K r)(tau) is K r interpolated to tau and R, the coarse rule at the
+    grid nodes, prolongs a coarse correction z (`prolong`): (R D_c z)(t_i) =
+    int H(t_i, t) I_c[L(t_i, .) d_c z](t) dt, with I_c the piecewise-linear
+    interpolant on tau. Through the rule's factor L ~ sum_k ell_k v_k that is
+
+        (R D_c z)_i = sum_k ell_k(t_i) [T P(v_k(tau) d_c z)]_i
+                      + col_first(t_i) (d_c z)_0 + col_last(t_i) (d_c z)_(n_c),
+
+    with v_k(tau) read from v_k by linear interpolation, P the linear
+    interpolation from tau to the interior grid nodes and T the rule's
+    Toeplitz part (`_ProductRule.convolve`): one FFT pair of q rows, not
+    (n + 1) x (n_c + 1) dense rows. Where tau are grid nodes (n a multiple of
+    n_c) the coarse hats are piecewise linear on grid panels and this is
+    R D_c z to rounding and _RANK_TOL; otherwise it is a prolongation of the
+    same order. A rule without a factor holds dense rows R. When n_c = n, G
+    is the dense A and M the LU solve of I - A D; after a miss the step
+    becomes that one.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, rule: _ProductRule):
@@ -650,14 +670,31 @@ class _TwoGrid:
     def _coarsen(self, n_c: int) -> None:
         kernel, L, grid = self.problem.kernel, self.problem.L, self.grid
         self.exact = n_c == grid.n
+        self.R = None
         if self.exact:
             self.tau = grid.nodes
             self.G = _dense_rows(grid, kernel, L, grid.nodes)
-        else:
-            coarse = make_grid(self.problem.a, self.problem.b, n_c)
-            self.tau = coarse.nodes
-            self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+            return
+        coarse = make_grid(self.problem.a, self.problem.b, n_c)
+        self.tau = coarse.nodes
+        self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+        if self.rule.ell is None:
             self.R = _dense_rows(coarse, kernel, L, grid.nodes)
+        else:
+            self.to_nodes = _linear_interpolation(n_c, grid.n)
+            index, theta = _linear_interpolation(grid.n, n_c)
+            v = self.rule.v
+            self.v_tau = (1.0 - theta) * v[:, index] + theta * v[:, index + 1]
+
+    def prolong(self, x: np.ndarray) -> np.ndarray:
+        """R x at the grid nodes, for x = d_c z at tau."""
+        if self.R is not None:
+            return _product(self.R, x)
+        index, theta = self.to_nodes
+        rows = self.v_tau * x
+        return self.rule.convolve(
+            (1.0 - theta) * rows[:, index] + theta * rows[:, index + 1], x[0], x[-1]
+        )
 
     def inverse(self, df, K):
         """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
@@ -672,7 +709,7 @@ class _TwoGrid:
 
         def apply(r):
             Kr = K(r)
-            return r + Kr + _product(self.R, d_c * solve(np.interp(self.tau, self.grid.nodes, Kr)))
+            return r + Kr + self.prolong(d_c * solve(np.interp(self.tau, self.grid.nodes, Kr)))
 
         return apply
 
@@ -697,6 +734,16 @@ class _TwoGrid:
                     return delta
             self._coarsen(self.grid.n)
         return self.inverse(df, K)(rhs)
+
+
+def _linear_interpolation(n_from: int, n_to: int):
+    """(index, theta) with (1 - theta) x[index] + theta x[index + 1] the
+    linear interpolant, at the nodes of a uniform grid of n_to panels, of
+    values x at those of n_from panels on the same interval; theta is
+    exactly 0 where two nodes coincide."""
+    x = np.arange(n_to + 1) * n_from / n_to
+    index = np.minimum(x.astype(int), n_from - 1)
+    return index, x - index
 
 
 def _two_grid_solve(op, precond, b, tol: float, maxiter: int):

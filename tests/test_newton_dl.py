@@ -26,7 +26,7 @@ from hammerstein import (
     weight_matrix,
 )
 from hammerstein import newton_dl, newton_ld
-from hammerstein.newton_ld import _COARSE_N
+from hammerstein.newton_ld import _COARSE_N, _dense_rows
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from oracles import frozen_problem
 
@@ -238,7 +238,8 @@ class TestStructured:
         # at n = 3000 every output sample is a node; at 1454, 198 of them
         # are off the grid. With their dense rows held through the loop a
         # solve peaked at 230-400 doubles per node; read after it, in
-        # blocks, at 99-124
+        # blocks, at 99-124; with the coarse correction prolonged through
+        # the rule's factor, not by (n + 1) x 65 dense coarse rows, at 48-58
         for n in (1454, 3000):
             tracemalloc.start()
             try:
@@ -248,7 +249,7 @@ class TestStructured:
                 tracemalloc.stop()
             assert report.status == "converged"
             assert report.records[-1].true_error <= 1e-12
-            assert peak < 150 * (n + 1) * 8, n
+            assert peak < 80 * (n + 1) * 8, n
 
     def test_samples_read_after_the_loop_match_dense_rows(self, cosine_problem, monkeypatch):
         # the extension at the output samples is read once, after the loop:
@@ -275,6 +276,35 @@ class TestStructured:
             [r.true_error for r in report.records], errors, rtol=0, atol=1e-14
         )
         np.testing.assert_allclose(fn(s), ext[:, -1], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
+    def test_coarse_correction_matches_dense_coarse_rows(self, L, monkeypatch):
+        # n = 256 nests the coarse grid of 64 panels, so the coarse hats are
+        # piecewise linear on grid panels and the correction prolonged
+        # through the rule's factor is the coarse rule's dense rows at the
+        # grid nodes times d_c z (4-9 eps max|.| off on the first updates)
+        calls = []
+        prolong = newton_ld._TwoGrid.prolong
+
+        def recorded(self, x):
+            out = prolong(self, x)
+            calls.append((self, x, out))
+            return out
+
+        monkeypatch.setattr(newton_ld._TwoGrid, "prolong", recorded)
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        grid = make_grid(0, 1, 256)
+        _, report = dl_solve(prob, grid, FAST, x0=0.5)
+        assert report.status == "converged"
+        coarse = make_grid(0, 1, _COARSE_N)
+        R = _dense_rows(coarse, prob.kernel, L, grid.nodes)
+        for two_grid, x, out in calls[:2]:
+            assert two_grid.R is None
+            want = R @ x
+            bound = 32 * np.finfo(float).eps * np.max(np.abs(want))
+            np.testing.assert_allclose(out, want, rtol=0, atol=bound)
 
     def test_coarse_grid_that_stalls_falls_back_to_exact_steps(self, monkeypatch):
         # the two-grid iteration on the coarse grid of 64 panels stops

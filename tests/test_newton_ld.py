@@ -561,6 +561,47 @@ class TestLargeGrid:
         assert abs(errors[0] - errors[1]) <= 1e-15
 
 
+def L_cos35(s, t):
+    return np.cos(35.0 * s * t)
+
+
+class TestDenseCoarseRows:
+    """Two-grid steps of a rule with no cross factor: a smooth H, or an L
+    above _MAX_RANK crosses. Its coarse correction keeps the dense rows of
+    the coarse rule at the grid nodes."""
+
+    PROBLEMS = {
+        "smooth_exp_st": lambda: HammersteinProblem(
+            0.0, 1.0, smooth_kernel(lambda s, t: np.exp(s * t)), L_one,
+            get_nonlinearity("sin_pi"), np.cos,
+        ),
+        "cos35": lambda: HammersteinProblem(
+            0.3, 2.9, log_kernel(), L_cos35, get_nonlinearity("square"), np.cos
+        ),
+    }
+
+    @pytest.mark.parametrize("solve", [dl_solve, ld_solve], ids=["dl", "ld"])
+    @pytest.mark.parametrize("case", sorted(PROBLEMS))
+    def test_two_grid_steps_match_exact_steps(self, solve, case, monkeypatch):
+        prob = self.PROBLEMS[case]()
+        grid = make_grid(prob.a, prob.b, 128)
+        settings = (DLSettings if solve is dl_solve else LDSettings)(sample_count=41)
+        dense = []
+        prolong = newton_ld._TwoGrid.prolong
+
+        def recorded(self, x):
+            dense.append(self.rule.ell is None and self.R is not None)
+            return prolong(self, x)
+
+        monkeypatch.setattr(newton_ld._TwoGrid, "prolong", recorded)
+        _, two_grid = solve(prob, grid, settings)
+        assert dense and all(dense)
+        monkeypatch.setattr(newton_ld, "_COARSE_N", grid.n)
+        _, exact = solve(prob, grid, settings)
+        assert two_grid.status == exact.status == "converged"
+        assert len(two_grid.records) == len(exact.records)
+
+
 class TestSettings:
     def test_defaults(self):
         settings = LDSettings()
