@@ -9,7 +9,9 @@ discretization error of the grid no matter how many Newton steps run.
 A, the product rule of the grid at its own nodes, is never formed: it is
 applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L).
 The natural extension at the output samples off the grid is read after the
-loop from dense rows, built in blocks. Each Newton step solves
+loop by the same rule: on a grid of at least 512 panels from its values at
+the nodes, by precorrected interpolation (newton_ld._Precorrected), else
+from dense rows; both are built in blocks. Each Newton step solves
 (I - A D) delta = -res, D = diag F'(X), by the linear step the LD solver
 takes too (newton_ld._TwoGrid), whose coarse correction is prolonged to the
 grid through the same structured rule.
@@ -23,7 +25,6 @@ import numpy as np
 
 from .linalg import solve_dense  # noqa: F401 (perfbench/tracing.py hooks this name)
 from .newton_ld import (
-    _dense_rows,
     _NewtonSettings,
     _newton,
     _ProductRule,
@@ -47,8 +48,9 @@ class _Workspace:
     The extension psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j) gives
     off-grid values defined by the discrete equation itself. An iterate is
     the pair (X, operator values at the nodes), so one operator apply serves
-    the residual and the step. Each iterate's F(X) is kept, and its
-    extension at the output samples off the grid is read after the loop.
+    the residual and the step. Each iterate's F(X) and operator values at
+    the nodes are kept, and its extension at the output samples off the
+    grid is read from them after the loop.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
@@ -60,11 +62,13 @@ class _Workspace:
         self.Y = self.samples.y_iteration
         self.two_grid = _TwoGrid(problem, grid, self.rule)
         self.fx: list[np.ndarray] = []
+        self.nodal: list[np.ndarray] = []
 
     def _iterate(self, X):
         fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
         K = self.rule.at_nodes(fx)
         self.fx.append(fx)
+        self.nodal.append(K)
         self.samples.keep(self.Y + K)
         return X, K
 
@@ -91,11 +95,9 @@ class _Workspace:
 
     def sample_values(self, ks: range) -> np.ndarray:
         """The extensions of iterates ks at the output samples."""
-        fx = np.stack(self.fx[ks[0] : ks[-1] + 1], axis=1)
-        off = _dense_rows(
-            self.grid, self.problem.kernel, self.problem.L, self.samples.off_points, times=fx
-        )
-        return self.samples.values(ks, (self.samples.y_off[:, None] + off).T)
+        taken = slice(ks[0], ks[-1] + 1)
+        off = self.rule.extend(self.samples.off_points, self.fx[taken], self.nodal[taken])
+        return self.samples.values(ks, self.samples.y_off + off)
 
     def result(self, iterate, sample_values) -> SampledFunction:
         return self.samples.result(self.Y + iterate[1], sample_values)

@@ -30,6 +30,14 @@ one irfft of q rows, O(q n_fine log n_fine), and the operator holds
 O(q n_fine) numbers, plus dense rows for the iteration points off the fine
 grid.
 
+The trapezoid rule of a Newton grid of at least 512 panels reads the points
+off its grid (the fine nodes, and the output samples off both grids) from
+its own nodal values, by precorrected interpolation (`_Precorrected`; the
+idea of the precorrected FFT, Phillips & White, IEEE Trans. CAD 1997):
+Lagrange interpolation on 12 nodes around the point, with the 64 nearest
+columns taken out of the interpolant and added back with exact weights. It
+holds 76 numbers a point, not n + 1.
+
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
 iterate X, it solves (I - A D) delta = -res by the stationary iteration
@@ -47,11 +55,10 @@ the iterate. After a miss, this step and the later ones are LU solves of
 the Newton matrix on the grid itself.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses,
-the output samples read after it), the settings it reads, the blocked
-builder of product-rule rows (`_dense_rows`), `_ProductRule` and the step
-are shared with the DL solver
-in newton_dl, whose discrete operator is the product trapezoid rule of its
-own grid.
+the output samples read after it), the settings it reads, `_ProductRule`
+with its off-grid evaluation, and the step are shared with the DL solver in
+newton_dl, whose discrete operator is the product trapezoid rule of its own
+grid.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .linalg import SingularSystemError, factor_dense, solve_dense
 from .problem import (
@@ -72,7 +80,7 @@ from .problem import (
     _sorted_unique,
     make_grid,
 )
-from .quadrature import SubtractionPlan, _moment_weight_rows, weight_matrix
+from .quadrature import SubtractionPlan, _moment_weight_rows, _window_weight_rows, weight_matrix
 from .reports import IterationRecord, SolveReport
 
 
@@ -258,14 +266,20 @@ def _cross_factor(L, t: np.ndarray):
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     check = _sorted_unique((np.arange(1, _CHECK_COUNT + 1) * golden % 1.0 * n).astype(int))
-    L_check = _L_values(L, t[check], t)
-    # max |L| per check row without a temporary of the whole block
-    check_max = np.maximum(L_check.max(axis=1), -L_check.min(axis=1))
+    # the check rows are evaluated in blocks of at most _ROW_BLOCK entries,
+    # here and again in each check round, and never held whole: the 32 x
+    # 1501 block set a DL solve's memory peak at n = 1500
+    step = max(1, _ROW_BLOCK // n)
+    blocks = [(c, check[c : c + step]) for c in range(0, check.size, step)]
+    check_max = np.empty(check.size)
+    for c, rows in blocks:
+        L_check = _L_values(L, t[rows], t)
+        # max |L| per check row without a temporary of the whole block
+        check_max[c : c + step] = np.maximum(L_check.max(axis=1), -L_check.min(axis=1))
     scale = check_max.max()
     # rows for q crosses, doubled when full: a rank-1 L holds 2 rows, not
     # the 2 _MAX_RANK (1.6 MB at N = 1558) of a buffer for the largest q
     E, V = np.empty((2, 1, n))
-    step = max(1, _ROW_BLOCK // n)
     used = np.zeros(n, dtype=bool)
     q = 0
     i = check[np.argmax(check_max)]
@@ -289,11 +303,9 @@ def _cross_factor(L, t: np.ndarray):
             E[q], V[q] = col / row[j], row
             q += 1
             i = np.argmax(np.where(used, 0.0, np.abs(col)))
-        # check rows in blocks of at most _ROW_BLOCK entries, so no temporary
-        # of the whole check block (three of 0.4 MB at N = 1558)
         rest = np.empty(check.size)
-        for c in range(0, check.size, step):
-            part = L_check[c : c + step] - _product(E[:q, check[c : c + step]].T, V[:q])
+        for c, rows in blocks:
+            part = _L_values(L, t[rows], t) - _product(E[:q, rows].T, V[:q])
             rest[c : c + step] = np.max(np.abs(part, out=part), axis=1)
         if rest.max() <= _RANK_TOL * scale:
             return E[:q].copy(), V[:q].copy()
@@ -318,11 +330,13 @@ def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False, tim
     with ``times``, a matrix of grid.n + 1 rows, those rows times it.
 
     Every such matrix of both solvers comes from here: the off-grid rows of
-    the structured rules (trapezoid, and ``simpson`` for LD's fine rule),
-    the coarse and exact rows of the Newton step, and the output samples off
-    the iteration's points. Per block of at most _ROW_BLOCK entries: one
-    weight_matrix call and one L evaluation at the grid's nodes, and with
-    ``times`` one _product, so the rows are never held whole.
+    the structured rules that do not precorrect (``simpson`` for LD's fine
+    rule, trapezoid ones below _PRECORRECT_MIN_N panels or without a cross
+    factor), at the iteration's points and the output samples, and the
+    coarse and exact rows of the Newton step. Per block of at most
+    _ROW_BLOCK entries: one weight_matrix call and one L evaluation at the
+    grid's nodes, and with ``times`` one _product, so the rows are never
+    held whole.
     """
     out = np.empty((s.size, grid.n + 1 if times is None else times.shape[1]))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
@@ -385,44 +399,77 @@ class _ProductRule:
     For Simpson, T = S_odd + D P with D = S_even - S_odd and P the projection
     on the even columns. On an even circulant length m the spectrum of a
     vector's even part is (X[k] + conj X[m/2 - k]) / 2, so an apply is one
-    rfft and one irfft of q rows, O(q N log N), and O(q N) memory. Dense rows
-    remain for the points off the fine grid, and for every point when H is
-    smooth (not a function of t - s) or L has no factor of at most _MAX_RANK
-    terms.
+    rfft and one irfft of q rows, O(q N log N), and O(q N) memory.
+
+    A trapezoid rule with a factor on at least _PRECORRECT_MIN_N panels reads
+    the points off the fine grid from its own nodal values K by precorrected
+    interpolation (`_Precorrected`), 76 numbers a point; ``extend`` reads
+    further points so, per block, after the fact (the output samples). The
+    other rules keep dense rows for the points off the fine grid, and for
+    every point when H is smooth (not a function of t - s) or L has no
+    factor of at most _MAX_RANK terms.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
         kernel, L = problem.kernel, problem.L
         N, t = grid.n, grid.nodes
+        self.grid, self.kernel, self.L, self.simpson = grid, kernel, L, simpson
         self.size = points.size
         self.fine_idx = fine_idx
-        self.ell = None
+        self.ell = self.near = self.WL_dense = None
         factor = None
         if kernel.kind != KERNEL_SMOOTH:
             factor = _cross_factor(L, t)
         if factor is None:
-            self.dense_idx = np.arange(points.size)
+            self.off_idx = np.arange(points.size)
         else:
             self.ell, self.v = factor
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
-            self.dense_idx = np.flatnonzero(off_grid)
+            self.off_idx = np.flatnonzero(off_grid)
             # the parity fold needs an even m; _fft_size(2 N) is odd for some
             # even N (22, 62, 66, 110, ...)
             self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
-            self.symbol, self.mirror = _symbol(grid, kernel, self.m, simpson)
+            self.c = _toeplitz_entries(grid, kernel, simpson)
+            self.symbol, self.mirror = _symbol(self.c, self.m)
+            # the precorrection reads c and the end columns as K applies them
             first, last = _end_columns(grid, kernel, simpson)
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = first * L_ends[:, 0]
             self.col_last = last * L_ends[:, 1]
-        self.WL_dense = _dense_rows(grid, kernel, L, points[self.dense_idx], simpson)
+        if factor is not None and not simpson and N >= _PRECORRECT_MIN_N:
+            self.near = _Precorrected(self, points[self.off_idx])
+        else:
+            self.c = None
+            self.WL_dense = _dense_rows(grid, kernel, L, points[self.off_idx], simpson)
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
         """Operator values at every evaluation point from F at the fine nodes."""
         out = np.empty(self.size)
-        out[self.dense_idx] = _product(self.WL_dense, ft)
+        nodal = None
         if self.ell is not None:
-            out[self.fine_idx] = self.convolve(self.v * ft, ft[0], ft[-1])
+            nodal = out[self.fine_idx] = self.convolve(self.v * ft, ft[0], ft[-1])
+        if self.near is None:
+            out[self.off_idx] = _product(self.WL_dense, ft)
+        else:
+            out[self.off_idx] = self.near([ft], [nodal])[0]
+        return out
+
+    def extend(self, s: np.ndarray, fts, nodals) -> np.ndarray:
+        """Rule values at the points s off the grid, shape (len(fts), s.size),
+        for each F at the fine nodes in ``fts``; ``nodals`` holds the rule's
+        values at the fine nodes of each, which only a precorrected rule
+        reads. Built and applied per block of points, so no row outlives its
+        block; a precorrected rule stacks no F either."""
+        if self.near is None:
+            rows = _dense_rows(
+                self.grid, self.kernel, self.L, s, self.simpson, times=np.stack(fts, axis=1)
+            )
+            return rows.T
+        out = np.empty((len(fts), s.size))
+        for start in range(0, s.size, _NEAR_BLOCK):
+            part = slice(start, start + _NEAR_BLOCK)
+            out[:, part] = _Precorrected(self, s[part])(fts, nodals)
         return out
 
     def at_nodes(self, ft: np.ndarray) -> np.ndarray:
@@ -453,14 +500,163 @@ class _ProductRule:
         )
 
 
+# Off-grid points of a precorrected trapezoid rule (`_Precorrected`). The
+# far field of s, the rule's sum over the nodes outside a window of _WINDOW
+# nodes around s, is smooth in s: it is interpolated from the rule's nodal
+# values on _STENCIL nodes around s, and the window is added exactly. The
+# interpolant has degree _STENCIL - 1, and the nearest singularity of the
+# far field (the hat of the first node outside the window) lies _MARGIN + 1
+# panels beyond the stencil, so its error falls geometrically with _MARGIN;
+# the rounding of the nodal values enters times the stencil's Lebesgue
+# constant, largest for the clipped stencils near the ends, which grows with
+# _STENCIL. Worst error against dense moment rows, in eps max|K| (log, alg
+# 0.3 and 0.7; L one and exp_st; [0, 1] and [0.3, 2.9]; N = 256 and 1454;
+# 120 points, 60 of them within 40 panels of an end; smooth and random F):
+# 12 nodes read 62-101 with margins of 26 or 20 panels, 138 with 16 and
+# 1,773 with 12, where the interpolation error shows; with a margin of 26,
+# 10 nodes read 108, 14 nodes 224 and 8 nodes 7,519. _MARGIN keeps 6
+# panels above the smallest margin that reads the rounding floor.
+_STENCIL = 12
+_MARGIN = 26
+_WINDOW = _STENCIL + 2 * _MARGIN
+# A rule on fewer panels keeps dense off-grid rows: the evaluator costs
+# about the same per point on any grid, dense rows N + 1 entries. Measured
+# on a 2-vCPU host (one BLAS thread, best of 30), for 192 output samples of
+# 6 iterates: the evaluator 1.7-2.8 ms at every N from 128 to 1454 with L
+# = one (2.5-4.6 ms with exp_st), dense rows 0.7 ms at N = 256, 1.4 at 512,
+# 2.2 at 768 and 5.8 at 1454 (0.8, 2.1, 2.4 and 4.8 with exp_st). For LD's
+# rule of the Newton grid at the 256 fine nodes off it, built and applied
+# once: the evaluator 1.8-3.1 ms (3.0-4.3), dense rows 0.8 ms at 256, 1.6
+# at 512 and 3.2 at 768 (0.9, 2.3 and 3.0). From 512 panels the evaluator
+# costs at most about twice what dense rows do, and holds 76 numbers a
+# point where they hold 4 kB or more.
+_PRECORRECT_MIN_N = 512
+# Points per block of _Precorrected: the window weights of a block hold
+# about five temporaries of _NEAR_BLOCK x 65 doubles, and each block costs
+# about 0.2 ms of numpy calls whatever its size. On log-sine at n = 1500 a
+# DL solve's sample pass (131 samples) peaked at 527, 561, 604 and 670 kB
+# with blocks of 32, 40, 50 and 66 points, against 563 kB for its Newton
+# steps; at n = 1417-1583 (198 samples, 6 iterates) it took 3.6, 2.7, 2.4
+# and 2.3 ms, and 5.6 ms with dense rows.
+_NEAR_BLOCK = 50
+_STENCIL_AT = np.arange(_STENCIL)
+_WINDOW_AT = np.arange(_WINDOW)
+_ENTRIES_AT = np.arange(_WINDOW + _STENCIL - 1)
+# 1 / prod_(c != b) (b - c) on the stencil 0 .. _STENCIL - 1
+_LAGRANGE_INVERSE = 1.0 / np.array(
+    [math.prod(b - c for c in range(_STENCIL) if c != b) for b in range(_STENCIL)], dtype=float
+)
+
+
+class _Precorrected:
+    """A trapezoid _ProductRule with a cross factor at points s off its grid,
+    by precorrected interpolation (the idea of the precorrected FFT:
+    Phillips & White, IEEE Trans. CAD 1997):
+
+        value(s) = sum_b lam_b(s) K(t_(k0+b)) + sum_a rho_a(s) F_(j0+a),
+        rho_a(s) = w_j(s) L(s, t_j) - sum_b lam_b(s) w_j(t_k) l(t_k).v(t_j),
+
+    with j = j0 + a and k = k0 + b. K are the rule's values at its nodes,
+    lam the Lagrange weights of s on the _STENCIL nodes from k0, and the a
+    run over the _WINDOW nodes from j0, the stencil and _MARGIN nodes on
+    each side, both clipped into [0, N]. The first sum interpolates all of
+    K; the correction takes the window's part of it out again, as the rule
+    computes it (its Toeplitz entries c and end columns, and L through the
+    cross factor l.v), and puts the window back with exact weights. What is
+    left of the interpolant is the far field, smooth in s. A point holds
+    _STENCIL + _WINDOW numbers and two ints, built in blocks of _NEAR_BLOCK
+    points.
+    """
+
+    def __init__(self, rule: _ProductRule, s: np.ndarray):
+        grid = rule.grid
+        N, t = grid.n, grid.nodes
+        self.N = N
+        # s - a >= 0, so astype(int) is the floor; min and max clip faster
+        # than np.clip
+        panel = ((s - grid.a) / grid.h).astype(int)
+        self.k0 = np.maximum(np.minimum(panel - (_STENCIL // 2 - 1), N + 1 - _STENCIL), 0)
+        self.j0 = np.minimum(np.maximum(self.k0 - _MARGIN, 0), N + 1 - _WINDOW)
+        # one row per point: lam, then rho
+        self.weights = np.empty((s.size, _STENCIL + _WINDOW))
+        lam, rho = self.weights[:, :_STENCIL], self.weights[:, _STENCIL:]
+        # Lagrange weights prod_(c != b) (x - c) / prod_(c != b) (b - c) at x =
+        # (s - t_k0) / h, from the products of the factors left and right of b
+        x = ((s - t[self.k0]) / grid.h)[:, None] - _STENCIL_AT
+        right = np.empty_like(x)
+        lam[:, 0] = right[:, -1] = 1.0
+        np.cumprod(x[:, :-1], axis=1, out=lam[:, 1:])
+        np.cumprod(x[:, :0:-1], axis=1, out=right[:, -2::-1])
+        lam *= right
+        lam *= _LAGRANGE_INVERSE
+        for start in range(0, s.size, _NEAR_BLOCK):
+            part = slice(start, start + _NEAR_BLOCK)
+            _precorrect(rule, s[part], self.k0[part], self.j0[part], lam[part], rho[part])
+
+    def __call__(self, fts, nodals) -> np.ndarray:
+        """Values at the points, shape (len(fts), points), one row per F at
+        the nodes in ``fts`` and the rule's values there in ``nodals``."""
+        out = np.empty((len(fts), self.k0.size))
+        for start in range(0, self.k0.size, _NEAR_BLOCK):
+            part = slice(start, start + _NEAR_BLOCK)
+            # both sums as one: the stencil's K and the window's F, read
+            # from one vector of K then F
+            at = np.concatenate(
+                [self.k0[part, None] + _STENCIL_AT, self.j0[part, None] + (self.N + 1 + _WINDOW_AT)],
+                axis=1,
+            )
+            for row, ft, nodal in zip(out[:, part], fts, nodals):
+                np.einsum("pa,pa->p", self.weights[part], np.concatenate([nodal, ft])[at], out=row)
+        return out
+
+
+def _precorrect(rule, s, k0, j0, lam, rho):
+    """rho of the points s of a _Precorrected, in place, from their stencil
+    and window starts and Lagrange weights lam."""
+    N, t = rule.grid.n, rule.grid.nodes
+    np.multiply(
+        _window_weight_rows(rule.grid, rule.kernel, s, j0, _WINDOW),
+        rule.L(s[:, None], t[j0[:, None] + _WINDOW_AT]),
+        out=rho,
+    )
+    stencil = k0[:, None] + _STENCIL_AT
+    window = j0[:, None] + _WINDOW_AT
+    # the end columns hold L itself, not its factor: their rho is set after
+    # the Toeplitz part, from the exact w L kept here
+    ends = [
+        (at, col, rows)
+        for at, col, end in ((0, rule.col_first, 0), (-1, rule.col_last, N + 1 - _WINDOW))
+        if (rows := np.nonzero(j0 == end)[0]).size
+    ]
+    exact = [rho[rows, at] for at, _, rows in ends]
+    # toeplitz[p, b, a] = c_(j0 + a - k0 - b): a strided view of the _WINDOW +
+    # _STENCIL - 1 entries of each point from c_(j0 - k0 - _STENCIL + 1)
+    entries = rule.c[0][(j0 - k0 + N - _STENCIL)[:, None] + _ENTRIES_AT]
+    step = entries.strides[1]
+    toeplitz = as_strided(
+        entries[:, _STENCIL - 1 :], (s.size, _STENCIL, _WINDOW), (entries.strides[0], -step, step)
+    )
+    # the factor's terms a few at a time, in temporaries of at most
+    # _ROW_BLOCK entries; as many for every block, so that a point's rho
+    # does not depend on the block it is built in
+    lam_ell = (lam * rule.ell[:, stencil]).transpose(1, 0, 2)
+    terms = max(1, _ROW_BLOCK // (_NEAR_BLOCK * _WINDOW))
+    for k in range(0, lam_ell.shape[1], terms):
+        part = np.matmul(lam_ell[:, k : k + terms], toeplitz)
+        part *= rule.v[k : k + terms][:, window].transpose(1, 0, 2)
+        rho -= part.sum(axis=1)
+    for (at, col, rows), wl in zip(ends, exact):
+        rho[rows, at] = wl - np.einsum("pb,pb->p", lam[rows], col[stencil[rows]])
+
+
 def _end_columns(grid: Grid, kernel, simpson: bool):
     """The columns of ``grid`` at t_0 and t_N, weights at its nodes.
 
     Each comes from a grid of p panels over the first or last p panels, p = 2
     for Simpson (whose end columns see a panel pair) and 1 otherwise; the
     rows divide by that grid's h, so they are rescaled to the grid's own.
-    Like _symbol's, the rows come from the panel moments, which keep each
-    weight far from s to a few eps.
+    Like _toeplitz_entries's, the rows come from the panel moments, which
+    keep each weight far from s to a few eps.
     """
     t = grid.nodes
     p = 2 if simpson else 1
@@ -472,17 +668,17 @@ def _end_columns(grid: Grid, kernel, simpson: bool):
     )
 
 
-def _symbol(grid: Grid, kernel, m: int, simpson: bool):
-    """(symbol, mirror): rffts of the length-m circulants that apply the
-    interior columns of ``grid`` at its nodes; mirror is None for the
-    trapezoid rule.
+def _toeplitz_entries(grid: Grid, kernel, simpson: bool) -> np.ndarray:
+    """The interior columns' weights of ``grid`` at its nodes, c[p, k + N -
+    1] = w_l(t_i) for k = l - i = -(N-1)..N-1 and p the parity of l for
+    Simpson (one row p = 0 for the trapezoid rule).
 
-    Entry c_k = w_l(t_i), k = l - i = -(N-1)..N-1, is read from the rows at
-    t_1, t_0 and t_N; where two rows hold the same c_k, the later one is
-    kept. Simpson has one such c per parity of l, read from the rows at t_2,
-    t_1, t_0, t_N-1 and t_N, and its spectra S_even and S_odd give symbol
-    (S_even + S_odd) / 2 and mirror (S_even - S_odd) / 2. The k that no row
-    holds pair no interior node with any node and stay 0.
+    Entry c_k is read from the rows at t_1, t_0 and t_N; where two rows hold
+    the same c_k, the later one is kept. Simpson has one such c per parity
+    of l, read from the rows at t_2, t_1, t_0, t_N-1 and t_N. The k that no
+    row holds pair no interior node with any node and stay 0. `_symbol`
+    applies them by FFT; `_Precorrected` reads them as they are, so that
+    what it takes out of an interpolant of K is what K holds.
 
     The rows come from the panel moments, for the trapezoid rule too: the
     closed-form rows of weight_matrix lose up to (|t - s| / h)^2 eps of a
@@ -499,11 +695,20 @@ def _symbol(grid: Grid, kernel, m: int, simpson: bool):
     c = np.zeros((2 if simpson else 1, 2 * N - 1))  # c_k at k + N - 1
     for i, row in zip(at, rows):
         c[parity, J - i + N - 1] = row[1:-1]
+    return c
+
+
+def _symbol(c: np.ndarray, m: int):
+    """(symbol, mirror): rffts of the length-m circulants of the Toeplitz
+    entries c (`_toeplitz_entries`); mirror is None for the trapezoid rule.
+    Simpson's spectra S_even and S_odd, one per parity, give symbol (S_even
+    + S_odd) / 2 and mirror (S_even - S_odd) / 2."""
+    N = (c.shape[1] + 1) // 2
     v = np.zeros((c.shape[0], m))
     v[:, :N] = c[:, N - 1 :: -1]  # c_0, c_-1, ..., c_-(N-1)
     v[:, m - N + 1 :] = c[:, : N - 1 : -1]  # c_(N-1), ..., c_1
     spectra = np.fft.rfft(v)
-    if not simpson:
+    if c.shape[0] == 1:
         return spectra[0], None
     even, odd = spectra
     return 0.5 * (even + odd), 0.5 * (even - odd)
@@ -517,12 +722,13 @@ class _Workspace:
     whose values set the plan's interpolant), the integral-operator values
     there, and F at the fine nodes, so each operator application serves both
     the residual of one iterate and the step that leaves it. The step k
-    keeps df * delta and that F, from which the output samples off the
-    iteration points are read after the loop:
+    keeps df * delta, A (df delta) at the grid nodes and that F, from which
+    the output samples off the iteration points are read after the loop:
 
         u_(k+1)(s) = A(s) (df delta)_k + K_fine(s) F_k + y(s),
 
-    with A the trapezoid rule of the grid and K_fine the fine rule.
+    with A the trapezoid rule of the grid, which a precorrected rule reads
+    from its nodal values, and K_fine the fine rule.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: LDSettings):
@@ -555,6 +761,7 @@ class _Workspace:
             self.plan = SubtractionPlan(problem, points)
         self.y_points = self.samples.y_iteration
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+        self.steps_nodal: list[np.ndarray] = []
 
     def _iterate(self, values):
         self.samples.keep(values)
@@ -583,7 +790,10 @@ class _Workspace:
         d_delta = df * delta
         if ft is not None:
             self.steps.append((d_delta, ft))
-        values_new = self.rule(d_delta) + K_points + self.y_points
+        A_points = self.rule(d_delta)
+        if ft is not None:
+            self.steps_nodal.append(A_points[self.node_idx])
+        values_new = A_points + K_points + self.y_points
         return self._iterate(values_new), float(np.max(np.abs(delta)))
 
     def sample_values(self, ks: range) -> np.ndarray:
@@ -594,14 +804,14 @@ class _Workspace:
             off[0] = self.phi0_off
             later = ks[1:]
         if len(later) and off.shape[1]:
-            kernel, L, s = self.problem.kernel, self.problem.L, self.samples.off_points
-            steps = self.steps[later[0] - 1 : later[-1]]
-            d_delta, ft = (np.stack(parts, axis=1) for parts in zip(*steps))
+            s = self.samples.off_points
+            taken = slice(later[0] - 1, later[-1])
+            d_delta, ft = zip(*self.steps[taken])
             off[len(ks) - len(later) :] = (
-                _dense_rows(self.grid, kernel, L, s, times=d_delta)
-                + _dense_rows(self.fine, kernel, L, s, simpson=True, times=ft)
-                + self.samples.y_off[:, None]
-            ).T
+                self.rule.extend(s, d_delta, self.steps_nodal[taken])
+                + self.fine_rule.extend(s, ft, None)
+                + self.samples.y_off
+            )
         return self.samples.values(ks, off)
 
     def result(self, iterate, sample_values) -> SampledFunction:

@@ -68,18 +68,21 @@ class QuadratureConvergenceError(RuntimeError):
 # analytic antiderivatives and moments
 
 
-def _antiderivs(kernel: SingularKernel, u: np.ndarray):
-    """Antiderivatives of H, u H and u^2 H at offsets u = t - s, each 0 at u = 0."""
+def _antiderivs(kernel: SingularKernel, u: np.ndarray, orders: int = 3):
+    """Antiderivatives of H, u H and u^2 H at offsets u = t - s, each 0 at u = 0;
+    with ``orders`` = 2 the first two (the third takes a pow per entry)."""
     au = np.abs(u)
     if kernel.kind == KERNEL_LOG:
         lg = np.log(np.maximum(au, _TINY))
-        return u * (lg - 1.0), u**2 * (0.5 * lg - 0.25), u**3 * (lg / 3.0 - 1.0 / 9.0)
+        out = [u * (lg - 1.0), u**2 * (0.5 * lg - 0.25)]
+        if orders > 2:
+            out.append(u**3 * (lg / 3.0 - 1.0 / 9.0))
+        return out
     beta = kernel.beta
-    return (
-        np.sign(u) * au ** (1.0 - beta) / (1.0 - beta),
-        au ** (2.0 - beta) / (2.0 - beta),
-        np.sign(u) * au ** (3.0 - beta) / (3.0 - beta),
-    )
+    out = [np.sign(u) * au ** (1.0 - beta) / (1.0 - beta), au ** (2.0 - beta) / (2.0 - beta)]
+    if orders > 2:
+        out.append(np.sign(u) * au ** (3.0 - beta) / (3.0 - beta))
+    return out
 
 
 # 16-point Gauss-Legendre on [-1, 1], ascending: folded about each panel
@@ -190,14 +193,21 @@ _NEAR_PANELS = 4.0
 _TERMS = 8
 
 
-def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
-    """Scaled moments (M0 / 2, M1 / h, M2 / (2 h^2)) of H on every panel.
+def _panel_moments(
+    grid: Grid, kernel: SingularKernel, svals: np.ndarray, first=None, count=0, orders: int = 3
+):
+    """Scaled moments (M0 / 2, M1 / h, M2 / (2 h^2)) of H on every panel, or
+    with ``first`` (one panel index per point) on the ``count`` panels from
+    it; with ``orders`` = 2 the first two (a trapezoid row needs no more).
+    A panel past the ends is one of the grid continued: its moments are
+    finite, and no node of the grid has a share in them.
 
     For panel j with midpoint c_j and half-width r = h/2, M0 = int H,
     M1 = int H (t - c_j) and M2 = int H ((t - c_j)^2 - r^2), each over
-    [t_j, t_{j+1}]; one row per point s, shape (s.size, n). Far from s,
-    with m = c_j - s, z = r / m and k over the even (M0, M2) or odd (M1)
-    integers:
+    [t_j, t_{j+1}]; one row per point s, shape (s.size, n), or (s.size,
+    count) with ``first``. An entry does not depend on the others asked
+    for. Far from s, with m = c_j - s, z = r / m and k over the even (M0,
+    M2) or odd (M1) integers:
 
         log: M0 = 2r (log|m| - sum z^k / (k (k+1))),
              M1 = r^2 sum 2 z^k / (k (k+2)),
@@ -215,13 +225,17 @@ def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
     """
     h = grid.h
     r = 0.5 * h
-    mid = grid.a + h * (np.arange(grid.n) + 0.5)
+    # a + h (j + 0.5), in place
+    offsets = np.arange(grid.n if first is None else count) + 0.5
+    mid = offsets[None, :] if first is None else first[:, None] + offsets
+    mid *= h
+    mid += grid.a
     if kernel.kind == KERNEL_SMOOTH:
         # einsum sums each row on its own in one fixed order, so for H == 1
         # the sum and its norm are the same double, and a is r to the bit
         xp, wp = _GL_X[8:], _GL_W[8:]
-        hp = np.asarray(kernel.func(svals[:, None, None], mid[:, None] + r * xp), dtype=float)
-        hm = np.asarray(kernel.func(svals[:, None, None], mid[:, None] - r * xp), dtype=float)
+        hp = np.asarray(kernel.func(svals[:, None, None], mid[..., None] + r * xp), dtype=float)
+        hm = np.asarray(kernel.func(svals[:, None, None], mid[..., None] - r * xp), dtype=float)
         both = hp + hm
         a = np.einsum("ijk,k->ij", both, wp)
         a /= np.einsum("ijk,k->ij", np.full((1, 1, xp.size), 2.0), wp)
@@ -230,15 +244,23 @@ def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
             a,
             np.einsum("ijk,k->ij", hp - hm, wp * xp) * (r * r / h),
             np.einsum("ijk,k->ij", both, wp * (xp**2 - 1.0)) * (0.125 * r),
-        )
-    m = mid[None, :] - svals[:, None]
+        )[:orders]
+    # a mid of one row per point is this call's own: its memory takes m
+    m = np.subtract(mid, svals[:, None], out=None if first is None else mid)
     am = np.abs(m)
     near = am < _NEAR_PANELS * h
     # node offsets t - s, which are exactly 0 where s is a node: near s the
     # alg antiderivative |u|^(1 - beta) magnifies any rounding of them
     row, col = np.nonzero(near)
+    if first is not None:
+        col = np.minimum(np.maximum(first[row] + col, 0), grid.n - 1)
     u0 = grid.nodes[col] - svals[row]
     u1 = grid.nodes[col + 1] - svals[row]
+    # their closed forms, before the far-field arrays exist (the temporaries
+    # of _antiderivs would add to those)
+    f = _antiderivs(kernel, np.concatenate([u0, u1]), orders)
+    d = [fk[u0.size :] - fk[: u0.size] for fk in f]
+    del f
     # the Taylor coefficients of the three scaled moments by power of z^2,
     # before the last factor (z^2, or z for M1) and the leading terms
     k = np.arange(1, 2 * _TERMS + 1.0)
@@ -252,39 +274,45 @@ def _panel_moments(grid: Grid, kernel: SingularKernel, svals: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = np.divide(r, m, out=m)
         z2 = np.square(z)
-        a = _horner(c0[1::2], z2)
+        series = _horner([c0[1::2], c1[0::2], c2[1::2]][:orders], z2)
+        a, b = series[0], series[1]
+        c = series[2] if orders > 2 else None
         a *= z2
-        b = _horner(c1[0::2], z2)
         b *= z
-        c = _horner(c2[1::2], z2)
-        c *= z2
+        if c is not None:
+            c *= z2
         if kernel.kind == KERNEL_LOG:
             lead = np.log(am, out=am)
             lead *= r
             a += lead
-            lead *= -1.0 / 6.0
-            c += lead
+            if c is not None:
+                lead *= -1.0 / 6.0
+                c += lead
         else:
             lead = np.power(am, -kernel.beta, out=am)
             a += r
             a *= lead
             b *= lead
-            c -= r / 6.0
-            c *= lead
-    f = _antiderivs(kernel, np.concatenate([u0, u1]))
-    d0, d1, d2 = (fk[u0.size :] - fk[: u0.size] for fk in f)
-    a[near] = 0.5 * d0
-    b[near] = (d1 - 0.5 * (u0 + u1) * d0) / h
-    c[near] = (d2 - (u0 + u1) * d1 + u0 * u1 * d0) / (2.0 * h * h)
-    return a, b, c
+            if c is not None:
+                c -= r / 6.0
+                c *= lead
+    a[near] = 0.5 * d[0]
+    b[near] = (d[1] - 0.5 * (u0 + u1) * d[0]) / h
+    if c is not None:
+        c[near] = (d[2] - (u0 + u1) * d[1] + u0 * u1 * d[0]) / (2.0 * h * h)
+    return tuple(series)
 
 
-def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i coef[i] x^i."""
-    out = np.full_like(x, coef[-1])
-    for c in coef[-2::-1]:
-        out *= x
-        out += c
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    """sum_i coef[i] x^i for each coef in coefs, shape (len(coefs),) +
+    x.shape. Each series runs on its own: an in-place operation that
+    broadcasts over the stack allocates a temporary of the whole stack."""
+    out = np.empty((len(coefs),) + x.shape)
+    for series, coef in zip(out, coefs):
+        series.fill(coef[-1])
+        for c in coef[-2::-1]:
+            series *= x
+            series += c
     return out
 
 
@@ -296,9 +324,10 @@ def _moment_weight_rows(grid, kernel, svals, simpson):
     # panel 2g + 1
     if simpson and grid.n % 2:
         raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
-    a, b, c = _panel_moments(grid, kernel, svals)
+    moments = _panel_moments(grid, kernel, svals, orders=3 if simpson else 2)
+    a, b = moments[:2]
     if simpson:
-        mu = np.add(c[:, 0::2], c[:, 1::2])
+        mu = np.add(moments[2][:, 0::2], moments[2][:, 1::2])
         b[:, 0::2] -= mu
         b[:, 1::2] += mu
     w = np.empty((svals.size, grid.n + 1))
@@ -307,6 +336,21 @@ def _moment_weight_rows(grid, kernel, svals, simpson):
     inner = np.add(a[:, :-1], a[:, 1:], out=w[:, 1:-1])
     inner += b[:, :-1]
     inner -= b[:, 1:]
+    return w
+
+
+def _window_weight_rows(grid, kernel, svals, start, size):
+    """Trapezoid weights w_j(s) of the ``size`` nodes j = start .. start +
+    size - 1 of each point s (one start per point, 0 <= start <= n + 1 -
+    size): the columns of _moment_weight_rows's row of s, to the bit, from
+    the moments of the size + 1 panels around them alone."""
+    a, b = _panel_moments(grid, kernel, svals, start - 1, size + 1, orders=2)
+    # a panel beyond the ends adds an exact 0 to the end node's one-sided sum
+    for col, beyond in ((0, start == 0), (-1, start + size - 1 == grid.n)):
+        a[beyond, col] = b[beyond, col] = 0.0
+    w = np.add(a[:, :-1], a[:, 1:])
+    w += b[:, :-1]
+    w -= b[:, 1:]
     return w
 
 

@@ -28,7 +28,9 @@ from hammerstein import (
 )
 from hammerstein import newton_ld
 from hammerstein.newton_ld import (
+    _PRECORRECT_MIN_N,
     _RANK_TOL,
+    _ProductRule,
     _cross_factor,
     _dense_rows,
     _fft_size,
@@ -36,7 +38,7 @@ from hammerstein.newton_ld import (
     _product,
 )
 from hammerstein.problem import L_exp_st, L_one, L_zero
-from hammerstein.quadrature import eval_operator_reference_parts
+from hammerstein.quadrature import _moment_weight_rows, eval_operator_reference_parts
 from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
 
 FAST = LDSettings(n_fine=256, sample_count=41)
@@ -505,6 +507,61 @@ class TestCrossFactor:
         assert q <= 24
 
 
+class TestPrecorrected:
+    """A trapezoid rule with a cross factor on at least _PRECORRECT_MIN_N
+    panels reads its points off the grid by precorrected interpolation from
+    its own nodal values, not from dense rows."""
+
+    @pytest.mark.parametrize("n", [256, 1454, 3001])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
+    @pytest.mark.parametrize(
+        "kernel, bound",
+        [(log_kernel(), 128), (algebraic_kernel(0.3), 512), (algebraic_kernel(0.7), 512)],
+        ids=["log", "alg0.3", "alg0.7"],
+    )
+    def test_matches_dense_moment_rows(self, kernel, bound, L, a, b, n, rng, monkeypatch):
+        # the dense rows from the panel moments keep each weight to a few
+        # eps; the closed-form rows that dense off-grid rows used to take
+        # are up to 4.6e6 eps max|ref| off them on these random inputs. What
+        # is left here (at most 53 eps max|ref| for log and 64 for alg with
+        # this draw) is the rounding of the rule's nodal values, its FFT
+        # apply, which the interpolation reads: those are 110-440 eps
+        # max|ref| off the dense rows on random inputs with exp_st on [0.3,
+        # 2.9], and over eight other draws of 60 points the worst here was
+        # 150 eps for log and 173 for alg. The evaluator works on any grid
+        # its window fits in; the rules take it from _PRECORRECT_MIN_N panels
+        monkeypatch.setattr(newton_ld, "_PRECORRECT_MIN_N", 256)
+        grid = make_grid(a, b, n)
+        prob = HammersteinProblem(a, b, kernel, L, get_nonlinearity("square"), FUNCTIONS["one"])
+        rule = _ProductRule(prob, grid, grid.nodes, np.arange(n + 1))
+        assert rule.near is not None and rule.WL_dense is None
+        ends = grid.h * rng.uniform(0.0, 40.0, 25)
+        s = np.concatenate([a + ends, b - ends[::-1], rng.uniform(a, b, 25)])
+        rows = _moment_weight_rows(grid, kernel, s, False) * _L_values(L, s, grid.nodes)
+        # the same points held by a rule, as LD's rule holds the fine nodes
+        points = np.unique(np.concatenate([grid.nodes, s]))
+        held = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes))
+        for f in (np.cos(3.0 * grid.nodes) + 1.2, rng.standard_normal(n + 1)):
+            got = rule.extend(s, [f], [rule.at_nodes(f)])[0]
+            want = rows @ f
+            tol = bound * np.finfo(float).eps * np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+            np.testing.assert_array_equal(held(f)[np.searchsorted(points, s)], got)
+
+    def test_small_grid_keeps_dense_rows(self):
+        assert 64 < _PRECORRECT_MIN_N
+        grid = make_grid(0.0, 1.0, 64)
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
+        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes))
+        assert rule.ell is not None and rule.near is None
+        # the 41 samples hold the 9 nodes at multiples of 1/8
+        assert rule.WL_dense.shape == (41 - 9, 65)
+
+
 class TestLargeGrid:
     """LD on grids of more than _COARSE_N panels: two-grid Newton steps on the
     structured trapezoid rule of the Newton grid, no dense recovery matrix."""
@@ -548,6 +605,21 @@ class TestLargeGrid:
             tracemalloc.stop()
         assert report.status == "converged"
         assert peak <= 20e6
+
+    def test_off_grid_points_hold_no_dense_rows(self):
+        # the CI ld.json problem: the 313 fine nodes off the Newton grid
+        # took 313 x 1501 dense rows of its trapezoid rule, and the solve
+        # peaked at 9.2 MB; read by precorrected interpolation they hold 76
+        # numbers each, and it peaks at 5.8 MB
+        tracemalloc.start()
+        try:
+            _, report = ld_solve(self._problem(), make_grid(0, 1, 1500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert report.records[-1].true_error <= 1.5e-10
+        assert peak < 7e6
 
     def test_two_grid_steps_match_exact_steps(self, monkeypatch):
         prob = self._problem()
