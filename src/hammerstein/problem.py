@@ -160,12 +160,26 @@ def polynomial_nonlinearity(coeffs: Sequence[float]) -> Nonlinearity:
     if c.ndim != 1 or c.size == 0:
         raise ValueError("polynomial coefficients must be a nonempty 1-D sequence")
     dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-    pv = np.polynomial.polynomial.polyval
     return Nonlinearity(
         name="poly",
-        F=lambda t, u: pv(u, c) + 0.0 * t,
-        dF=lambda t, u: pv(u, dc) + 0.0 * t,
+        F=lambda t, u: _horner_in_place(c, t, u),
+        dF=lambda t, u: _horner_in_place(dc, t, u),
     )
+
+
+def _horner_in_place(c: np.ndarray, t, u):
+    """sum_i c[i] u**i in one array of the broadcast shape of t and u.
+
+    The multiply-adds of np.polynomial.polynomial.polyval in its order,
+    c[-1] + 0 u first, so a non-finite u gives a non-finite value; for a
+    finite t the values are polyval(u, c) + 0.0 * t bit for bit (unless
+    c[0] is -0.0), without its temporaries."""
+    acc = np.multiply(u, 0.0, out=np.empty(np.broadcast(t, u).shape))
+    acc += c[-1]
+    for ci in c[-2::-1]:
+        acc *= u
+        acc += ci
+    return acc if acc.ndim else acc[()]
 
 
 def verify_derivatives(

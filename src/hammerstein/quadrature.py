@@ -12,10 +12,12 @@ exactly.
 `SubtractionPlan` evaluates the integral operator by singularity
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
-at the Gauss nodes piecewise linearly, with np.interp; build and apply run
-in blocks of whole rows of at most 8192 nodes, so no temporary leaves the
-heap for a fresh mmap, and each row is summed by np.bincount in node order,
-which keeps every value bitwise what one whole-plan pass gives.
+at the Gauss nodes piecewise linearly, with np.interp; it holds two tables
+per node, laid out panel x node x point, and build and apply run in blocks
+of whole panels of at most 8192 nodes, so no temporary leaves the heap for
+a fresh mmap. Each point's terms are added one after another in node order,
+carried from block to block, which keeps every value bitwise what a
+per-point loop gives.
 The product Simpson rule of its fine mode is built in newton_ld from
 `weight_matrix` rows. On a uniform grid the log and alg weight rows at the
 grid nodes depend only on j - i within each parity of j, apart from the two
@@ -366,16 +368,18 @@ def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
 # operator evaluation by singularity subtraction (the LD solver's subtract mode)
 
 _GRADE_LEVELS = 46  # dyadic panels per side; innermost width ~1e-14 of the side
+_PANELS = 2 * _GRADE_LEVELS + 3  # graded panels per point, empty ones included
 
 # Nodes per block of a SubtractionPlan's build and apply, at most. Whole-plan
 # temporaries (1.3M nodes and about 10 MB each over the four plans of an
 # nsweep_subtract sweep) came from fresh mmaps on every apply and build:
 # 41-52k page faults per op. Blocks of 8192 nodes keep each temporary at
-# 64 kB, under glibc's initial 128 kB mmap threshold, as _REF_BLOCK does. On
-# a 2-vCPU host, a warm 257-point plan (alg 0.3, exp_st) applied in 7-10 ms
-# with blocks of 2048 nodes, 5.3-7.7 ms with 8192, 5.3-7.8 ms with 65536,
-# and 12 ms with 2.2k page faults per call as one block; its build took
-# 25-34 / 13-19 / 12-18 / 21-28 ms.
+# 64 kB, under glibc's initial 128 kB mmap threshold, as _REF_BLOCK does. The
+# plan holds 16 bytes per node (h_weights and L_nodes). A warm 257-point plan
+# (alg 0.3, exp_st, F = 0.15 u^2; 390k nodes, 6.6 MB held) builds in 10-13 ms
+# and applies in 9-10 ms (medians of 41, one BLAS thread, 2-vCPU host),
+# against 18 ms and 9.5 ms when it also held its nodes and a row index per
+# node (32 bytes per node, 12.2 MB).
 _PLAN_BLOCK = 8192
 
 
@@ -393,12 +397,21 @@ class SubtractionPlan:
     `apply` takes x at svals and reads it at the Gauss nodes piecewise
     linearly, with np.interp(t, svals, values).
 
-    Build and apply run over blocks of whole rows (the nodes of one plan
-    point), at most _PLAN_BLOCK nodes each. Per block, apply reads x at the
-    nodes, forms L F, subtracts g(s) of each node's row, zeroes the nodes
-    that coincide with s, and sums each row with np.bincount. bincount adds a
-    row's terms one after another in node order; np.add.reduceat and einsum
-    sum pairwise, which would change the rounding of every value.
+    The tables are node-major: panel x Gauss node x point, over the
+    _PANELS panels between the 2 _GRADE_LEVELS + 4 sorted edges of every
+    point. `mid` and `half` (panel x point) hold each panel's midpoint and
+    half-width; a panel between repeated edges is held as half = 0 at
+    mid = s, so its nodes coincide with s. Per node the plan keeps only the
+    two factors apply multiplies by, `h_weights` (H times the panel's Gauss
+    weight, 0 where t == s) and `L_nodes`; apply rebuilds the nodes as
+    mid + half * x, as the build made them. Build and apply run over blocks
+    of whole panels of a run of points, at most _PLAN_BLOCK nodes each. Per
+    block, apply reads x at the nodes, forms L F, subtracts g(s), zeroes the
+    nodes that coincide with s, and adds the block's node rows into each
+    point's running sum with np.add.reduce, which adds the rows of a 2-D
+    array one after another in node order, as a per-point loop does (it
+    sums a single column pairwise, so a one-point plan accumulates instead).
+    Empty panels add zeros, which change no sum.
     """
 
     def __init__(self, problem: HammersteinProblem, svals):
@@ -411,43 +424,25 @@ class SubtractionPlan:
         self.problem = problem
         self.svals = svals
         kernel = problem.kernel
-        x, w = _GL_X, _GL_W
-        npts = x.size
-        # rows per block: a row has at most 2 * _GRADE_LEVELS + 3 panels
-        step = max(1, _PLAN_BLOCK // (npts * (2 * _GRADE_LEVELS + 3)))
-        panels = []
-        for r0 in range(0, svals.size, step):
-            edges = self._edges(a, b, svals[r0 : r0 + step])
+        self.mid = np.empty((_PANELS, svals.size))
+        self.half = np.empty((_PANELS, svals.size))
+        step = _PLAN_BLOCK // (_PANELS + 1)  # points per table of edges
+        for c0 in range(0, svals.size, step):
+            s = svals[c0 : c0 + step]
+            edges = self._edges(a, b, s)
             lo, hi = edges[:, :-1], edges[:, 1:]
-            keep = hi > lo
-            mid = (0.5 * (lo + hi))[keep]
-            half = (0.5 * (hi - lo))[keep]
-            panels.append((r0, mid, half, npts * keep.sum(axis=1)))
-        # the nodes of point i are t_nodes[offsets[i]:offsets[i + 1]]
-        self.offsets = np.concatenate([[0], np.cumsum(np.concatenate([c for *_, c in panels]))])
-        total = self.offsets[-1]
-        self.t_nodes = np.empty(total)
-        self.h_weights = np.empty(total)
-        self.L_nodes = np.empty(total)
-        # per node: its row in its block
-        self.block_row = np.empty(total, dtype=np.intp)
-        # per block: its rows and nodes, each row's node count, and the nodes
-        # that coincide with their own s
-        self.blocks = []
-        for r0, mid, half, count in panels:
-            r1 = r0 + count.size
-            nodes = slice(self.offsets[r0], self.offsets[r1])
-            t = (mid[:, None] + half[:, None] * x).ravel()
-            s = np.repeat(svals[r0:r1], count)
-            self.t_nodes[nodes] = t
-            self.block_row[nodes] = np.repeat(np.arange(count.size), count)
-            coincident = np.flatnonzero(t == s)
+            self.mid[:, c0 : c0 + step] = np.where(hi > lo, 0.5 * (lo + hi), s[:, None]).T
+            self.half[:, c0 : c0 + step] = (0.5 * (hi - lo)).T
+        self.h_weights = np.empty((_PANELS, _GL_X.size, svals.size))
+        self.L_nodes = np.empty_like(self.h_weights)
+        for panels, cols, t in self._blocks():
+            s = svals[cols]
             with np.errstate(divide="ignore"):
                 hv = np.asarray(kernel.evaluate(s, t), dtype=float)
-            hv[coincident] = 0.0
-            self.h_weights[nodes] = hv * (half[:, None] * w).ravel()
-            self.L_nodes[nodes] = np.asarray(problem.L(s, t), dtype=float)
-            self.blocks.append((r0, r1, nodes, count, coincident))
+            hv[t == s] = 0.0
+            hw = self.half[panels, None, cols] * _GL_W[:, None]
+            np.multiply(hv, hw, out=self.h_weights[panels, :, cols])
+            self.L_nodes[panels, :, cols] = np.asarray(problem.L(s, t), dtype=float)
         self.m0 = _moment0(kernel, svals, a, b)
         self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 
@@ -468,21 +463,47 @@ class SubtractionPlan:
         edges.sort(axis=1)
         return edges
 
+    def _blocks(self):
+        """(panels, points, nodes) per block: slices of the panels and the
+        points, and their Gauss nodes t = mid + half * x (panel x node x
+        point). Past 512 points one panel of all of them exceeds
+        _PLAN_BLOCK, so the points are split into near-equal runs."""
+        npts, nodes = self.svals.size, _GL_X.size
+        runs = -(-npts * nodes // _PLAN_BLOCK)
+        width = -(-npts // runs)
+        per = max(1, _PLAN_BLOCK // (nodes * width))
+        for c0 in range(0, npts, width):
+            cols = slice(c0, c0 + width)
+            for p0 in range(0, _PANELS, per):
+                panels = slice(p0, p0 + per)
+                t = self.half[panels, None, cols] * _GL_X[:, None]
+                t += self.mid[panels, None, cols]
+                yield panels, cols, t
+
+    @property
+    def t_nodes(self) -> np.ndarray:
+        """The Gauss nodes of the non-empty panels, point after point."""
+        real = self.half.T > 0
+        t = np.multiply.outer(self.half.T[real], _GL_X)
+        t += self.mid.T[real][:, None]
+        return t.ravel()
+
     def apply(self, values) -> np.ndarray:
         """Operator values at every plan point from the iterate's values there."""
         nl = self.problem.nonlin
         s = self.svals
         v = np.asarray(values, dtype=float)
         gs = self.L_diag * np.asarray(nl.F(s, v), dtype=float)
-        out = np.empty(s.size)
-        for r0, r1, nodes, count, coincident in self.blocks:
-            t = self.t_nodes[nodes]
+        out = np.zeros(s.size)  # each point's sum so far, in node order
+        for panels, cols, t in self._blocks():
             xt = np.interp(t, s, v)
-            g = self.L_nodes[nodes] * np.asarray(nl.F(t, xt), dtype=float)
-            g -= np.repeat(gs[r0:r1], count)
-            g[coincident] = 0.0
-            g *= self.h_weights[nodes]
-            out[r0:r1] = np.bincount(self.block_row[nodes], weights=g, minlength=r1 - r0)
+            g = self.L_nodes[panels, :, cols] * np.asarray(nl.F(t, xt), dtype=float)
+            g -= gs[cols]
+            g[t == s[cols]] = 0.0
+            g *= self.h_weights[panels, :, cols]
+            g = g.reshape(-1, g.shape[-1])
+            g[0] += out[cols]
+            out[cols] = np.add.reduce(g, axis=0) if g.shape[1] > 1 else np.add.accumulate(g)[-1]
         return out + gs * self.m0
 
 

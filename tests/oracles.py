@@ -258,8 +258,11 @@ def subtraction_reference(problem, points, values):
         pos = t != s
         hv = np.zeros_like(t)
         hv[pos] = np.asarray(kernel.evaluate(s, t[pos]), dtype=float)
-        xs = np.interp(s, points, values)
-        gs = float(np.asarray(L(s, s), dtype=float)) * float(np.asarray(F(s, xs)))
+        # L(s, s) and F(s, x(s)) on length-1 arrays, as the plan reads them:
+        # on numpy scalars u**2 calls libm pow, which can land one ulp away
+        s1 = np.array([s])
+        xs = np.interp(s1, points, values)
+        gs = (np.asarray(L(s1, s1), dtype=float) * np.asarray(F(s1, xs), dtype=float))[0]
         g = np.asarray(L(s, t), dtype=float) * np.asarray(F(t, np.interp(t, points, values)))
         diff = g - gs
         diff[~pos] = 0.0

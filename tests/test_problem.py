@@ -80,6 +80,37 @@ class TestNonlinearities:
         np.testing.assert_allclose(nl.F(0.0, u), 1 - 2 * u + 0.5 * u**2 + 3 * u**3)
         np.testing.assert_allclose(nl.dF(0.0, u), -2 + u + 9 * u**2)
 
+    @pytest.mark.parametrize(
+        "coeffs", [[0.7], [0, 0, 0.15], [1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 0.0, 0.0, -0.25]]
+    )
+    def test_polynomial_matches_polyval_bitwise(self, coeffs, rng):
+        # F and dF run polyval's multiply-adds in place: the same values, bit
+        # for bit, as polyval(u, c) + 0.0 * t, on random, zero and broadcast
+        # inputs, and non-finite where u is
+        c = np.asarray(coeffs, dtype=float)
+        dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
+        nl = polynomial_nonlinearity(coeffs)
+        t = rng.uniform(-1.0, 2.0, (16, 40))
+        cases = [
+            (t, 3.0 * rng.standard_normal(t.shape)),
+            (t, np.zeros(t.shape)),
+            (t, -np.zeros(t.shape)),
+            (t[:, :1], rng.standard_normal((1, 40))),
+            (0.5, rng.standard_normal(40)),
+            (t, -1.25),
+            (0.25, 1.5),
+            (np.zeros(3), np.array([np.inf, -np.inf, np.nan])),
+        ]
+        pv = np.polynomial.polynomial.polyval
+        with np.errstate(invalid="ignore"):
+            for tt, u in cases:
+                for got, cc in ((nl.F(tt, u), c), (nl.dF(tt, u), dc)):
+                    want = pv(u, cc) + 0.0 * tt
+                    assert np.shape(got) == np.shape(want)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert not np.any(np.isfinite(nl.F(np.zeros(3), np.array([np.inf, -np.inf, np.nan]))))
+
     def test_polynomial_rejects_empty(self):
         with pytest.raises(ValueError):
             polynomial_nonlinearity([])

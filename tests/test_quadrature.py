@@ -345,20 +345,37 @@ class TestSubtractionPlan:
             points = points[1:-1]
         prob = self._problem(kernel, a, b)
         plan = SubtractionPlan(prob, points)
-        for _ in range(3):
+        for _ in range(10):
             values = rng.standard_normal(points.size)  # not smooth
             want, node_rows = subtraction_reference(prob, points, values)
             assert np.array_equal(plan.apply(values), want)
         assert np.array_equal(plan.t_nodes, np.concatenate(node_rows))
-        assert np.array_equal(np.diff(plan.offsets), [t.size for t in node_rows])
+        assert np.array_equal(self._node_counts(plan), [t.size for t in node_rows])
+
+    @staticmethod
+    def _node_counts(plan):
+        # an empty panel is held with half-width 0; the others have 16 nodes
+        return 16 * np.count_nonzero(plan.half > 0, axis=0)
+
+    @pytest.mark.parametrize("block, npoints", [(256, 34), (8192, 1)], ids=["runs", "one_point"])
+    def test_block_shapes_match_reference_bitwise(self, block, npoints, monkeypatch, rng):
+        # points split into runs, as past 512 points at the real block size,
+        # and a single point column, which np.add.reduce would sum pairwise
+        monkeypatch.setattr(quadrature, "_PLAN_BLOCK", block)
+        points = np.linspace(0.3, 2.9, npoints) if npoints > 1 else np.array([1.1])
+        prob = self._problem(algebraic_kernel(0.3), 0.3, 2.9)
+        plan = SubtractionPlan(prob, points)
+        for _ in range(3):
+            values = rng.standard_normal(points.size)
+            assert np.array_equal(plan.apply(values), subtraction_reference(prob, points, values)[0])
 
     def test_node_counts_depend_on_rounding(self):
         points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
-        counts = np.diff(SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points).offsets)
+        counts = self._node_counts(SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points))
         assert points.size == 257
         assert np.count_nonzero(counts == 1488) == 254
-        counts = np.diff(
-            SubtractionPlan(self._problem(log_kernel(), 0.3, 2.9), 0.3 + 2.6 * points).offsets
+        counts = self._node_counts(
+            SubtractionPlan(self._problem(log_kernel(), 0.3, 2.9), 0.3 + 2.6 * points)
         )
         assert counts.min() == 752  # at a and b: one graded side
         assert counts[1:-1].min() == 1488 and counts.max() == 1520
@@ -392,9 +409,11 @@ class TestSubtractionPlan:
             SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points)
 
     def test_memory_of_build_and_apply(self):
-        # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. The
-        # unblocked plan peaked at 24.5 MB in its build (12.6 MB of tables
-        # held) and at 12.2 MB in each apply
+        # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. It
+        # holds 6.6 MB (16 bytes per node) and peaks at 6.9 MB in its build.
+        # With its nodes and a row index held too, it held 12.2 MB and peaked
+        # at 13.0 MB; unblocked, at 24.5 MB in its build and 12.2 MB in each
+        # apply
         points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
         prob = self._problem(algebraic_kernel(0.3), 0.0, 1.0)
         values = np.cos(points)
@@ -408,7 +427,8 @@ class TestSubtractionPlan:
             apply_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert build_peak < 20e6
+        assert build_peak < 9e6
+        assert held < 7e6
         assert apply_peak <= 1e6
 
 
