@@ -27,16 +27,18 @@ lattice of the fine nodes (Bebendorf, Numer. Math. 2000; Tyrtyshnikov,
 Computing 2000): q = 9 for exp_st on [0, 1], 1 for L = one. The even
 columns' spectrum is a fold of the whole one, so an apply is one rfft and
 one irfft of q rows, O(q n_fine log n_fine), and the operator holds
-O(q n_fine) numbers, plus dense rows for the iteration points off the fine
-grid.
+O(q n_fine) numbers.
 
-The trapezoid rule of a Newton grid of at least 512 panels reads the points
-off its grid (the fine nodes, and the output samples off both grids) from
-its own nodal values, by precorrected interpolation (`_Precorrected`; the
-idea of the precorrected FFT, Phillips & White, IEEE Trans. CAD 1997):
-Lagrange interpolation on 12 nodes around the point, with the 64 nearest
-columns taken out of the interpolant and added back with exact weights. It
-holds 76 numbers a point, not n + 1.
+Both rules read the points off their grids (the Newton nodes off the fine
+grid and the fine nodes off the Newton grid, and the output samples off
+both) from their own nodal values, by precorrected interpolation
+(`_Precorrected`; the idea of the precorrected FFT, Phillips & White, IEEE
+Trans. CAD 1997): Lagrange interpolation on 12 nodes around the point, with
+the 64 nearest columns (for Simpson the 32 nearest panel pairs) taken out
+of the interpolant and added back with exact weights. It holds 76 or 77
+numbers a point, not N + 1. The Simpson rule reads its points so wherever
+that window fits in its grid, the trapezoid rule of a Newton grid of at
+least 512 panels, both only for an L smooth in s at the grid's spacing.
 
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
@@ -330,13 +332,12 @@ def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False, tim
     with ``times``, a matrix of grid.n + 1 rows, those rows times it.
 
     Every such matrix of both solvers comes from here: the off-grid rows of
-    the structured rules that do not precorrect (``simpson`` for LD's fine
-    rule, trapezoid ones below _PRECORRECT_MIN_N panels or without a cross
-    factor), at the iteration's points and the output samples, and the
-    coarse and exact rows of the Newton step. Per block of at most
-    _ROW_BLOCK entries: one weight_matrix call and one L evaluation at the
-    grid's nodes, and with ``times`` one _product, so the rows are never
-    held whole.
+    the structured rules that do not precorrect (`_ProductRule` says which;
+    ``simpson`` for LD's fine rule), at the iteration's points and the
+    output samples, and the coarse and exact rows of the Newton step. Per
+    block of at most _ROW_BLOCK entries: one weight_matrix call and one L
+    evaluation at the grid's nodes, and with ``times`` one _product, so the
+    rows are never held whole.
     """
     out = np.empty((s.size, grid.n + 1 if times is None else times.shape[1]))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
@@ -401,13 +402,16 @@ class _ProductRule:
     vector's even part is (X[k] + conj X[m/2 - k]) / 2, so an apply is one
     rfft and one irfft of q rows, O(q N log N), and O(q N) memory.
 
-    A trapezoid rule with a factor on at least _PRECORRECT_MIN_N panels reads
-    the points off the fine grid from its own nodal values K by precorrected
-    interpolation (`_Precorrected`), 76 numbers a point; ``extend`` reads
-    further points so, per block, after the fact (the output samples). The
-    other rules keep dense rows for the points off the fine grid, and for
-    every point when H is smooth (not a function of t - s) or L has no
-    factor of at most _MAX_RANK terms.
+    A rule with a factor reads the points off the fine grid from its own
+    nodal values K by precorrected interpolation (`_Precorrected`), 76
+    numbers a point for the trapezoid rule and 77 for Simpson; ``extend``
+    reads further points so, per block, after the fact (the output samples).
+    That takes a Simpson rule whose window of _WINDOW + 1 nodes fits in its
+    grid, a trapezoid rule on at least _PRECORRECT_MIN_N panels, and an L
+    smooth in s at the grid's spacing (`_smooth_in_s`). The other rules keep
+    dense rows for the points off the fine grid, and for every point when H
+    is smooth (not a function of t - s) or L has no factor of at most
+    _MAX_RANK terms.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
@@ -437,7 +441,11 @@ class _ProductRule:
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = first * L_ends[:, 0]
             self.col_last = last * L_ends[:, 1]
-        if factor is not None and not simpson and N >= _PRECORRECT_MIN_N:
+        if (
+            factor is not None
+            and N >= (_WINDOW if simpson else _PRECORRECT_MIN_N)
+            and _smooth_in_s(L, t, self.v)
+        ):
             self.near = _Precorrected(self, points[self.off_idx])
         else:
             self.c = None
@@ -500,18 +508,19 @@ class _ProductRule:
         )
 
 
-# Off-grid points of a precorrected trapezoid rule (`_Precorrected`). The
-# far field of s, the rule's sum over the nodes outside a window of _WINDOW
-# nodes around s, is smooth in s: it is interpolated from the rule's nodal
-# values on _STENCIL nodes around s, and the window is added exactly. The
-# interpolant has degree _STENCIL - 1, and the nearest singularity of the
-# far field (the hat of the first node outside the window) lies _MARGIN + 1
-# panels beyond the stencil, so its error falls geometrically with _MARGIN;
-# the rounding of the nodal values enters times the stencil's Lebesgue
-# constant, largest for the clipped stencils near the ends, which grows with
-# _STENCIL. Worst error against dense moment rows, in eps max|K| (log, alg
-# 0.3 and 0.7; L one and exp_st; [0, 1] and [0.3, 2.9]; N = 256 and 1454;
-# 120 points, 60 of them within 40 panels of an end; smooth and random F):
+# Off-grid points of a precorrected rule (`_Precorrected`). The far field of
+# s, the rule's sum over the nodes outside a window of _WINDOW nodes around s
+# (_WINDOW + 1, whole panel pairs, for Simpson), is smooth in s where L is:
+# it is interpolated from the rule's nodal values on _STENCIL nodes around s,
+# and the window is added exactly. The interpolant has degree _STENCIL - 1,
+# and the nearest singularity of the far field (the hat of the first node
+# outside the window) lies _MARGIN + 1 panels beyond the stencil, so its
+# error falls geometrically with _MARGIN; the rounding of the nodal values
+# enters times the stencil's Lebesgue constant, largest for the clipped
+# stencils near the ends, which grows with _STENCIL. Worst error of the
+# trapezoid rule against dense moment rows, in eps max|K| (log, alg 0.3 and
+# 0.7; L one and exp_st; [0, 1] and [0.3, 2.9]; N = 256 and 1454; 120
+# points, 60 of them within 40 panels of an end; smooth and random F):
 # 12 nodes read 62-101 with margins of 26 or 20 panels, 138 with 16 and
 # 1,773 with 12, where the interpolation error shows; with a margin of 26,
 # 10 nodes read 108, 14 nodes 224 and 8 nodes 7,519. _MARGIN keeps 6
@@ -519,17 +528,28 @@ class _ProductRule:
 _STENCIL = 12
 _MARGIN = 26
 _WINDOW = _STENCIL + 2 * _MARGIN
-# A rule on fewer panels keeps dense off-grid rows: the evaluator costs
-# about the same per point on any grid, dense rows N + 1 entries. Measured
-# on a 2-vCPU host (one BLAS thread, best of 30), for 192 output samples of
-# 6 iterates: the evaluator 1.7-2.8 ms at every N from 128 to 1454 with L
-# = one (2.5-4.6 ms with exp_st), dense rows 0.7 ms at N = 256, 1.4 at 512,
-# 2.2 at 768 and 5.8 at 1454 (0.8, 2.1, 2.4 and 4.8 with exp_st). For LD's
-# rule of the Newton grid at the 256 fine nodes off it, built and applied
-# once: the evaluator 1.8-3.1 ms (3.0-4.3), dense rows 0.8 ms at 256, 1.6
-# at 512 and 3.2 at 768 (0.9, 2.3 and 3.0). From 512 panels the evaluator
-# costs at most about twice what dense rows do, and holds 76 numbers a
-# point where they hold 4 kB or more.
+# A trapezoid rule on fewer panels keeps dense off-grid rows: the evaluator
+# costs about the same per point on any grid, dense rows N + 1 entries.
+# Measured on a 2-vCPU host (one BLAS thread, best of 30), for 192 output
+# samples of 6 iterates: the evaluator 1.7-2.8 ms at every N from 128 to
+# 1454 with L = one (2.5-4.6 ms with exp_st), dense rows 0.7 ms at N = 256,
+# 1.4 at 512, 2.2 at 768 and 5.8 at 1454 (0.8, 2.1, 2.4 and 4.8 with
+# exp_st). For LD's rule of the Newton grid at the 256 fine nodes off it,
+# built and applied once: the evaluator 1.8-3.1 ms (3.0-4.3), dense rows 0.8
+# ms at 256, 1.6 at 512 and 3.2 at 768 (0.9, 2.3 and 3.0). From 512 panels
+# the evaluator costs at most about twice what dense rows do, and holds 76
+# numbers a point where they hold 4 kB or more.
+# A Simpson rule precorrects wherever its window fits (N >= _WINDOW): its
+# dense rows cost ~57 ns an entry against ~14 ns for trapezoid rows, and it
+# is LD's operator, whose off-grid points are most of its iteration points.
+# Measured on a 2-vCPU host (exp_st on [0, 1], one BLAS thread, best of 9),
+# for 50 off-grid points built and applied to 6 iterates: dense rows 0.27 ms
+# at N = 64, 0.36 at 128, 0.60 at 256, 0.74 at 320, 1.66 at 512 and 2.24 at
+# 1024, the evaluator 1.0-1.4 ms at each; for 160 output samples of 6
+# iterates, dense rows 0.73, 1.09, 1.93, 2.74, 5.69 and 6.87 ms, the
+# evaluator 3.1-3.4 ms. So below ~400 panels it costs up to ~2.5 ms more per
+# solve (~1 ms at the default 320, ~5% of a compare_fine op), and holds 77
+# numbers a point where dense rows hold N + 1.
 _PRECORRECT_MIN_N = 512
 # Points per block of _Precorrected: the window weights of a block hold
 # about five temporaries of _NEAR_BLOCK x 65 doubles, and each block costs
@@ -540,32 +560,65 @@ _PRECORRECT_MIN_N = 512
 # and 2.3 ms, and 5.6 ms with dense rows.
 _NEAR_BLOCK = 50
 _STENCIL_AT = np.arange(_STENCIL)
-_WINDOW_AT = np.arange(_WINDOW)
-_ENTRIES_AT = np.arange(_WINDOW + _STENCIL - 1)
+_WINDOW_AT = np.arange(_WINDOW + 1)
+_ENTRIES_AT = np.arange(_WINDOW + _STENCIL)
+# max |prod_b (x - b)| / _STENCIL! over the stencil, at x in [0, 1]: times the
+# _STENCIL-th difference of a function on the nodes, the largest remainder of
+# its interpolant
+_REMAINDER = np.max(
+    np.abs(np.prod(np.linspace(0.0, 1.0, 1001)[:, None] - _STENCIL_AT, axis=1))
+) / math.factorial(_STENCIL)
+# The largest remainder, relative to max|L|, that `_smooth_in_s` lets the
+# interpolant make of L. Smooth L read 5-520 eps here at N = 64-4096 (exp_st,
+# exp(2 s t), cos(pi s), cubics, cos(35 s t) from 1024 panels), the rounding
+# of the differences; L rough at the grid's spacing read from 2,500 eps
+# (sqrt(s + t + 0.01) at 1454 panels) to 1e14 (|s - 0.3|, at any N)
+_SMOOTH_TOL = 1024 * np.finfo(float).eps
 # 1 / prod_(c != b) (b - c) on the stencil 0 .. _STENCIL - 1
 _LAGRANGE_INVERSE = 1.0 / np.array(
     [math.prod(b - c for c in range(_STENCIL) if c != b) for b in range(_STENCIL)], dtype=float
 )
 
 
+def _smooth_in_s(L, t: np.ndarray, V: np.ndarray) -> bool:
+    """Whether L is smooth enough in s, at the spacing of the nodes t, for the
+    interpolant of _Precorrected: the remainder of interpolation on _STENCIL
+    nodes, estimated from the _STENCIL-th differences of L's pivot columns
+    L(t, t_j), j = argmax |V_k| (every factor row is a combination of them),
+    is at most _SMOOTH_TOL max|L| there. The columns are evaluated in blocks
+    of at most _ROW_BLOCK entries."""
+    pivots = np.argmax(np.abs(V), axis=1)
+    step = max(1, _ROW_BLOCK // t.size)
+    rough = scale = 0.0
+    for c in range(0, pivots.size, step):
+        cols = _L_values(L, t, t[pivots[c : c + step]])
+        scale = max(scale, np.max(np.abs(cols)))
+        rough = max(rough, np.max(np.abs(np.diff(cols, _STENCIL, axis=0))))
+    return _REMAINDER * rough <= _SMOOTH_TOL * scale
+
+
 class _Precorrected:
-    """A trapezoid _ProductRule with a cross factor at points s off its grid,
-    by precorrected interpolation (the idea of the precorrected FFT:
-    Phillips & White, IEEE Trans. CAD 1997):
+    """A _ProductRule with a cross factor at points s off its grid, by
+    precorrected interpolation (the idea of the precorrected FFT: Phillips &
+    White, IEEE Trans. CAD 1997):
 
         value(s) = sum_b lam_b(s) K(t_(k0+b)) + sum_a rho_a(s) F_(j0+a),
         rho_a(s) = w_j(s) L(s, t_j) - sum_b lam_b(s) w_j(t_k) l(t_k).v(t_j),
 
     with j = j0 + a and k = k0 + b. K are the rule's values at its nodes,
     lam the Lagrange weights of s on the _STENCIL nodes from k0, and the a
-    run over the _WINDOW nodes from j0, the stencil and _MARGIN nodes on
-    each side, both clipped into [0, N]. The first sum interpolates all of
-    K; the correction takes the window's part of it out again, as the rule
-    computes it (its Toeplitz entries c and end columns, and L through the
-    cross factor l.v), and puts the window back with exact weights. What is
-    left of the interpolant is the far field, smooth in s. A point holds
-    _STENCIL + _WINDOW numbers and two ints, built in blocks of _NEAR_BLOCK
-    points.
+    run over the window of nodes from j0, the stencil and at least _MARGIN
+    nodes on each side, both clipped into [0, N]: _WINDOW nodes for the
+    trapezoid rule, and for Simpson _WINDOW + 1 from an even j0, whole panel
+    pairs, so that no node outside the window shares a pair with one inside.
+    The first sum interpolates all of K; the correction takes the window's
+    part of it out again, as the rule computes it (its Toeplitz entries c,
+    of the parity of j for Simpson, its end columns, and L through the cross
+    factor l.v), and puts the window back with exact weights. What is left
+    of the interpolant is the far field, panel pairs at least _MARGIN panels
+    away, smooth in s where L is, so one interpolant serves both parities. A
+    point holds _STENCIL numbers and one per window node, and two ints,
+    built in blocks of _NEAR_BLOCK points.
     """
 
     def __init__(self, rule: _ProductRule, s: np.ndarray):
@@ -576,9 +629,14 @@ class _Precorrected:
         # than np.clip
         panel = ((s - grid.a) / grid.h).astype(int)
         self.k0 = np.maximum(np.minimum(panel - (_STENCIL // 2 - 1), N + 1 - _STENCIL), 0)
-        self.j0 = np.minimum(np.maximum(self.k0 - _MARGIN, 0), N + 1 - _WINDOW)
+        j0 = np.maximum(self.k0 - _MARGIN, 0)
+        if rule.simpson:
+            # whole panel pairs: an even start, and one node more
+            j0 -= j0 % 2
+        window = _WINDOW + rule.simpson
+        self.j0 = np.minimum(j0, N + 1 - window)
         # one row per point: lam, then rho
-        self.weights = np.empty((s.size, _STENCIL + _WINDOW))
+        self.weights = np.empty((s.size, _STENCIL + window))
         lam, rho = self.weights[:, :_STENCIL], self.weights[:, _STENCIL:]
         # Lagrange weights prod_(c != b) (x - c) / prod_(c != b) (b - c) at x =
         # (s - t_k0) / h, from the products of the factors left and right of b
@@ -597,12 +655,13 @@ class _Precorrected:
         """Values at the points, shape (len(fts), points), one row per F at
         the nodes in ``fts`` and the rule's values there in ``nodals``."""
         out = np.empty((len(fts), self.k0.size))
+        window_at = _WINDOW_AT[: self.weights.shape[1] - _STENCIL]
         for start in range(0, self.k0.size, _NEAR_BLOCK):
             part = slice(start, start + _NEAR_BLOCK)
             # both sums as one: the stencil's K and the window's F, read
             # from one vector of K then F
             at = np.concatenate(
-                [self.k0[part, None] + _STENCIL_AT, self.j0[part, None] + (self.N + 1 + _WINDOW_AT)],
+                [self.k0[part, None] + _STENCIL_AT, self.j0[part, None] + (self.N + 1 + window_at)],
                 axis=1,
             )
             for row, ft, nodal in zip(out[:, part], fts, nodals):
@@ -614,35 +673,54 @@ def _precorrect(rule, s, k0, j0, lam, rho):
     """rho of the points s of a _Precorrected, in place, from their stencil
     and window starts and Lagrange weights lam."""
     N, t = rule.grid.n, rule.grid.nodes
+    size = rho.shape[1]
+    window_at = _WINDOW_AT[:size]
     np.multiply(
-        _window_weight_rows(rule.grid, rule.kernel, s, j0, _WINDOW),
-        rule.L(s[:, None], t[j0[:, None] + _WINDOW_AT]),
+        _window_weight_rows(rule.grid, rule.kernel, s, j0, size, rule.simpson),
+        rule.L(s[:, None], t[j0[:, None] + window_at]),
         out=rho,
     )
     stencil = k0[:, None] + _STENCIL_AT
-    window = j0[:, None] + _WINDOW_AT
+    window = j0[:, None] + window_at
     # the end columns hold L itself, not its factor: their rho is set after
     # the Toeplitz part, from the exact w L kept here
     ends = [
         (at, col, rows)
-        for at, col, end in ((0, rule.col_first, 0), (-1, rule.col_last, N + 1 - _WINDOW))
+        for at, col, end in ((0, rule.col_first, 0), (-1, rule.col_last, N + 1 - size))
         if (rows := np.nonzero(j0 == end)[0]).size
     ]
     exact = [rho[rows, at] for at, _, rows in ends]
-    # toeplitz[p, b, a] = c_(j0 + a - k0 - b): a strided view of the _WINDOW +
-    # _STENCIL - 1 entries of each point from c_(j0 - k0 - _STENCIL + 1)
-    entries = rule.c[0][(j0 - k0 + N - _STENCIL)[:, None] + _ENTRIES_AT]
-    step = entries.strides[1]
-    toeplitz = as_strided(
-        entries[:, _STENCIL - 1 :], (s.size, _STENCIL, _WINDOW), (entries.strides[0], -step, step)
+    # toeplitz[p, b, a] = c_(j0 + a - k0 - b), for Simpson of the parity of
+    # j0 + a, which is that of a: strided views of the size + _STENCIL - 1
+    # entries of each point from c_(j0 - k0 - _STENCIL + 1), one per parity,
+    # each over the columns a of its parity. c has no entry for j - k = -N
+    # or N, end columns of a window and stencil that span the grid; those
+    # columns are set below, so "clip" lets them read any entry
+    entries = rule.c.take(
+        (j0 - k0 + N - _STENCIL)[:, None] + _ENTRIES_AT[: size + _STENCIL - 1], axis=1, mode="clip"
     )
+    step = entries.strides[2]
+    parities = rule.c.shape[0]
+    toeplitz = [
+        (
+            slice(parity, None, parities),
+            as_strided(
+                entries[parity, :, _STENCIL - 1 + parity :],
+                (s.size, _STENCIL, (size - parity + parities - 1) // parities),
+                (entries.strides[1], -step, parities * step),
+            ),
+        )
+        for parity in range(parities)
+    ]
     # the factor's terms a few at a time, in temporaries of at most
     # _ROW_BLOCK entries; as many for every block, so that a point's rho
     # does not depend on the block it is built in
     lam_ell = (lam * rule.ell[:, stencil]).transpose(1, 0, 2)
     terms = max(1, _ROW_BLOCK // (_NEAR_BLOCK * _WINDOW))
     for k in range(0, lam_ell.shape[1], terms):
-        part = np.matmul(lam_ell[:, k : k + terms], toeplitz)
+        part = np.empty((s.size, min(terms, lam_ell.shape[1] - k), size))
+        for columns, view in toeplitz:
+            np.matmul(lam_ell[:, k : k + terms], view, out=part[..., columns])
         part *= rule.v[k : k + terms][:, window].transpose(1, 0, 2)
         rho -= part.sum(axis=1)
     for (at, col, rows), wl in zip(ends, exact):
@@ -722,13 +800,14 @@ class _Workspace:
     whose values set the plan's interpolant), the integral-operator values
     there, and F at the fine nodes, so each operator application serves both
     the residual of one iterate and the step that leaves it. The step k
-    keeps df * delta, A (df delta) at the grid nodes and that F, from which
-    the output samples off the iteration points are read after the loop:
+    keeps df * delta, A (df delta) at the grid nodes, that F and K_fine F at
+    the fine nodes, from which the output samples off the iteration points
+    are read after the loop:
 
         u_(k+1)(s) = A(s) (df delta)_k + K_fine(s) F_k + y(s),
 
-    with A the trapezoid rule of the grid, which a precorrected rule reads
-    from its nodal values, and K_fine the fine rule.
+    with A the trapezoid rule of the grid and K_fine the Simpson rule of the
+    fine grid, each read from its nodal values where it precorrects.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: LDSettings):
@@ -761,7 +840,7 @@ class _Workspace:
             self.plan = SubtractionPlan(problem, points)
         self.y_points = self.samples.y_iteration
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []
-        self.steps_nodal: list[np.ndarray] = []
+        self.steps_nodal: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _iterate(self, values):
         self.samples.keep(values)
@@ -792,7 +871,7 @@ class _Workspace:
             self.steps.append((d_delta, ft))
         A_points = self.rule(d_delta)
         if ft is not None:
-            self.steps_nodal.append(A_points[self.node_idx])
+            self.steps_nodal.append((A_points[self.node_idx], K_points[self.fine_idx]))
         values_new = A_points + K_points + self.y_points
         return self._iterate(values_new), float(np.max(np.abs(delta)))
 
@@ -807,9 +886,10 @@ class _Workspace:
             s = self.samples.off_points
             taken = slice(later[0] - 1, later[-1])
             d_delta, ft = zip(*self.steps[taken])
+            nodal, fine_nodal = zip(*self.steps_nodal[taken])
             off[len(ks) - len(later) :] = (
-                self.rule.extend(s, d_delta, self.steps_nodal[taken])
-                + self.fine_rule.extend(s, ft, None)
+                self.rule.extend(s, d_delta, nodal)
+                + self.fine_rule.extend(s, ft, fine_nodal)
                 + self.samples.y_off
             )
         return self.samples.values(ks, off)

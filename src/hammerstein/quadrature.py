@@ -341,15 +341,29 @@ def _moment_weight_rows(grid, kernel, svals, simpson):
     return w
 
 
-def _window_weight_rows(grid, kernel, svals, start, size):
+def _window_weight_rows(grid, kernel, svals, start, size, simpson=False):
     """Trapezoid weights w_j(s) of the ``size`` nodes j = start .. start +
     size - 1 of each point s (one start per point, 0 <= start <= n + 1 -
     size): the columns of _moment_weight_rows's row of s, to the bit, from
-    the moments of the size + 1 panels around them alone."""
-    a, b = _panel_moments(grid, kernel, svals, start - 1, size + 1, orders=2)
+    the moments of the size + 1 panels around them alone. With ``simpson``
+    the Simpson weights of a window of whole panel pairs (every start even,
+    size odd), from the moments of the size + 3 panels of the pairs that
+    touch it."""
+    # p panels each side beyond the nodes' own: one, or a whole pair
+    p = 2 if simpson else 1
+    moments = _panel_moments(
+        grid, kernel, svals, start - p, size - 1 + 2 * p, orders=3 if simpson else 2
+    )
     # a panel beyond the ends adds an exact 0 to the end node's one-sided sum
-    for col, beyond in ((0, start == 0), (-1, start + size - 1 == grid.n)):
-        a[beyond, col] = b[beyond, col] = 0.0
+    for cols, beyond in ((slice(0, p), start == 0), (slice(-p, None), start + size - 1 == grid.n)):
+        for moment in moments:
+            moment[beyond, cols] = 0.0
+    a, b = moments[:2]
+    if simpson:
+        mu = np.add(moments[2][:, 0::2], moments[2][:, 1::2])
+        b[:, 0::2] -= mu
+        b[:, 1::2] += mu
+        a, b = a[:, 1:-1], b[:, 1:-1]
     w = np.add(a[:, :-1], a[:, 1:])
     w += b[:, :-1]
     w -= b[:, 1:]
@@ -547,14 +561,18 @@ _EPS = np.finfo(float).eps
 # reference (17k intervals) made node arrays of 2.9 MB; malloc served them
 # from fresh mmaps, so each round page-faulted about 47 MB anew: 100k faults
 # and 0.3 s of system time per op on a 2-vCPU host, varying from op to op
-# with the allocator's state. Blocks of 512 intervals keep every temporary
-# near 86 kB, below glibc's initial 128 kB mmap threshold, so malloc serves
-# them from reused heap memory whatever the process freed before. Blocks of
-# 2048 (340 kB) needed an earlier multi-MB free to raise that threshold: on
-# their own, a 4.3k-point reference took 0.40 s and 25-35k faults, against
-# 0.28 s and under 2k faults with 512. Only the grouping of the work
-# changes: the values come out bit-identical.
-_REF_BLOCK = 512
+# with the allocator's state. Blocks of at most 512 intervals keep every
+# temporary within 86 kB (22 kB at 128), below glibc's initial 128 kB mmap
+# threshold, so malloc serves them from reused heap memory whatever the
+# process freed before (blocks of 2048, 340 kB, took 25-35k faults on a
+# 4.3k-point reference). The block also sets the reference's own peak: the
+# compare_fine references (489-551 points, seed 5, ops 0-3; best of 5 on a
+# 2-vCPU host) peaked at 1.12-1.22 MB over 3.4-4.5 ms with blocks of 512,
+# 0.73-0.78 MB over 3.0-3.8 ms with 256, 0.51-0.56 MB over 3.0-3.9 ms with
+# 128 and 0.40-0.45 MB over 3.6-7.4 ms with 64, where the per-block numpy
+# calls start to show. Only the grouping of the work changes: each
+# interval's sums are row-local, so the values come out bit-identical.
+_REF_BLOCK = 128
 
 _PROFILE_DIRECT = 0
 _PROFILE_POWER = 1  # t = s + sgn * v**p; weight factor per kernel kind

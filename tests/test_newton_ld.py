@@ -508,9 +508,30 @@ class TestCrossFactor:
 
 
 class TestPrecorrected:
-    """A trapezoid rule with a cross factor on at least _PRECORRECT_MIN_N
-    panels reads its points off the grid by precorrected interpolation from
-    its own nodal values, not from dense rows."""
+    """A rule with a cross factor reads its points off the grid by
+    precorrected interpolation from its own nodal values, not from dense
+    rows: a trapezoid rule from _PRECORRECT_MIN_N panels, a Simpson rule
+    wherever its window fits, and neither when L is rough in s."""
+
+    @staticmethod
+    def _check(kernel, bound, L, a, b, n, rng, simpson=False):
+        grid = make_grid(a, b, n)
+        prob = HammersteinProblem(a, b, kernel, L, get_nonlinearity("square"), FUNCTIONS["one"])
+        rule = _ProductRule(prob, grid, grid.nodes, np.arange(n + 1), simpson)
+        assert rule.near is not None and rule.WL_dense is None
+        ends = grid.h * rng.uniform(0.0, 40.0, 25)
+        s = np.concatenate([a + ends, b - ends[::-1], rng.uniform(a, b, 25)])
+        rows = _moment_weight_rows(grid, kernel, s, simpson) * _L_values(L, s, grid.nodes)
+        # the same points held by a rule, as LD's rules hold the points off
+        # their grids
+        points = np.unique(np.concatenate([grid.nodes, s]))
+        held = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        for f in (np.cos(3.0 * grid.nodes) + 1.2, rng.standard_normal(n + 1)):
+            got = rule.extend(s, [f], [rule.at_nodes(f)])[0]
+            want = rows @ f
+            tol = bound * np.finfo(float).eps * np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+            np.testing.assert_array_equal(held(f)[np.searchsorted(points, s)], got)
 
     @pytest.mark.parametrize("n", [256, 1454, 3001])
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
@@ -532,22 +553,22 @@ class TestPrecorrected:
         # 150 eps for log and 173 for alg. The evaluator works on any grid
         # its window fits in; the rules take it from _PRECORRECT_MIN_N panels
         monkeypatch.setattr(newton_ld, "_PRECORRECT_MIN_N", 256)
-        grid = make_grid(a, b, n)
-        prob = HammersteinProblem(a, b, kernel, L, get_nonlinearity("square"), FUNCTIONS["one"])
-        rule = _ProductRule(prob, grid, grid.nodes, np.arange(n + 1))
-        assert rule.near is not None and rule.WL_dense is None
-        ends = grid.h * rng.uniform(0.0, 40.0, 25)
-        s = np.concatenate([a + ends, b - ends[::-1], rng.uniform(a, b, 25)])
-        rows = _moment_weight_rows(grid, kernel, s, False) * _L_values(L, s, grid.nodes)
-        # the same points held by a rule, as LD's rule holds the fine nodes
-        points = np.unique(np.concatenate([grid.nodes, s]))
-        held = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes))
-        for f in (np.cos(3.0 * grid.nodes) + 1.2, rng.standard_normal(n + 1)):
-            got = rule.extend(s, [f], [rule.at_nodes(f)])[0]
-            want = rows @ f
-            tol = bound * np.finfo(float).eps * np.max(np.abs(want))
-            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-            np.testing.assert_array_equal(held(f)[np.searchsorted(points, s)], got)
+        self._check(kernel, bound, L, a, b, n, rng)
+
+    @pytest.mark.parametrize("n", [64, 320, 1454])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
+    @pytest.mark.parametrize(
+        "kernel", [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7)],
+        ids=["log", "alg0.3", "alg0.7"],
+    )
+    def test_simpson_matches_dense_moment_rows(self, kernel, L, a, b, n, rng):
+        # the Simpson window is whole panel pairs, and each of its columns
+        # takes the Toeplitz entries of its parity. Over this draw and 23
+        # others of 60 points the worst here was 163 eps max|ref| for log,
+        # 173 for alg 0.3 and 105 for alg 0.7 (random F; 105 for smooth F).
+        # At n = 64 the window is the whole grid
+        self._check(kernel, 256, L, a, b, n, rng, simpson=True)
 
     def test_small_grid_keeps_dense_rows(self):
         assert 64 < _PRECORRECT_MIN_N
@@ -560,6 +581,39 @@ class TestPrecorrected:
         assert rule.ell is not None and rule.near is None
         # the 41 samples hold the 9 nodes at multiples of 1/8
         assert rule.WL_dense.shape == (41 - 9, 65)
+
+    def test_simpson_below_the_window_keeps_dense_rows(self):
+        # 22 panels hold no window of 65 nodes
+        fine = make_grid(0.0, 1.0, 22)
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        points = np.unique(np.concatenate([fine.nodes, np.linspace(0.0, 1.0, 41)]))
+        rule = _ProductRule(prob, fine, points, np.searchsorted(points, fine.nodes), simpson=True)
+        assert rule.ell is not None and rule.near is None
+        # the 41 samples hold the 3 nodes 0, 1/2 and 1
+        assert rule.WL_dense.shape == (41 - 3, 23)
+
+    @pytest.mark.parametrize("simpson, n", [(False, 600), (True, 320)], ids=["trapezoid", "simpson"])
+    def test_rough_L_keeps_dense_rows(self, simpson, n, rng):
+        # |s - 0.3| is rank 1 on the lattice, so the rule has a factor, but
+        # no interpolant in s reads it across the kink: the remainder
+        # estimated from the 12th differences of its pivot column is 1e13
+        # eps max|L|. Precorrected, these points were up to 5.7e-4
+        # (trapezoid) and 1.0e-3 (Simpson) max|K| off
+        grid = make_grid(0.0, 1.0, n)
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_kinked, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        s = np.concatenate([0.3 + grid.h * rng.uniform(-8.0, 8.0, 20), rng.uniform(0.0, 1.0, 20)])
+        points = np.unique(np.concatenate([grid.nodes, s]))
+        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        assert rule.ell is not None and rule.near is None
+        f = np.cos(3.0 * grid.nodes) + 1.2
+        rows = _moment_weight_rows(grid, prob.kernel, s, simpson) * _L_values(L_kinked, s, grid.nodes)
+        want = rows @ f
+        got = rule(f)[np.searchsorted(points, s)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestLargeGrid:
@@ -608,9 +662,11 @@ class TestLargeGrid:
 
     def test_off_grid_points_hold_no_dense_rows(self):
         # the CI ld.json problem: the 313 fine nodes off the Newton grid
-        # took 313 x 1501 dense rows of its trapezoid rule, and the solve
-        # peaked at 9.2 MB; read by precorrected interpolation they hold 76
-        # numbers each, and it peaks at 5.8 MB
+        # took 313 x 1501 dense rows of its trapezoid rule, and the 1493
+        # Newton nodes off the fine grid 1493 x 321 dense rows of the
+        # Simpson rule; the solve peaked at 9.2 MB with both, 5.8 MB with
+        # the Simpson rows alone. Read by precorrected interpolation they
+        # hold 76 and 77 numbers each, and it peaks at 2.9 MB
         tracemalloc.start()
         try:
             _, report = ld_solve(self._problem(), make_grid(0, 1, 1500))
@@ -619,7 +675,20 @@ class TestLargeGrid:
             tracemalloc.stop()
         assert report.status == "converged"
         assert report.records[-1].true_error <= 1.5e-10
-        assert peak < 7e6
+        assert peak < 3.8e6
+
+    def test_fine_rule_holds_no_dense_rows(self):
+        # at n_fine = 1024 the Simpson rows at the 1496 Newton nodes off the
+        # fine grid took 1496 x 1025 numbers (12.3 MB), and the solve peaked
+        # at 14.8 MB; read by precorrected interpolation it peaks at 3.5 MB
+        tracemalloc.start()
+        try:
+            _, report = ld_solve(self._problem(), make_grid(0, 1, 1500), LDSettings(n_fine=1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == "converged"
+        assert peak <= 6.0e6
 
     def test_two_grid_steps_match_exact_steps(self, monkeypatch):
         prob = self._problem()

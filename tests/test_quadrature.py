@@ -236,6 +236,31 @@ class TestSimpsonWeights:
         with pytest.raises(ValueError, match="even"):
             weight_matrix(make_grid(0.0, 1.0, 5), log_kernel(), [0.5], simpson=True)
 
+    @pytest.mark.parametrize("simpson, size", [(False, 64), (True, 65)], ids=["trapezoid", "simpson"])
+    @pytest.mark.parametrize("n", [64, 66, 320])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize(
+        "kernel", [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7), smooth_exp()],
+        ids=["log", "alg0.3", "alg0.7", "smooth"],
+    )
+    def test_window_rows_are_columns_of_whole_rows(self, kernel, a, b, n, simpson, size, rng):
+        # a window's weights from the moments of the panels around it alone
+        # (for Simpson, of the panel pairs that touch it) are the whole row's
+        # columns to the bit, at the ends of the grid, at its nodes and on
+        # either side of the window
+        grid = make_grid(a, b, n)
+        s = np.concatenate([rng.uniform(a, b, 20), grid.nodes[[0, 1, 2, n // 2, n - 1, n]]])
+        s = np.concatenate([s, np.minimum(a + grid.h * rng.uniform(0.0, 3.0, 6), b)])
+        last = n + 1 - size
+        start = rng.integers(0, last + 1, s.size)
+        start[:4], start[4:8] = 0, last
+        if simpson:
+            start -= start % 2
+        rows = quadrature._moment_weight_rows(grid, kernel, s, simpson)
+        want = np.take_along_axis(rows, start[:, None] + np.arange(size), axis=1)
+        got = quadrature._window_weight_rows(grid, kernel, s, start, size, simpson)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestTangentRule:
     """Weight rows applied to nodal data, as the LD step applies them to the
@@ -540,14 +565,18 @@ class TestReferenceQuadrature:
 
     def test_blocked_batch_matches_one_block(self, monkeypatch):
         # 1500 tasks give over 3000 intervals, so each rule pair runs in
-        # several blocks of _REF_BLOCK intervals
+        # several blocks of _REF_BLOCK intervals; each interval's sums are
+        # row-local, so the grouping leaves every value bitwise the same
         kernel = log_kernel()
         s = np.linspace(0.0, 1.0, 1500)
         g = lambda t, i: np.cos(3.0 * t) * (1.0 + s[i])
-        blocked = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
-        monkeypatch.setattr(quadrature, "_REF_BLOCK", 10**9)
-        whole = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
-        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=1e-15)
+        assert quadrature._REF_BLOCK == 128
+        blocked = {}
+        for block in (128, 512, 10**9):
+            monkeypatch.setattr(quadrature, "_REF_BLOCK", block)
+            blocked[block] = adaptive_kernel_batch(kernel, g, s, 0.0, 1.0, tol=1e-11)
+        for block in (128, 512):
+            np.testing.assert_array_equal(blocked[block], blocked[10**9])
 
 
 # Tasks (s, c, d) on the grid of 8 panels over [-0.5, 1.5] (h = 0.25, so every
