@@ -21,7 +21,6 @@ half of every cold start.
 from __future__ import annotations
 
 import functools
-from typing import Callable
 
 import numpy as np
 
@@ -32,59 +31,35 @@ class SingularSystemError(RuntimeError):
     """The linear system is numerically singular at working precision."""
 
 
-def factor_dense(M) -> Callable[[np.ndarray], np.ndarray]:
-    """M checked once, as a function rhs -> M^-1 rhs.
-
-    Raises SingularSystemError here, with solve_dense's message, when gesv
-    meets an exact zero pivot or the condition estimate exceeds 1/eps. Each
-    call refactors M (numpy has no getrs) in the same gesv call as
-    solve_dense, so factor_dense(M)(rhs) equals solve_dense(M, rhs) bytewise.
-    M is not modified, and the returned function does not modify its argument.
-    """
-    solve = _solver(M)
-    solve(np.zeros(len(M)))
-    return solve
-
-
 def solve_dense(M, rhs) -> np.ndarray:
     """Solve M x = rhs by LU with partial pivoting: one gesv on [rhs, p1, p2].
 
-    A malformed rhs raises ValueError before M is factored; a singular M
-    raises SingularSystemError as in factor_dense. The inputs are not
-    modified.
+    A malformed rhs raises ValueError before M is factored. Raises
+    SingularSystemError when gesv meets an exact zero pivot or the condition
+    estimate exceeds 1/eps. The inputs are not modified.
     """
     if np.ndim(M) == 2:
-        _checked_rhs(rhs, np.shape(M)[0])
-    return _solver(M)(rhs)
-
-
-def _solver(M) -> Callable[[np.ndarray], np.ndarray]:
+        rhs = _checked_rhs(rhs, np.shape(M)[0])
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    m = M.shape[0]
     norm = np.abs(M).sum(axis=1).max()
     if not np.isfinite(norm) and not np.isfinite(M).all():
         raise ValueError("matrix and rhs entries must be finite")
-    block = _probe_block(m)
-
-    def solve(rhs) -> np.ndarray:
-        B = block.copy()
-        B[:, 0] = _checked_rhs(rhs, m)
-        try:
-            X = np.linalg.solve(M, B)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        # the probes have unit max-norm, so this is kappa * eps
-        kappa_eps = np.abs(X[:, 1:]).max() * norm * _EPS
-        if not kappa_eps <= 1.0:
-            raise SingularSystemError(
-                f"condition estimate {kappa_eps / _EPS:.1e} above 1/eps; "
-                "system is numerically singular"
-            )
-        return X[:, 0].copy()
-
-    return solve
+    B = _probe_block(M.shape[0]).copy()
+    B[:, 0] = rhs
+    try:
+        X = np.linalg.solve(M, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    # the probes have unit max-norm, so this is kappa * eps
+    kappa_eps = np.abs(X[:, 1:]).max() * norm * _EPS
+    if not kappa_eps <= 1.0:
+        raise SingularSystemError(
+            f"condition estimate {kappa_eps / _EPS:.1e} above 1/eps; "
+            "system is numerically singular"
+        )
+    return X[:, 0].copy()
 
 
 @functools.lru_cache(maxsize=16)

@@ -53,8 +53,9 @@ taken only once checked. It is solved only as far as Newton can use: to a
 forcing term eta = O(|res|) relative, which keeps the convergence quadratic
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982; Eisenstat &
 Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the rounding of
-the iterate. After a miss, this step and the later ones are LU solves of
-the Newton matrix on the grid itself.
+the iterate. After a miss (a residual that stops shrinking, or a singular
+coarse system), this step and the later ones are LU solves of the Newton
+matrix on the grid itself.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses,
 the output samples read after it), the settings it reads, `_ProductRule`
@@ -73,7 +74,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .linalg import SingularSystemError, factor_dense, solve_dense
+from .linalg import SingularSystemError, solve_dense
 from .problem import (
     KERNEL_SMOOTH,
     Grid,
@@ -948,8 +949,10 @@ class _TwoGrid:
     (n + 1) x (n_c + 1) dense rows. Where tau are grid nodes (n a multiple of
     n_c) the coarse hats are piecewise linear on grid panels and this is
     R D_c z to rounding and _RANK_TOL; otherwise it is a prolongation of the
-    same order. A rule without a factor holds dense rows R. When n_c = n, G
-    is the dense A and M the LU solve of I - A D; after a miss the step
+    same order. A rule without a factor holds dense rows R. Each application
+    of M solves the coarse system I - G D_c afresh, with solve_dense. When
+    n_c = n, G is the dense A and M the LU solve of I - A D; after a miss
+    (the residual stops shrinking, or the coarse system is singular) the step
     becomes that one.
     """
 
@@ -987,7 +990,8 @@ class _TwoGrid:
         )
 
     def inverse(self, df, K):
-        """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU."""
+        """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU
+        per application."""
         d_c = np.interp(self.tau, self.grid.nodes, df)
         M = np.eye(self.tau.size) - self.G * d_c[None, :]
         if self.exact:
@@ -995,11 +999,11 @@ class _TwoGrid:
             # add and cancel terms of size |A D| |r|, and a runaway iterate
             # makes |A D| large
             return lambda r: solve_dense(M, r)
-        solve = factor_dense(M)
 
         def apply(r):
             Kr = K(r)
-            return r + Kr + self.prolong(d_c * solve(np.interp(self.tau, self.grid.nodes, Kr)))
+            z = solve_dense(M, np.interp(self.tau, self.grid.nodes, Kr))
+            return r + Kr + self.prolong(d_c * z)
 
         return apply
 
@@ -1011,17 +1015,17 @@ class _TwoGrid:
             return self.rule.at_nodes(df * v)
 
         if not self.exact:
+            size = np.max(np.abs(rhs))
+            eta = max(_STEP_RTOL, min(1e-3, size * size))
+            tol = max(eta * size, np.finfo(float).eps * np.max(np.abs(X)))
             try:
-                precond = self.inverse(df, K)
+                delta = _two_grid_solve(
+                    lambda v: v - K(v), self.inverse(df, K), rhs, tol, _STEP_MAXITER
+                )
             except SingularSystemError:
-                pass  # a singular coarse system says nothing about the grid's own
-            else:
-                size = np.max(np.abs(rhs))
-                eta = max(_STEP_RTOL, min(1e-3, size * size))
-                tol = max(eta * size, np.finfo(float).eps * np.max(np.abs(X)))
-                delta = _two_grid_solve(lambda v: v - K(v), precond, rhs, tol, _STEP_MAXITER)
-                if delta is not None:
-                    return delta
+                delta = None  # a singular coarse system says nothing about the grid's own
+            if delta is not None:
+                return delta
             self._coarsen(self.grid.n)
         return self.inverse(df, K)(rhs)
 

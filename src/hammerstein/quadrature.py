@@ -33,10 +33,12 @@ weight for alg), and then refined by interval halving on the Gauss-Kronrod
 |K21 - G10|, but at least one rounding unit of its integral of |f|; a task
 whose summed floor stays above its tolerance fails at once. A batch is laid
 out as profiles, one change of variable each (a left and a right one for a
-task whose singular point lies in its range, a direct one otherwise), and the
-intervals between each profile's breaks. Both tables are built with array
+task whose singular point lies in its range, a direct one otherwise), each
+the starting interval of its refinement. The table is built with array
 operations, every refinement round treats the whole batch at once, and a
-task's value does not depend on the rest of its batch.
+task's value does not depend on the rest of its batch. The embedded error
+estimate is trusted only where g is smooth: a caller whose g has kinks
+splits [c, d] at them into tasks of its own and sums their values.
 """
 
 from __future__ import annotations
@@ -51,9 +53,7 @@ from .problem import (
     KERNEL_SMOOTH,
     Grid,
     HammersteinProblem,
-    SampledFunction,
     SingularKernel,
-    _sorted_unique,
     make_grid,
 )
 
@@ -577,6 +577,9 @@ _REF_BLOCK = 128
 _PROFILE_DIRECT = 0
 _PROFILE_POWER = 1  # t = s + sgn * v**p; weight factor per kernel kind
 
+# refinement rounds before a batch is given up as not converging
+_MAX_ROUNDS = 600
+
 # t = s +- v**p for the log kernel: the integrand p**2 v**(p-1) log(v) g has
 # four continuous derivatives at v = 0. With p = 2 a v log v term is left,
 # and halving splits the innermost interval of every profile round after round
@@ -609,13 +612,15 @@ def _rule_pair(fun, lo, hi, prof):
     return val, err, floor
 
 
-def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=600):
+def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals):
     """Interval-halving refinement of a batch of transformed integrals.
 
     fun(points, profile_ids) evaluates the integrand on an (intervals, nodes)
     block of points, one profile id per interval; profiles group
     intervals that share transform parameters, tasks group profiles whose
-    values are summed into one integral. tol is absolute, per task.
+    values are summed into one integral. lo, hi and prof are the starting
+    intervals, each with hi > lo, and their profiles. tol is absolute, per
+    task.
 
     A task's error is at least the sum of its intervals' roundoff floors,
     which halving does not lower. A task whose floor sum is above tol and
@@ -623,14 +628,12 @@ def _adaptive_batch(fun, lo, hi, prof, task_of_prof, tol, max_evals, max_rounds=
     spending its evaluation budget.
     """
     n_tasks = tol.size
-    keep = hi > lo
-    lo, hi, prof = lo[keep], hi[keep], prof[keep]
     if lo.size == 0:
         return np.zeros(n_tasks), np.zeros(n_tasks)
     val, err, floor = _rule_pair(fun, lo, hi, prof)
     evals = _GK_POINTS * np.bincount(task_of_prof[prof], minlength=n_tasks)
     last_floor = np.full(n_tasks, np.inf)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         tid = task_of_prof[prof]
         tot_err = np.bincount(tid, weights=err, minlength=n_tasks)
         needy = tot_err > tol
@@ -691,7 +694,6 @@ def adaptive_kernel_batch(
     d,
     tol: float = 1e-10,
     max_evals: int = 10**6,
-    breaks=(),
 ) -> np.ndarray:
     """Reference values of int_c^d H(s,t) g(t) dt for a batch of tasks.
 
@@ -706,24 +708,24 @@ def adaptive_kernel_batch(
     roundoff floor that halving cannot lower; only the error above it is
     refined. A task's value is bitwise the same in any batch.
 
+    Each profile starts as one interval, so g must be smooth on each task's
+    [c, d]: on an integrand with an interior kink the two Gauss rules can
+    agree by accident while both are off. A caller with a kinked g splits
+    [c, d] at the kinks into tasks and sums their values.
+
     Parameters
     ----------
     kernel : SingularKernel
         The singular factor H.
     g : callable
         Smooth part of the integrand, called as ``g(t, task_idx)`` with flat
-        arrays; must be vectorized.
+        arrays; must be vectorized and smooth on each task's [c, d].
     svals, c, d : array_like
         Per-task singular point and integration bounds (scalars broadcast).
     tol : float
         Absolute tolerance per task.
     max_evals : int
         Integrand-evaluation budget per task before reporting failure.
-    breaks : array_like
-        Known kink locations of g (t coordinates). Intervals never straddle
-        a break, which keeps the embedded error estimate trustworthy: on
-        integrands with an interior kink the two Gauss rules can agree by
-        accident while both are off.
 
     Raises
     ------
@@ -743,7 +745,6 @@ def adaptive_kernel_batch(
     if not tol > 0:
         raise ValueError("tol must be positive")
     n_tasks = svals.size
-    breaks = _sorted_unique(np.asarray(breaks, dtype=float)) if len(breaks) else np.empty(0)
 
     if kernel.kind == KERNEL_LOG:
         power = float(_LOG_POWER)
@@ -758,10 +759,9 @@ def adaptive_kernel_batch(
         power = (weight_power + 1) / (1.0 - kernel.beta)
     else:
         power = 1.0
-    kind, ps, sgn, task, lo, hi, cut_of, cuts = _profile_table(
-        kernel.kind == KERNEL_SMOOTH, svals, c, d, breaks, 1.0 / power
+    kind, ps, sgn, task, lo, hi = _profile_table(
+        kernel.kind == KERNEL_SMOOTH, svals, c, d, 1.0 / power
     )
-    iv_lo, iv_hi, iv_prof = _interval_table(lo, hi, cut_of, cuts)
 
     def direct(v, pid):
         t = v.ravel()
@@ -794,22 +794,20 @@ def adaptive_kernel_batch(
             return out
 
     tol_arr = np.full(n_tasks, float(tol))
-    vals, _ = _adaptive_batch(fun, iv_lo, iv_hi, iv_prof, task, tol_arr, max_evals)
+    vals, _ = _adaptive_batch(fun, lo, hi, np.arange(lo.size), task, tol_arr, max_evals)
     return vals
 
 
-def _profile_table(smooth, svals, c, d, breaks, q):
+def _profile_table(smooth, svals, c, d, q):
     """Integration profiles of a task batch, in task order.
 
     A task whose singular point lies in [c, d] gets a left profile
     (t = s - v**(1/q) for v in [0, (s - c)**q]) and then a right one
     (t = s + v**(1/q)), each dropped when empty. Any other task, and every
     task of a smooth kernel, gets one direct profile over [c, d], dropped
-    when c == d. Breaks strictly inside a profile's t range are mapped to
-    its v coordinate and returned as cuts, grouped by profile.
+    when c == d.
 
-    Returns per-profile (kind, s, sgn, task, lo, hi) arrays, then the profile
-    of each cut and the cut values.
+    Returns per-profile (kind, s, sgn, task, lo, hi) arrays, every hi > lo.
     """
     n_tasks = svals.size
     split = (not smooth) & (c <= svals) & (svals <= d)
@@ -829,41 +827,7 @@ def _profile_table(smooth, svals, c, d, breaks, q):
     task = np.broadcast_to(np.arange(n_tasks)[:, None], (n_tasks, 3))[present]
     kind = np.where(slot == 0, _PROFILE_DIRECT, _PROFILE_POWER)
     sgn = np.array([1.0, -1.0, 1.0])[slot]
-    ps = svals[task]
-
-    # breaks[first:stop] are the breaks strictly inside each profile's t range
-    above_c, above_s = np.searchsorted(breaks, np.stack([c, svals]), side="right")
-    from_s, from_d = np.searchsorted(breaks, np.stack([svals, d]), side="left")
-    first = np.where(slot == 2, above_s[task], above_c[task])
-    stop = np.where(slot == 1, from_s[task], from_d[task])
-    count = np.maximum(stop - first, 0)
-    cut_of = np.repeat(np.arange(task.size), count)
-    offset = np.arange(cut_of.size) - np.repeat(np.cumsum(count) - count, count)
-    cuts = breaks[first[cut_of] + offset]
-    power_cut = kind[cut_of] == _PROFILE_POWER
-    owner = cut_of[power_cut]
-    cuts[power_cut] = (sgn[owner] * (cuts[power_cut] - ps[owner])) ** q
-    return kind, ps, sgn, task, lo[present], hi[present], cut_of, cuts
-
-
-def _interval_table(lo, hi, cut_of, cuts):
-    """Intervals between the sorted distinct edges of every profile.
-
-    Edges are each profile's ends plus its cuts that fall within them; the
-    intervals come out grouped by profile in profile order, ascending inside.
-    """
-    n_prof = lo.size
-    edge = np.concatenate([lo, cuts, hi])
-    owner = np.concatenate([np.arange(n_prof), cut_of, np.arange(n_prof)])
-    keep = (edge >= lo[owner]) & (edge <= hi[owner])
-    edge, owner = edge[keep], owner[keep]
-    order = np.lexsort((edge, owner))
-    edge, owner = edge[order], owner[order]
-    distinct = np.ones(edge.size, dtype=bool)
-    distinct[1:] = (owner[1:] != owner[:-1]) | (edge[1:] != edge[:-1])
-    edge, owner = edge[distinct], owner[distinct]
-    inside = owner[1:] == owner[:-1]
-    return edge[:-1][inside], edge[1:][inside], owner[:-1][inside]
+    return kind, svals[task], sgn, task, lo[present], hi[present]
 
 
 def eval_operator_reference_parts(
@@ -872,12 +836,11 @@ def eval_operator_reference_parts(
     """Reference values of the integral operator int_a^b H L F(t, x(t)) dt at svals.
 
     Adaptive quadrature split (and transformed) at t = s, refined until the
-    estimated absolute error of each value is at most tol; the kinks of a
-    SampledFunction x are breaks. Raises QuadratureConvergenceError when that
-    fails (see adaptive_kernel_batch).
+    estimated absolute error of each value is at most tol; L(s, .) and
+    F(., x(.)) must be smooth on [a, b] (see adaptive_kernel_batch). Raises
+    QuadratureConvergenceError when that fails.
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    breaks = x.points[1:-1] if isinstance(x, SampledFunction) else ()
 
     def g(t, task_idx):
         ss = svals[task_idx]
@@ -885,7 +848,5 @@ def eval_operator_reference_parts(
         lv = np.asarray(L(ss, t), dtype=float)
         return lv * np.asarray(nonlin.F(t, xt), dtype=float)
 
-    return adaptive_kernel_batch(
-        kernel, g, svals, a, b, tol=tol, max_evals=max_evals, breaks=breaks
-    )
+    return adaptive_kernel_batch(kernel, g, svals, a, b, tol=tol, max_evals=max_evals)
 

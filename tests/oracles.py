@@ -159,38 +159,29 @@ def _simpson_weight_rows(kernel, a, b, n_fine, points):
     return W
 
 
-def profile_tables_by_task(smooth, svals, c, d, breaks, q):
-    """The adaptive engine's profile and interval tables, built task by task.
+def profile_tables_by_task(smooth, svals, c, d, q):
+    """The adaptive engine's profile table, built task by task.
 
     Mirrors the documented layout: per task a direct profile over [c, d], or
-    a left (sgn -1) then a right (sgn +1) profile in v = |t - s|**q; empty
-    profiles dropped; edges are each profile's ends and the breaks strictly
-    inside its t range, mapped to v. Returns (kind, s, sgn, task) per profile
-    (kind 0 direct, 1 power) and (lo, hi, profile) per interval.
+    a left (sgn -1) then a right (sgn +1) profile in v = |t - s|**q from 0;
+    empty profiles dropped. Returns (kind, s, sgn, task, lo, hi) per profile
+    (kind 0 direct, 1 power).
     """
-    breaks = np.unique(np.asarray(breaks, dtype=float))
-    profiles, intervals = [], []
+    profiles = []
 
-    def add(kind, s, sgn, task, lo, hi, cuts):
-        if hi <= lo:
-            return
-        edges = np.concatenate(([lo], cuts, [hi]))
-        edges = np.unique(edges[(edges >= lo) & (edges <= hi)])
-        intervals.extend((e0, e1, len(profiles)) for e0, e1 in zip(edges[:-1], edges[1:]))
-        profiles.append((kind, s, sgn, task))
+    def add(kind, s, sgn, task, lo, hi):
+        if hi > lo:
+            profiles.append((kind, s, sgn, task, lo, hi))
 
     for i, (s, ci, di) in enumerate(zip(svals, c, d)):
-        inner = breaks[(breaks > ci) & (breaks < di)]
         if smooth or not ci <= s <= di:
-            add(0, s, 1.0, i, ci, di, inner)
+            add(0, s, 1.0, i, ci, di)
             continue
         if s > ci:
-            add(1, s, -1.0, i, 0.0, (s - ci) ** q, (s - inner[inner < s]) ** q)
+            add(1, s, -1.0, i, 0.0, (s - ci) ** q)
         if s < di:
-            add(1, s, 1.0, i, 0.0, (di - s) ** q, (inner[inner > s] - s) ** q)
-    kind, s, sgn, task = (np.array(col) for col in zip(*profiles))
-    lo, hi, prof = (np.array(col) for col in zip(*intervals))
-    return (kind, s, sgn, task), (lo, hi, prof)
+            add(1, s, 1.0, i, 0.0, (di - s) ** q)
+    return tuple(np.array(col) for col in zip(*profiles))
 
 
 def frozen_problem(problem, x):

@@ -13,6 +13,7 @@ from hammerstein import (
     FUNCTIONS,
     HammersteinProblem,
     SingularOperatorError,
+    SingularSystemError,
     algebraic_kernel,
     dl_solve,
     get_nonlinearity,
@@ -338,6 +339,34 @@ class TestStructured:
         assert report.records[-1].k == 7
         assert levels == [64, 256]
         assert applies == [64] + [256] * 7
+
+    def test_singular_coarse_system_falls_back_to_exact_steps(
+        self, benchmark_problem, monkeypatch
+    ):
+        # a singular coarse system says nothing about the grid's own, so the
+        # step is taken by the grid's LU, and so are the later ones: the run
+        # ends as the two-grid run does, converged after 5 steps, with one
+        # coarse solve tried and then 5 LUs of the grid, and its nodal
+        # values are dense Newton's
+        n = 100
+        grid = make_grid(0, 1, n)
+        _, plain = dl_solve(benchmark_problem, grid, FAST, x0=0.85)
+        sizes = []
+        solve = newton_ld.solve_dense
+
+        def singular_coarse(M, rhs):
+            sizes.append(len(M))
+            if len(M) == _COARSE_N + 1:
+                raise SingularSystemError("coarse system made singular")
+            return solve(M, rhs)
+
+        monkeypatch.setattr(newton_ld, "solve_dense", singular_coarse)
+        fn, report = dl_solve(benchmark_problem, grid, FAST, x0=0.85)
+        assert plain.status == report.status == "converged"
+        assert plain.records[-1].k == report.records[-1].k == 5
+        assert sizes == [_COARSE_N + 1] + [n + 1] * 5
+        oracle = dense_newton(benchmark_problem, grid, 0.85, 5)
+        np.testing.assert_allclose(fn(grid.nodes), oracle, rtol=0, atol=1e-12)
 
     def test_two_grid_solve_non_finite_check_is_a_miss(self):
         # the update gives x = b, then the residual check reads NaN: no x

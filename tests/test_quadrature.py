@@ -286,10 +286,13 @@ class TestTangentRule:
         interp = SampledFunction(grid.nodes, h_vals)
         for s in (0.0, 0.3, 0.5, 1.0):
             val = weight_matrix(grid, prob.kernel, [s])[0] @ h_vals
+            # one task per panel: the interpolant's kinks at the nodes are
+            # task ends, never inside an interval the engine estimates
             ref = quadrature.eval_operator_reference_parts(
-                prob.kernel, L_one, prob.nonlin, interp, s, 0.0, 1.0, tol=1e-12
+                prob.kernel, L_one, prob.nonlin, interp, np.full(grid.n, s),
+                grid.nodes[:-1], grid.nodes[1:], tol=1e-12,
             )
-            assert val == pytest.approx(ref[0], abs=1e-10)
+            assert val == pytest.approx(ref.sum(), abs=1e-10)
 
 
 class TestEvalOperator:
@@ -580,7 +583,8 @@ class TestReferenceQuadrature:
 
 
 # Tasks (s, c, d) on the grid of 8 panels over [-0.5, 1.5] (h = 0.25, so every
-# node and sub-grid is exact in binary); breaks are the grid nodes
+# node and sub-grid is exact in binary); g is piecewise linear between the
+# grid nodes, its breaks
 TABLE_GRID = make_grid(-0.5, 1.5, 8)
 TABLE_TASKS = [
     (0.25, -0.5, 1.5),  # s on a break
@@ -612,6 +616,23 @@ def piecewise_linear(nodes, values):
     return g
 
 
+def by_panel(kernel, values, s, c, d, tol):
+    """int_c^d H(s,t) g(t) dt per task for g the interpolant of values[i] on
+    TABLE_GRID: each task split at the nodes strictly inside [c, d] into one
+    engine task per panel (a task with c == d keeps one empty task, whose
+    value is 0), and their values summed."""
+    nodes = TABLE_GRID.nodes
+    parts = []
+    for i, (si, ci, di) in enumerate(zip(s, c, d)):
+        edges = np.concatenate(([ci], nodes[(nodes > ci) & (nodes < di)], [di]))
+        parts += [(si, e0, e1, i) for e0, e1 in zip(edges[:-1], edges[1:])]
+    ps, pc, pd, owner = (np.array(col) for col in zip(*parts))
+    owner = owner.astype(int)
+    g = piecewise_linear(nodes, values)
+    vals = adaptive_kernel_batch(kernel, lambda t, j: g(t, owner[j]), ps, pc, pd, tol=tol)
+    return np.bincount(owner, weights=vals, minlength=len(s))
+
+
 def product_trapezoid(kernel, grid, s, c, d, values):
     """int_c^d H(s,t) g(t) dt for g linear between grid nodes, c and d nodes:
     the product-trapezoid row of the sub-grid on [c, d] is exact there."""
@@ -627,8 +648,7 @@ class TestAdaptiveTables:
     def test_matches_product_trapezoid(self, kernel, rng):
         s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
         values = rng.uniform(-1.0, 1.0, (s.size, TABLE_GRID.n + 1))
-        g = piecewise_linear(TABLE_GRID.nodes, values)
-        got = adaptive_kernel_batch(kernel, g, s, c, d, tol=1e-13, breaks=TABLE_GRID.nodes)
+        got = by_panel(kernel, values, s, c, d, tol=1e-13)
         exact = [
             product_trapezoid(kernel, TABLE_GRID, *task, values[i])
             for i, task in enumerate(TABLE_TASKS)
@@ -639,42 +659,31 @@ class TestAdaptiveTables:
     def test_batch_matches_tasks_alone(self, kernel, rng):
         s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
         values = rng.uniform(-1.0, 1.0, (s.size, TABLE_GRID.n + 1))
-        breaks = TABLE_GRID.nodes
-        batch = adaptive_kernel_batch(
-            kernel, piecewise_linear(breaks, values), s, c, d, tol=1e-12, breaks=breaks
-        )
+        batch = by_panel(kernel, values, s, c, d, tol=1e-12)
         alone = [
-            adaptive_kernel_batch(
-                kernel, piecewise_linear(breaks, values[i : i + 1]), si, ci, di,
-                tol=1e-12, breaks=breaks,
-            )[0]
+            by_panel(kernel, values[i : i + 1], [si], [ci], [di], tol=1e-12)[0]
             for i, (si, ci, di) in enumerate(TABLE_TASKS)
         ]
         np.testing.assert_allclose(batch, alone, rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("kernel", TABLE_KERNELS, ids=TABLE_IDS)
     def test_tables_follow_task_order(self, kernel, rng):
-        # unsorted breaks with a duplicate, off-grid tasks and the grid tasks
+        # off-grid tasks and the grid tasks
         s, c, d = (np.array(col) for col in zip(*TABLE_TASKS))
         extra = rng.uniform(-0.5, 1.5, (3, 12))
         extra[1:].sort(axis=0)
         s, c, d = (np.concatenate(pair) for pair in zip((s, c, d), extra))
-        breaks = np.concatenate([rng.permutation(TABLE_GRID.nodes), [0.5]])
         smooth = kernel.kind == "smooth"
         power = 1.0 if smooth else 2.0 if kernel.kind == "log" else 1.0 / (1.0 - kernel.beta)
         q = 1.0 / power
-        (kind, ps, sgn, task), (lo, hi, prof) = profile_tables_by_task(
-            smooth, s, c, d, breaks, q
-        )
-        table = quadrature._profile_table(smooth, s, c, d, np.unique(breaks), q)
+        kind, ps, sgn, task, lo, hi = profile_tables_by_task(smooth, s, c, d, q)
+        table = quadrature._profile_table(smooth, s, c, d, q)
         np.testing.assert_array_equal(table[0], kind)
         np.testing.assert_array_equal(table[1], ps)
         np.testing.assert_array_equal(table[2], sgn)
         np.testing.assert_array_equal(table[3], task)
-        iv_lo, iv_hi, iv_prof = quadrature._interval_table(*table[4:])
-        np.testing.assert_array_equal(iv_prof, prof)
-        np.testing.assert_allclose(iv_lo, lo, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(iv_hi, hi, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(table[4], lo, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(table[5], hi, rtol=1e-15, atol=0)
 
 
 class TestKronrodRule:
