@@ -137,3 +137,35 @@ def test_rank_one_defect_of_1e_3_solves(m, u, rng):
     resid = np.max(np.abs(M @ x - rhs))
     scale = np.max(np.abs(M)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     assert resid / scale <= 1e-13
+
+
+def _relative_residual(M, x, rhs):
+    resid = np.max(np.abs(M @ x - rhs))
+    return resid / (np.max(np.abs(M)) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+
+def test_solves_many_right_hand_sides(rng):
+    # one M against several right-hand sides, as a Newton loop calls it
+    M = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)
+    M0 = M.copy()
+    for _ in range(3):
+        rhs = rng.standard_normal(20)
+        x = solve_dense(M, rhs)
+        assert _relative_residual(M, x, rhs) <= 1e-13
+        np.testing.assert_array_equal(solve_dense(M, rhs), x)
+    np.testing.assert_array_equal(M, M0)
+    with pytest.raises(ValueError):
+        solve_dense(M, np.ones(19))
+
+
+@pytest.mark.parametrize("m", [65, 1025])
+def test_repeat_solves_agree_bytewise(m, rng):
+    # the cached probe block is shared between calls; a solve must not depend
+    # on which solves ran before it
+    M = rng.standard_normal((m, m)) + 4.0 * np.sqrt(m) * np.eye(m)
+    rhs = [rng.standard_normal(m) for _ in range(3)]
+    first = [solve_dense(M, r) for r in rhs]
+    again = [solve_dense(M, r) for r in reversed(rhs)][::-1]
+    for r, x, y in zip(rhs, first, again):
+        np.testing.assert_array_equal(y, x)
+        assert _relative_residual(M, x, r) <= 1e-13
