@@ -7,7 +7,7 @@ and the classical discretize-then-linearize baseline (`dl_solve`).
 """
 
 from .config import ConfigError, RunConfig, config_from_dict, validate_config
-from .linalg import SingularSystemError, solve_dense
+from .linalg import SingularSystemError
 from .newton_dl import DLSettings, dl_solve
 from .newton_ld import LDSettings, SingularOperatorError, ld_solve
 from .problem import (
@@ -22,9 +22,7 @@ from .problem import (
     algebraic_kernel,
     get_nonlinearity,
     log_kernel,
-    log_sin_benchmark,
     make_grid,
-    manufactured_cosine_square,
     manufactured_problem,
     polynomial_nonlinearity,
     smooth_kernel,
@@ -33,12 +31,10 @@ from .problem import (
 from .quadrature import (
     QuadratureConvergenceError,
     SubtractionPlan,
-    adaptive_kernel_batch,
     moment0,
     product_weights,
-    weight_matrix,
 )
-from .reports import IterationRecord, SolveReport, compare_csv_text, parse_compare_csv
+from .reports import IterationRecord, SolveReport, compare_csv_text
 from .runner import RunOutcome, run_compare, run_nsweep
 
 __version__ = "0.1.0"
@@ -63,7 +59,6 @@ __all__ = [
     "SingularSystemError",
     "SolveReport",
     "SubtractionPlan",
-    "adaptive_kernel_batch",
     "algebraic_kernel",
     "compare_csv_text",
     "config_from_dict",
@@ -71,19 +66,14 @@ __all__ = [
     "get_nonlinearity",
     "ld_solve",
     "log_kernel",
-    "log_sin_benchmark",
     "make_grid",
-    "manufactured_cosine_square",
     "manufactured_problem",
     "moment0",
-    "parse_compare_csv",
     "polynomial_nonlinearity",
     "product_weights",
     "run_compare",
     "run_nsweep",
     "smooth_kernel",
-    "solve_dense",
     "validate_config",
     "verify_derivatives",
-    "weight_matrix",
 ]

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, validate_config
+from .config import ConfigError, check_grid_sizes, validate_config
 from .problem import algebraic_kernel, log_kernel, make_grid
 from .quadrature import moment0, product_weights
 from .runner import run_compare, run_nsweep
@@ -81,16 +81,15 @@ def _run_solver_command(args, csv_name: str) -> int:
 
 def _run_nsweep_command(args) -> int:
     try:
-        n_list = [int(x) for x in args.n.split(",") if x.strip()]
+        n_list = check_grid_sizes([int(x) for x in args.n.split(",") if x.strip()], "--n")
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except ValueError:
         print(f"--n: expected comma-separated integers, got {args.n!r}", file=sys.stderr)
         return 2
     cfg = validate_config(args.config, out_dir_override=args.out)
-    try:
-        outcome = run_nsweep(cfg, n_list)
-    except ValueError as exc:
-        print(f"--n: {exc}", file=sys.stderr)
-        return 2
+    outcome = run_nsweep(cfg, n_list)
     print(f"wrote {outcome.csv_path}, {outcome.summary_path} and {outcome.plot_path}")
     print(f"iterations to reach {cfg.target_error:g}:")
     for n, rep in zip(n_list, outcome.reports):

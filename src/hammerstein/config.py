@@ -110,6 +110,23 @@ def _expect_array_size(value: int, path: str) -> None:
     _expect(value + 1 <= _MAX_NODES, path, f"too large for a node array, got {value}")
 
 
+def _grid_size(raw, path: str) -> int:
+    n = _as_number(raw, path, integer=True)
+    _expect(n >= 1, path, f"must be at least 1, got {n}")
+    _expect_array_size(n, path)
+    return n
+
+
+def check_grid_sizes(raw, path: str = "n_list") -> list[int]:
+    """The grid sizes of a sweep, each checked as the config's ``n`` is:
+    a nonempty, strictly ascending list of integers from 1 up to the size
+    of a node array."""
+    _expect(len(raw) > 0, path, "expected at least one grid size")
+    sizes = [_grid_size(n, f"{path}[{i}]") for i, n in enumerate(raw)]
+    _expect(all(a < b for a, b in zip(sizes, sizes[1:])), path, f"must be strictly ascending, got {sizes}")
+    return sizes
+
+
 def _build_kernel(kind, beta, path: str) -> SingularKernel:
     if kind == "log":
         return log_kernel()
@@ -176,9 +193,7 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
     L = SMOOTH_FACTORS[cfg["L"]]
     nonlin = _build_nonlinearity(cfg["F"], "F")
 
-    n = _as_number(cfg["n"], "n", integer=True)
-    _expect(n >= 1, "n", f"must be at least 1, got {n}")
-    _expect_array_size(n, "n")
+    n = _grid_size(cfg["n"], "n")
 
     solver = cfg["solver"]
     _expect(solver in ("ld", "dl", "both"), "solver", f"must be ld, dl or both, got {solver!r}")

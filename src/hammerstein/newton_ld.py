@@ -83,7 +83,7 @@ from .problem import (
     _sorted_unique,
     make_grid,
 )
-from .quadrature import SubtractionPlan, _moment_weight_rows, _window_weight_rows, weight_matrix
+from .quadrature import SubtractionPlan, _window_weight_rows, weight_matrix
 from .reports import IterationRecord, SolveReport
 
 
@@ -252,9 +252,9 @@ def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _cross_factor(L, t: np.ndarray):
-    """Low-rank factor (E, V) of L on the lattice t x t, each of shape
-    (q, t.size) with L(t_i, t_l) ~ sum_k E[k, i] V[k, l], or None when none
-    of at most _MAX_RANK crosses meets _RANK_TOL.
+    """Low-rank factor (E, V, smooth) of L on the lattice t x t, E and V each
+    of shape (q, t.size) with L(t_i, t_l) ~ sum_k E[k, i] V[k, l], or None
+    when none of at most _MAX_RANK crosses meets _RANK_TOL.
 
     Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
     Math. 2000; Tyrtyshnikov, Computing 2000): from a row i, the residual row
@@ -265,6 +265,12 @@ def _cross_factor(L, t: np.ndarray):
     tolerance too: the worst one above it starts the next crosses, and one
     already crossed gives None. The first crosses start at the check row of
     largest |L|.
+
+    ``smooth`` says whether L is smooth enough in s, at the spacing of the
+    nodes t, for the interpolant of _Precorrected: the remainder of
+    interpolation on _STENCIL nodes, estimated from the _STENCIL-th
+    differences of the pivot columns L(t, t_j) (every factor row is a
+    combination of them), is at most _SMOOTH_TOL times their max|L|.
     """
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
@@ -285,6 +291,7 @@ def _cross_factor(L, t: np.ndarray):
     E, V = np.empty((2, 1, n))
     used = np.zeros(n, dtype=bool)
     q = 0
+    rough = col_scale = 0.0
     i = check[np.argmax(check_max)]
     while True:
         while True:
@@ -301,7 +308,10 @@ def _cross_factor(L, t: np.ndarray):
                 E = np.concatenate([E, np.empty_like(E)])
                 V = np.concatenate([V, np.empty_like(V)])
             col = _L_values(L, t, t[j : j + 1])[:, 0]
-            scale = max(scale, np.max(np.abs(col)))
+            col_max = np.max(np.abs(col))
+            scale, col_scale = max(scale, col_max), max(col_scale, col_max)
+            # (a lattice of at most _STENCIL nodes has no such difference)
+            rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
             col = col - _product(E[:q].T, V[:q, j])
             E[q], V[q] = col / row[j], row
             q += 1
@@ -311,7 +321,7 @@ def _cross_factor(L, t: np.ndarray):
             part = _L_values(L, t[rows], t) - _product(E[:q, rows].T, V[:q])
             rest[c : c + step] = np.max(np.abs(part, out=part), axis=1)
         if rest.max() <= _RANK_TOL * scale:
-            return E[:q].copy(), V[:q].copy()
+            return E[:q].copy(), V[:q].copy(), _REMAINDER * rough <= _SMOOTH_TOL * col_scale
         i = check[np.argmax(rest)]
         if used[i]:
             return None
@@ -409,7 +419,7 @@ class _ProductRule:
     reads further points so, per block, after the fact (the output samples).
     That takes a Simpson rule whose window of _WINDOW + 1 nodes fits in its
     grid, a trapezoid rule on at least _PRECORRECT_MIN_N panels, and an L
-    smooth in s at the grid's spacing (`_smooth_in_s`). The other rules keep
+    smooth in s at the grid's spacing (`_cross_factor`). The other rules keep
     dense rows for the points off the fine grid, and for every point when H
     is smooth (not a function of t - s) or L has no factor of at most
     _MAX_RANK terms.
@@ -422,31 +432,24 @@ class _ProductRule:
         self.size = points.size
         self.fine_idx = fine_idx
         self.ell = self.near = self.WL_dense = None
-        factor = None
-        if kernel.kind != KERNEL_SMOOTH:
-            factor = _cross_factor(L, t)
+        factor = None if kernel.kind == KERNEL_SMOOTH else _cross_factor(L, t)
         if factor is None:
             self.off_idx = np.arange(points.size)
         else:
-            self.ell, self.v = factor
+            self.ell, self.v, smooth = factor
             off_grid = np.ones(points.size, dtype=bool)
             off_grid[fine_idx] = False
             self.off_idx = np.flatnonzero(off_grid)
             # the parity fold needs an even m; _fft_size(2 N) is odd for some
             # even N (22, 62, 66, 110, ...)
             self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
-            self.c = _toeplitz_entries(grid, kernel, simpson)
-            self.symbol, self.mirror = _symbol(self.c, self.m)
             # the precorrection reads c and the end columns as K applies them
-            first, last = _end_columns(grid, kernel, simpson)
+            self.c, first, last = _nodal_weights(grid, kernel, simpson)
+            self.symbol, self.mirror = _symbol(self.c, self.m)
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = first * L_ends[:, 0]
             self.col_last = last * L_ends[:, 1]
-        if (
-            factor is not None
-            and N >= (_WINDOW if simpson else _PRECORRECT_MIN_N)
-            and _smooth_in_s(L, t, self.v)
-        ):
+        if factor is not None and smooth and N >= (_WINDOW if simpson else _PRECORRECT_MIN_N):
             self.near = _Precorrected(self, points[self.off_idx])
         else:
             self.c = None
@@ -569,7 +572,7 @@ _ENTRIES_AT = np.arange(_WINDOW + _STENCIL)
 _REMAINDER = np.max(
     np.abs(np.prod(np.linspace(0.0, 1.0, 1001)[:, None] - _STENCIL_AT, axis=1))
 ) / math.factorial(_STENCIL)
-# The largest remainder, relative to max|L|, that `_smooth_in_s` lets the
+# The largest remainder, relative to max|L|, that `_cross_factor` lets the
 # interpolant make of L. Smooth L read 5-520 eps here at N = 64-4096 (exp_st,
 # exp(2 s t), cos(pi s), cubics, cos(35 s t) from 1024 panels), the rounding
 # of the differences; L rough at the grid's spacing read from 2,500 eps
@@ -579,23 +582,6 @@ _SMOOTH_TOL = 1024 * np.finfo(float).eps
 _LAGRANGE_INVERSE = 1.0 / np.array(
     [math.prod(b - c for c in range(_STENCIL) if c != b) for b in range(_STENCIL)], dtype=float
 )
-
-
-def _smooth_in_s(L, t: np.ndarray, V: np.ndarray) -> bool:
-    """Whether L is smooth enough in s, at the spacing of the nodes t, for the
-    interpolant of _Precorrected: the remainder of interpolation on _STENCIL
-    nodes, estimated from the _STENCIL-th differences of L's pivot columns
-    L(t, t_j), j = argmax |V_k| (every factor row is a combination of them),
-    is at most _SMOOTH_TOL max|L| there. The columns are evaluated in blocks
-    of at most _ROW_BLOCK entries."""
-    pivots = np.argmax(np.abs(V), axis=1)
-    step = max(1, _ROW_BLOCK // t.size)
-    rough = scale = 0.0
-    for c in range(0, pivots.size, step):
-        cols = _L_values(L, t, t[pivots[c : c + step]])
-        scale = max(scale, np.max(np.abs(cols)))
-        rough = max(rough, np.max(np.abs(np.diff(cols, _STENCIL, axis=0))))
-    return _REMAINDER * rough <= _SMOOTH_TOL * scale
 
 
 class _Precorrected:
@@ -728,58 +714,45 @@ def _precorrect(rule, s, k0, j0, lam, rho):
         rho[rows, at] = wl - np.einsum("pb,pb->p", lam[rows], col[stencil[rows]])
 
 
-def _end_columns(grid: Grid, kernel, simpson: bool):
-    """The columns of ``grid`` at t_0 and t_N, weights at its nodes.
+def _nodal_weights(grid: Grid, kernel, simpson: bool):
+    """(c, first, last): the weights of ``grid`` at its nodes, c for the
+    interior columns and first and last for the columns l = 0 and l = N.
 
-    Each comes from a grid of p panels over the first or last p panels, p = 2
-    for Simpson (whose end columns see a panel pair) and 1 otherwise; the
-    rows divide by that grid's h, so they are rescaled to the grid's own.
-    Like _toeplitz_entries's, the rows come from the panel moments, which
-    keep each weight far from s to a few eps.
-    """
-    t = grid.nodes
-    p = 2 if simpson else 1
-    first = make_grid(t[0], t[p], p)
-    last = make_grid(t[-1 - p], t[-1], p)
-    return (
-        _moment_weight_rows(first, kernel, t, simpson)[:, 0] * (first.h / grid.h),
-        _moment_weight_rows(last, kernel, t, simpson)[:, -1] * (last.h / grid.h),
-    )
+    c[p, k + N - 1] = w_l(t_i) for k = l - i = -(N-1)..N-1 and p the parity
+    of l for Simpson (one row p = 0 for the trapezoid rule). Entry c_k is
+    read from the rows at t_1, t_0 and t_N; where two rows hold the same
+    c_k, the later one is kept. Simpson has one such c per parity of l, read
+    from the rows at t_2, t_1, t_0, t_N-1 and t_N. The k that no row holds
+    pair no interior node with any node and stay 0. `_symbol` applies them
+    by FFT; `_Precorrected` reads them as they are, so that what it takes
+    out of an interpolant of K is what K holds. The end columns are one-node
+    windows of the grid at every node, the dense rows' own columns to the
+    bit: read across the domain from the rows of c, their node offsets
+    would round at eps |b|, not eps |t_i|.
 
-
-def _toeplitz_entries(grid: Grid, kernel, simpson: bool) -> np.ndarray:
-    """The interior columns' weights of ``grid`` at its nodes, c[p, k + N -
-    1] = w_l(t_i) for k = l - i = -(N-1)..N-1 and p the parity of l for
-    Simpson (one row p = 0 for the trapezoid rule).
-
-    Entry c_k is read from the rows at t_1, t_0 and t_N; where two rows hold
-    the same c_k, the later one is kept. Simpson has one such c per parity
-    of l, read from the rows at t_2, t_1, t_0, t_N-1 and t_N. The k that no
-    row holds pair no interior node with any node and stay 0. `_symbol`
-    applies them by FFT; `_Precorrected` reads them as they are, so that
-    what it takes out of an interpolant of K is what K holds.
-
-    The rows come from the panel moments, for the trapezoid rule too: the
-    closed-form rows of weight_matrix lose up to (|t - s| / h)^2 eps of a
-    weight far from s, which cancels within one row but not in an operator
-    stitched from three of them: at N = 1558 (log, L = one, F = sin 3t +
-    1.2, 22 nodes against mpmath at 40 digits) 4.1e-13 off, against 2.1e-15
-    from the panel moments and 2.4e-15 for dense rows.
+    Every weight comes from the panel moments, for the trapezoid rule too:
+    the closed-form rows of weight_matrix lose up to (|t - s| / h)^2 eps of
+    a weight far from s, which cancels within one row but not in an
+    operator stitched from three of them: at N = 1558 (log, L = one, F =
+    sin 3t + 1.2, 22 nodes against mpmath at 40 digits) 4.1e-13 off,
+    against 2.1e-15 from the panel moments and 2.4e-15 for dense rows.
     """
     N, t = grid.n, grid.nodes
     at = [2, 1, 0, N - 1, N] if simpson else [1, 0, N]
-    rows = _moment_weight_rows(grid, kernel, t[at], simpson)
+    rows = _window_weight_rows(grid, kernel, t[at], np.zeros(len(at), dtype=int), N + 1, simpson)
     J = np.arange(1, N)
     parity = J % 2 if simpson else np.zeros(N - 1, dtype=int)
     c = np.zeros((2 if simpson else 1, 2 * N - 1))  # c_k at k + N - 1
     for i, row in zip(at, rows):
         c[parity, J - i + N - 1] = row[1:-1]
-    return c
+    # both end columns in one call, the nodes once for each
+    ends = _window_weight_rows(grid, kernel, np.tile(t, 2), np.repeat([0, N], N + 1), 1, simpson)
+    return c, ends[: N + 1, 0], ends[N + 1 :, 0]
 
 
 def _symbol(c: np.ndarray, m: int):
     """(symbol, mirror): rffts of the length-m circulants of the Toeplitz
-    entries c (`_toeplitz_entries`); mirror is None for the trapezoid rule.
+    entries c (`_nodal_weights`); mirror is None for the trapezoid rule.
     Simpson's spectra S_even and S_odd, one per parity, give symbol (S_even
     + S_odd) / 2 and mirror (S_even - S_odd) / 2."""
     N = (c.shape[1] + 1) // 2

@@ -18,11 +18,11 @@ of whole panels of at most 8192 nodes, so no temporary leaves the heap for
 a fresh mmap. Each point's terms are added one after another in node order,
 carried from block to block, which keeps every value bitwise what a
 per-point loop gives.
-The product Simpson rule of its fine mode is built in newton_ld from
-`weight_matrix` rows. On a uniform grid the log and alg weight rows at the
-grid nodes depend only on j - i within each parity of j, apart from the two
-boundary columns; the LD solver builds its fine operator from a few such
-rows instead of the full matrix.
+On a uniform grid the log and alg weight rows at the grid nodes depend only
+on j - i within each parity of j, apart from the two boundary columns; the
+structured product rules of newton_ld (LD's fine-mode Simpson rule among
+them) are built from a few such rows and two one-node windows of the
+panel moments instead of the full matrix.
 
 An independent adaptive engine (`adaptive_kernel_batch`) supplies reference
 values for tests and manufactured right-hand sides. It never touches the
@@ -106,7 +106,8 @@ def _moment0(kernel: SingularKernel, svals: np.ndarray, c: float, d: float) -> n
     """int_c^d H(s,t) dt at every point s, for c < d: the antiderivative
     difference for log and alg, the moments of 8 equal panels for a smooth H."""
     if kernel.kind == KERNEL_SMOOTH:
-        return 2.0 * _panel_moments(make_grid(c, d, 8), kernel, svals)[0].sum(axis=1)
+        first = np.zeros(svals.size, dtype=int)
+        return 2.0 * _panel_moments(make_grid(c, d, 8), kernel, svals, first, 8)[0].sum(axis=1)
     f = _antiderivs(kernel, np.stack([c - svals, d - svals]))[0]
     return f[1] - f[0]
 
@@ -124,13 +125,19 @@ def weight_matrix(grid: Grid, kernel: SingularKernel, svals, simpson: bool = Fal
     [t_2g, t_2g+2] (product Simpson; n must be even).
     """
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    if simpson and grid.n % 2:
+        raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
     # Two row builders. The log and alg trapezoid rows keep their closed-form
-    # path: they are the rows DL builds (about a quarter of a dl_large_n op),
-    # and on a 2-vCPU host they cost 13-24 ns per entry against 47-88 ns from
-    # the panel moments (log and alg 0.3; 1500 panels x 5 rows and 52-64
-    # panels x 128-160 rows). Every other row comes from the panel moments.
+    # path: 13-24 ns per entry against 47-88 ns from the panel moments on a
+    # 2-vCPU host (log and alg 0.3; 1500 panels x 5 rows and 52-64 panels x
+    # 128-160 rows). Per op (seed 5, ops 0-7, one BLAS thread) dl_large_n
+    # builds only the 65^2 coarse rows of its Newton step, 4,225 entries and
+    # 0.10 ms of 14.5 ms, and compare_fine 40.5k entries, 0.86 ms of ~31 ms,
+    # which from the panel moments cost it ~2.1 ms more. Every other row is
+    # the whole window of the panel moments.
     if simpson or kernel.kind == KERNEL_SMOOTH:
-        return _moment_weight_rows(grid, kernel, svals, simpson)
+        start = np.zeros(svals.size, dtype=int)
+        return _window_weight_rows(grid, kernel, svals, start, grid.n + 1, simpson)
     return _analytic_weight_rows(grid, kernel, svals)
 
 
@@ -196,20 +203,22 @@ _TERMS = 8
 
 
 def _panel_moments(
-    grid: Grid, kernel: SingularKernel, svals: np.ndarray, first=None, count=0, orders: int = 3
+    grid: Grid, kernel: SingularKernel, svals: np.ndarray, first, count: int, orders: int = 3
 ):
-    """Scaled moments (M0 / 2, M1 / h, M2 / (2 h^2)) of H on every panel, or
-    with ``first`` (one panel index per point) on the ``count`` panels from
-    it; with ``orders`` = 2 the first two (a trapezoid row needs no more).
-    A panel past the ends is one of the grid continued: its moments are
-    finite, and no node of the grid has a share in them.
+    """Scaled moments (M0 / 2, M1 / h, M2 / (2 h^2)) of H on the ``count``
+    panels from ``first`` (one panel index per point); with ``orders`` = 2
+    the first two (a trapezoid row needs no more). A panel past the ends
+    gets finite moments that are not the grid's: a far one is the grid
+    continued, but a near one (within _NEAR_PANELS widths of s) gets the end
+    panel's closed forms, and for a smooth H the end panel's nodes, so that
+    H is read on [a, b] alone. That is harmless only because
+    `_window_weight_rows` zeroes every such panel.
 
     For panel j with midpoint c_j and half-width r = h/2, M0 = int H,
     M1 = int H (t - c_j) and M2 = int H ((t - c_j)^2 - r^2), each over
-    [t_j, t_{j+1}]; one row per point s, shape (s.size, n), or (s.size,
-    count) with ``first``. An entry does not depend on the others asked
-    for. Far from s, with m = c_j - s, z = r / m and k over the even (M0,
-    M2) or odd (M1) integers:
+    [t_j, t_{j+1}]; one row per point s, shape (s.size, count). An entry
+    does not depend on the others asked for. Far from s, with m = c_j - s,
+    z = r / m and k over the even (M0, M2) or odd (M1) integers:
 
         log: M0 = 2r (log|m| - sum z^k / (k (k+1))),
              M1 = r^2 sum 2 z^k / (k (k+2)),
@@ -228,11 +237,11 @@ def _panel_moments(
     h = grid.h
     r = 0.5 * h
     # a + h (j + 0.5), in place
-    offsets = np.arange(grid.n if first is None else count) + 0.5
-    mid = offsets[None, :] if first is None else first[:, None] + offsets
+    mid = first[:, None] + (np.arange(count) + 0.5)
     mid *= h
     mid += grid.a
     if kernel.kind == KERNEL_SMOOTH:
+        np.clip(mid, 0.5 * h + grid.a, (grid.n - 0.5) * h + grid.a, out=mid)
         # einsum sums each row on its own in one fixed order, so for H == 1
         # the sum and its norm are the same double, and a is r to the bit
         xp, wp = _GL_X[8:], _GL_W[8:]
@@ -247,15 +256,14 @@ def _panel_moments(
             np.einsum("ijk,k->ij", hp - hm, wp * xp) * (r * r / h),
             np.einsum("ijk,k->ij", both, wp * (xp**2 - 1.0)) * (0.125 * r),
         )[:orders]
-    # a mid of one row per point is this call's own: its memory takes m
-    m = np.subtract(mid, svals[:, None], out=None if first is None else mid)
+    # mid is this call's own: its memory takes m
+    m = np.subtract(mid, svals[:, None], out=mid)
     am = np.abs(m)
     near = am < _NEAR_PANELS * h
     # node offsets t - s, which are exactly 0 where s is a node: near s the
     # alg antiderivative |u|^(1 - beta) magnifies any rounding of them
     row, col = np.nonzero(near)
-    if first is not None:
-        col = np.minimum(np.maximum(first[row] + col, 0), grid.n - 1)
+    col = np.minimum(np.maximum(first[row] + col, 0), grid.n - 1)
     u0 = grid.nodes[col] - svals[row]
     u1 = grid.nodes[col + 1] - svals[row]
     # their closed forms, before the far-field arrays exist (the temporaries
@@ -318,37 +326,20 @@ def _horner(coefs, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_weight_rows(grid, kernel, svals, simpson):
-    # with the scaled moments a, b, c of each panel, its trapezoid part gives
-    # a - b to its left node and a + b to its right one (the hat ramps over
-    # h); the Simpson rule adds mu_g = c_2g + c_2g+1 times (1, -2, 1) at
-    # columns 2g, 2g + 1, 2g + 2, which is b - mu on panel 2g and b + mu on
-    # panel 2g + 1
-    if simpson and grid.n % 2:
-        raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
-    moments = _panel_moments(grid, kernel, svals, orders=3 if simpson else 2)
-    a, b = moments[:2]
-    if simpson:
-        mu = np.add(moments[2][:, 0::2], moments[2][:, 1::2])
-        b[:, 0::2] -= mu
-        b[:, 1::2] += mu
-    w = np.empty((svals.size, grid.n + 1))
-    np.subtract(a[:, 0], b[:, 0], out=w[:, 0])
-    np.add(a[:, -1], b[:, -1], out=w[:, -1])
-    inner = np.add(a[:, :-1], a[:, 1:], out=w[:, 1:-1])
-    inner += b[:, :-1]
-    inner -= b[:, 1:]
-    return w
-
-
 def _window_weight_rows(grid, kernel, svals, start, size, simpson=False):
     """Trapezoid weights w_j(s) of the ``size`` nodes j = start .. start +
     size - 1 of each point s (one start per point, 0 <= start <= n + 1 -
-    size): the columns of _moment_weight_rows's row of s, to the bit, from
-    the moments of the size + 1 panels around them alone. With ``simpson``
-    the Simpson weights of a window of whole panel pairs (every start even,
-    size odd), from the moments of the size + 3 panels of the pairs that
-    touch it."""
+    size), from the moments of the size + 1 panels around them alone. With
+    ``simpson`` the Simpson weights of a window of whole panel pairs (every
+    start even, size odd), from the moments of the size + 3 panels of the
+    pairs that touch it. A window is the columns of the whole window (start
+    0, size n + 1) to the bit.
+
+    With the scaled moments a, b, c of each panel, its trapezoid part gives
+    a - b to its left node and a + b to its right one (the hat ramps over
+    h); the Simpson rule adds mu_g = c_2g + c_2g+1 times (1, -2, 1) at
+    columns 2g, 2g + 1, 2g + 2, which is b - mu on panel 2g and b + mu on
+    panel 2g + 1."""
     # p panels each side beyond the nodes' own: one, or a whole pair
     p = 2 if simpson else 1
     moments = _panel_moments(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .config import RunConfig
+from .config import RunConfig, check_grid_sizes
 from .newton_dl import dl_solve
 from .newton_ld import SingularOperatorError, ld_solve
 from .problem import make_grid
@@ -100,13 +100,9 @@ def run_compare(cfg: RunConfig, csv_name: str = "compare.csv") -> RunOutcome:
 
 
 def run_nsweep(cfg: RunConfig, n_list: list[int], csv_name: str = "nsweep.csv") -> RunOutcome:
-    """Run the LD solver for each grid size in ascending n_list."""
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"n_list must be strictly ascending, got {n_list}")
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"every n must be at least 1, got {n_list}")
+    """Run the LD solver for each grid size in ascending n_list; a bad list
+    raises ConfigError before anything is written."""
+    n_list = check_grid_sizes(n_list)
     out = _resolve_out_dir(cfg)
     _write_echo(cfg, out)
     outcome = RunOutcome()

@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-from hammerstein import adaptive_kernel_batch
+from hammerstein.quadrature import adaptive_kernel_batch
 
 
 def oracle_weight_rows(kernel, grid, svals, tol=1e-12):
@@ -86,7 +86,8 @@ def direct_nystrom_solution(problem, grid):
     The matrix A[i, j] = w_j(t_i) L(t_i, t_j) is built here from the weight
     rows and L, independently of the solvers' own assembly.
     """
-    from hammerstein import solve_dense, weight_matrix
+    from hammerstein.linalg import solve_dense
+    from hammerstein.quadrature import weight_matrix
 
     nodes = grid.nodes
     A = weight_matrix(grid, problem.kernel, nodes) * np.asarray(
@@ -263,3 +264,29 @@ def subtraction_reference(problem, points, values):
         out.append(total + gs * moment0(kernel, s, a, b))
         node_rows.append(t)
     return np.array(out), node_rows
+
+
+def smooth_in_s(L, t, V):
+    """The smoothness criterion of the structured product rules, evaluated
+    apart from the cross factor that carries it: L is smooth enough in s, at
+    the spacing of the nodes t, for precorrected interpolation when the
+    remainder of interpolation on _STENCIL nodes, estimated from the
+    _STENCIL-th differences of L's pivot columns L(t, t_j), j = argmax
+    |V_k|, is at most _SMOOTH_TOL max|L| there. The columns are evaluated
+    again, in blocks of at most _ROW_BLOCK entries."""
+    from hammerstein.newton_ld import (
+        _REMAINDER,
+        _ROW_BLOCK,
+        _SMOOTH_TOL,
+        _STENCIL,
+        _L_values,
+    )
+
+    pivots = np.argmax(np.abs(V), axis=1)
+    step = max(1, _ROW_BLOCK // t.size)
+    rough = scale = 0.0
+    for c in range(0, pivots.size, step):
+        cols = _L_values(L, t, t[pivots[c : c + step]])
+        scale = max(scale, np.max(np.abs(cols)))
+        rough = max(rough, np.max(np.abs(np.diff(cols, _STENCIL, axis=0))))
+    return _REMAINDER * rough <= _SMOOTH_TOL * scale

@@ -27,11 +27,11 @@ from hammerstein import (
     product_weights,
     run_compare,
     smooth_kernel,
-    solve_dense,
-    weight_matrix,
 )
 from hammerstein.cli import main as cli_main
+from hammerstein.linalg import solve_dense
 from hammerstein.problem import FUNCTIONS, L_one
+from hammerstein.quadrature import weight_matrix
 from oracles import direct_nystrom_solution, oracle_weight_rows, solver_operator
 
 

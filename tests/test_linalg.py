@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hammerstein import SingularSystemError, solve_dense
+from hammerstein.linalg import SingularSystemError, solve_dense
 
 
 def test_identity():

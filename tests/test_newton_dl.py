@@ -23,12 +23,12 @@ from hammerstein import (
     moment0,
     polynomial_nonlinearity,
     smooth_kernel,
-    solve_dense,
-    weight_matrix,
 )
 from hammerstein import newton_dl, newton_ld
+from hammerstein.linalg import solve_dense
 from hammerstein.newton_ld import _COARSE_N, _dense_rows
 from hammerstein.problem import L_exp_st, L_one, L_zero
+from hammerstein.quadrature import weight_matrix
 from oracles import frozen_problem
 
 FAST = DLSettings(sample_count=41)

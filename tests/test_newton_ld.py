@@ -24,7 +24,6 @@ from hammerstein import (
     make_grid,
     manufactured_problem,
     smooth_kernel,
-    weight_matrix,
 )
 from hammerstein import newton_ld
 from hammerstein.newton_ld import (
@@ -35,13 +34,20 @@ from hammerstein.newton_ld import (
     _dense_rows,
     _fft_size,
     _L_values,
+    _nodal_weights,
     _product,
 )
 from hammerstein.problem import L_exp_st, L_one, L_zero
-from hammerstein.quadrature import _moment_weight_rows, eval_operator_reference_parts
-from oracles import dense_fine_operator, direct_nystrom_solution, solver_operator
+from hammerstein.quadrature import _window_weight_rows, eval_operator_reference_parts, weight_matrix
+from oracles import dense_fine_operator, direct_nystrom_solution, smooth_in_s, solver_operator
 
 FAST = LDSettings(n_fine=256, sample_count=41)
+
+
+def moment_rows(grid, kernel, s, simpson=False):
+    """Dense weight rows at the points s from the panel moments: the whole
+    window of every point."""
+    return _window_weight_rows(grid, kernel, s, np.zeros(s.size, dtype=int), grid.n + 1, simpson)
 
 
 def linear_problem(y=np.cos):
@@ -461,7 +467,10 @@ class TestCrossFactor:
     @staticmethod
     def _lattice_error(L, a, b, n):
         t = np.linspace(a, b, n + 1)
-        E, V = _cross_factor(L, t)
+        E, V, smooth = _cross_factor(L, t)
+        # the pivot columns' smoothness in s, carried by the factor, is the
+        # criterion evaluated apart from it
+        assert smooth == smooth_in_s(L, t, V)
         full = _L_values(L, t, t)
         return E.shape[0], np.max(np.abs(full - E.T @ V)), np.max(np.abs(full))
 
@@ -481,8 +490,8 @@ class TestCrossFactor:
         assert error <= 16 * _RANK_TOL * scale
 
     def test_zero_is_an_exact_zero_operator(self):
-        E, V = _cross_factor(L_zero, np.linspace(0.0, 1.0, 1025))
-        assert E.shape[0] == V.shape[0] == 0
+        E, V, smooth = _cross_factor(L_zero, np.linspace(0.0, 1.0, 1025))
+        assert E.shape[0] == V.shape[0] == 0 and smooth
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_zero, get_nonlinearity("identity"), FUNCTIONS["zero"]
         )
@@ -495,16 +504,74 @@ class TestCrossFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for n in range(1176, 1601):
-                E, _ = _cross_factor(L_one, np.linspace(0.0, 1.0, n + 1))
+                E, _, _ = _cross_factor(L_one, np.linspace(0.0, 1.0, n + 1))
                 assert E.shape[0] == 1, n
 
     def test_rank_follows_the_lattice_not_smoothness_in_s(self):
         # |s - 0.3| has no short interpolant in s but is rank 1 on the
         # lattice; sqrt(s + t + 0.01) is near-singular at the corner
-        E, _ = _cross_factor(L_kinked, np.linspace(0.0, 1.0, 321))
+        E, _, _ = _cross_factor(L_kinked, np.linspace(0.0, 1.0, 321))
         assert E.shape[0] == 1
         q, _, _ = self._lattice_error(L_sqrt, 0.0, 1.0, 320)
         assert q <= 24
+
+
+class TestNodalWeights:
+    """The weights of a structured rule at its own nodes: the Toeplitz
+    entries c of the interior columns and the two end columns."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 64, 320, 1454])
+    @pytest.mark.parametrize("simpson", [False, True], ids=["trapezoid", "simpson"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize(
+        "kernel", [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7)],
+        ids=["log", "alg0.3", "alg0.7"],
+    )
+    def test_rebuild_the_dense_rows_at_the_nodes(self, kernel, a, b, simpson, n):
+        # the end columns are the dense rows' own columns to the bit. c is
+        # read from a few rows and translated: each row rounds its node
+        # offsets t_l - t_i differently, up to 774 eps max|w| (log, Simpson,
+        # [0.3, 2.9], n = 1454)
+        grid = make_grid(a, b, n)
+        c, first, last = _nodal_weights(grid, kernel, simpson)
+        cols = np.arange(1, n)
+        parity = cols % 2 if simpson else 0
+        worst = scale = 0.0
+        for start in range(0, n + 1, 256):
+            at = np.arange(start, min(start + 256, n + 1))
+            rows = moment_rows(grid, kernel, grid.nodes[at], simpson)
+            np.testing.assert_array_equal(first[at], rows[:, 0])
+            np.testing.assert_array_equal(last[at], rows[:, -1])
+            rebuilt = c[parity, cols - at[:, None] + n - 1]
+            worst = max(worst, np.max(np.abs(rebuilt - rows[:, 1:-1]), initial=0.0))
+            scale = max(scale, np.max(np.abs(rows)))
+        assert worst <= 1024 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("beta", [None, 0.3], ids=["log", "alg0.3"])
+    def test_end_columns_against_mpmath(self, beta, a, b):
+        # trapezoid end columns at the six nodes nearest each end, against
+        # 40 digits with the hats on the rounded nodes: 5-86 eps max|w| off.
+        # Read from sub-grids of the end panels, rescaled to the grid's h,
+        # they were 131 eps off (log on [0, 1]) and 130 (alg 0.3 on [0, 1])
+        import mpmath as mp
+
+        n = 1454
+        grid = make_grid(a, b, n)
+        kernel = log_kernel() if beta is None else algebraic_kernel(beta)
+        _, first, last = _nodal_weights(grid, kernel, False)
+        at = np.r_[0:6, n - 5 : n + 1]
+        with mp.workdps(40):
+            for j, other, col in ((0, 1, first), (n, n - 1, last)):
+                tj, to = (mp.mpf(float(grid.nodes[k])) for k in (j, other))
+                for i in at:
+                    s = mp.mpf(float(grid.nodes[i]))
+                    H = (lambda t: mp.log(abs(t - s))) if beta is None else (
+                        lambda t: abs(t - s) ** -mp.mpf(beta)
+                    )
+                    truth = mp.quad(lambda t: H(t) * (t - to) / (tj - to), sorted([tj, to]))
+                    err = abs(col[i] - float(truth))
+                    assert err <= 100 * np.finfo(float).eps * np.max(np.abs(col)), (j, i)
 
 
 class TestPrecorrected:
@@ -521,7 +588,7 @@ class TestPrecorrected:
         assert rule.near is not None and rule.WL_dense is None
         ends = grid.h * rng.uniform(0.0, 40.0, 25)
         s = np.concatenate([a + ends, b - ends[::-1], rng.uniform(a, b, 25)])
-        rows = _moment_weight_rows(grid, kernel, s, simpson) * _L_values(L, s, grid.nodes)
+        rows = moment_rows(grid, kernel, s, simpson) * _L_values(L, s, grid.nodes)
         # the same points held by a rule, as LD's rules hold the points off
         # their grids
         points = np.unique(np.concatenate([grid.nodes, s]))
@@ -609,8 +676,10 @@ class TestPrecorrected:
         points = np.unique(np.concatenate([grid.nodes, s]))
         rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
         assert rule.ell is not None and rule.near is None
+        _, V, smooth = _cross_factor(L_kinked, grid.nodes)
+        assert not smooth and not smooth_in_s(L_kinked, grid.nodes, V)
         f = np.cos(3.0 * grid.nodes) + 1.2
-        rows = _moment_weight_rows(grid, prob.kernel, s, simpson) * _L_values(L_kinked, s, grid.nodes)
+        rows = moment_rows(grid, prob.kernel, s, simpson) * _L_values(L_kinked, s, grid.nodes)
         want = rows @ f
         got = rule(f)[np.searchsorted(points, s)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))

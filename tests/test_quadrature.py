@@ -13,7 +13,6 @@ from hammerstein import (
     QuadratureConvergenceError,
     SampledFunction,
     SubtractionPlan,
-    adaptive_kernel_batch,
     algebraic_kernel,
     get_nonlinearity,
     log_kernel,
@@ -21,10 +20,10 @@ from hammerstein import (
     moment0,
     product_weights,
     smooth_kernel,
-    weight_matrix,
 )
 from hammerstein import quadrature
 from hammerstein.problem import L_exp_st, L_one
+from hammerstein.quadrature import adaptive_kernel_batch, weight_matrix
 from oracles import (
     mpmath_kernel_integral,
     oracle_weight_rows,
@@ -113,6 +112,22 @@ class TestProductWeights:
         w = weight_matrix(grid, smooth_one(), svals)
         expected = grid.h * np.concatenate([[0.5], np.ones(n - 1), [0.5]])
         np.testing.assert_array_equal(w, np.broadcast_to(expected, w.shape))
+
+    @pytest.mark.parametrize("simpson", [False, True], ids=["trapezoid", "simpson"])
+    def test_smooth_kernel_is_read_on_the_domain_alone(self, simpson):
+        # a smooth H may be defined on [a, b] alone; the panels that a whole
+        # window of moment rows takes past the ends read the end panel's
+        # nodes, and add nothing
+        seen = []
+
+        def func(s, t):
+            seen.append(np.array(t, dtype=float))
+            return np.sqrt(t - 0.3) * np.exp(s * t)
+
+        grid = make_grid(0.3, 2.9, 6)
+        w = weight_matrix(grid, smooth_kernel(func), [0.3, 1.7, 2.9], simpson)
+        assert all(np.all((0.3 <= t) & (t <= 2.9)) for t in seen)
+        assert np.all(np.isfinite(w))
 
     def test_log_weights_match_oracle_n2(self):
         grid = make_grid(0.0, 1.0, 2)
@@ -256,7 +271,8 @@ class TestSimpsonWeights:
         start[:4], start[4:8] = 0, last
         if simpson:
             start -= start % 2
-        rows = quadrature._moment_weight_rows(grid, kernel, s, simpson)
+        whole = np.zeros(s.size, dtype=int)
+        rows = quadrature._window_weight_rows(grid, kernel, s, whole, n + 1, simpson)
         want = np.take_along_axis(rows, start[:, None] + np.arange(size), axis=1)
         got = quadrature._window_weight_rows(grid, kernel, s, start, size, simpson)
         np.testing.assert_array_equal(got, want)

@@ -19,7 +19,6 @@ from hammerstein import (
     SolveReport,
     compare_csv_text,
     config_from_dict,
-    parse_compare_csv,
     run_compare,
     run_nsweep,
     validate_config,
@@ -27,6 +26,7 @@ from hammerstein import (
 from hammerstein.cli import main as cli_main
 from hammerstein.config import SEED_ENV_VAR
 from hammerstein.quadrature import eval_operator_reference_parts
+from hammerstein.reports import parse_compare_csv
 
 MINIMAL = {"kernel": "log", "L": "one", "F": "sin_pi", "y": 1, "n": 50}
 
@@ -281,13 +281,14 @@ class TestRunner:
         outcome = run_nsweep(cfg, [8])
         assert len(outcome.reports) == 1
 
-    @pytest.mark.parametrize("bad", [[], [8, 4], [4, 4], [0, 4]])
+    @pytest.mark.parametrize("bad", [[], [8, 4], [4, 4], [0, 4], [8, 2.5], [8, 10**20]])
     def test_nsweep_rejects_bad_n_list(self, bad, tmp_path):
-        cfg = config_from_dict(
-            {**FAST_BENCH, "solver": "ld"}, out_dir_override=tmp_path
-        )
-        with pytest.raises(ValueError):
+        # the checks of the config's n, before anything is written
+        out = tmp_path / "out"
+        cfg = config_from_dict({**FAST_BENCH, "solver": "ld"}, out_dir_override=out)
+        with pytest.raises(ConfigError, match="n_list"):
             run_nsweep(cfg, bad)
+        assert not out.exists()
 
     def test_config_echo_written(self, tmp_path):
         cfg = config_from_dict(FAST_BENCH, out_dir_override=tmp_path)
@@ -514,6 +515,26 @@ class TestCli:
     def test_nsweep_rejects_unsorted(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
         assert cli_main(["nsweep", "--config", cfg, "--n", "8,4"]) == 2
+
+    def test_nsweep_rejects_a_grid_size_beyond_a_node_array(self, tmp_path, capsys):
+        # numpy's "Maximum allowed size exceeded" came out of the n = 10**20
+        # solve, after n = 8 had run, as a usage error with no nsweep.csv
+        cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
+        out = tmp_path / "out"
+        assert cli_main(["nsweep", "--config", cfg, "--out", str(out), "--n", f"8,{10**20}"]) == 2
+        assert "--n[1]: too large for a node array" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nsweep_grid_size_out_of_memory_keeps_the_rows_before_it(self, tmp_path, capsys):
+        # 10**18 nodes fit a node array's size, and numpy refuses the 7 EiB
+        # allocation at once: a solver failure after the n = 8 rows
+        cfg = self._write(tmp_path, {**FAST_BENCH, "solver": "ld"})
+        out = tmp_path / "out"
+        assert cli_main(["nsweep", "--config", cfg, "--out", str(out), "--n", f"8,{10**18}"]) == 3
+        assert "out of memory" in capsys.readouterr().err
+        rows = (out / "nsweep.csv").read_text().splitlines()
+        assert rows[0] == "n,k,true_error" and len(rows) > 1
+        assert {row.split(",")[0] for row in rows[1:]} == {"8"}
 
     def test_weights_command(self, capsys):
         code = cli_main(["weights", "--kernel", "log", "--n", "8", "--s", "0.5"])
