@@ -251,7 +251,7 @@ def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, (s.size, t.size))
 
 
-def _cross_factor(L, t: np.ndarray):
+def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
     """Low-rank factor (E, V, smooth) of L on the lattice t x t, E and V each
     of shape (q, t.size) with L(t_i, t_l) ~ sum_k E[k, i] V[k, l], or None
     when none of at most _MAX_RANK crosses meets _RANK_TOL.
@@ -270,7 +270,8 @@ def _cross_factor(L, t: np.ndarray):
     nodes t, for the interpolant of _Precorrected: the remainder of
     interpolation on _STENCIL nodes, estimated from the _STENCIL-th
     differences of the pivot columns L(t, t_j) (every factor row is a
-    combination of them), is at most _SMOOTH_TOL times their max|L|.
+    combination of them), is at most _SMOOTH_TOL times their max|L|; False,
+    with no differences taken, without ``check_smooth`` (no precorrection).
     """
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
@@ -291,7 +292,7 @@ def _cross_factor(L, t: np.ndarray):
     E, V = np.empty((2, 1, n))
     used = np.zeros(n, dtype=bool)
     q = 0
-    rough = col_scale = 0.0
+    rough, col_scale = (0.0 if check_smooth else np.inf), 0.0  # inf: never smooth
     i = check[np.argmax(check_max)]
     while True:
         while True:
@@ -310,8 +311,8 @@ def _cross_factor(L, t: np.ndarray):
             col = _L_values(L, t, t[j : j + 1])[:, 0]
             col_max = np.max(np.abs(col))
             scale, col_scale = max(scale, col_max), max(col_scale, col_max)
-            # (a lattice of at most _STENCIL nodes has no such difference)
-            rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
+            if check_smooth:  # (at most _STENCIL nodes have no such difference)
+                rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
             col = col - _product(E[:q].T, V[:q, j])
             E[q], V[q] = col / row[j], row
             q += 1
@@ -432,7 +433,8 @@ class _ProductRule:
         self.size = points.size
         self.fine_idx = fine_idx
         self.ell = self.near = self.WL_dense = None
-        factor = None if kernel.kind == KERNEL_SMOOTH else _cross_factor(L, t)
+        precorrects = N >= (_WINDOW if simpson else _PRECORRECT_MIN_N)
+        factor = None if kernel.kind == KERNEL_SMOOTH else _cross_factor(L, t, precorrects)
         if factor is None:
             self.off_idx = np.arange(points.size)
         else:
@@ -449,7 +451,7 @@ class _ProductRule:
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = first * L_ends[:, 0]
             self.col_last = last * L_ends[:, 1]
-        if factor is not None and smooth and N >= (_WINDOW if simpson else _PRECORRECT_MIN_N):
+        if factor is not None and smooth:
             self.near = _Precorrected(self, points[self.off_idx])
         else:
             self.c = None

@@ -12,7 +12,7 @@ exactly.
 `SubtractionPlan` evaluates the integral operator by singularity
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
-at the Gauss nodes piecewise linearly, with np.interp; it holds two tables
+at the Gauss nodes piecewise linearly, with np.interp; it holds one weight
 per node, laid out panel x node x point, and build and apply run in blocks
 of whole panels of at most 8192 nodes, so no temporary leaves the heap for
 a fresh mmap. Each point's terms are added one after another in node order,
@@ -380,43 +380,38 @@ _PANELS = 2 * _GRADE_LEVELS + 3  # graded panels per point, empty ones included
 # nsweep_subtract sweep) came from fresh mmaps on every apply and build:
 # 41-52k page faults per op. Blocks of 8192 nodes keep each temporary at
 # 64 kB, under glibc's initial 128 kB mmap threshold, as _REF_BLOCK does. The
-# plan holds 16 bytes per node (h_weights and L_nodes). A warm 257-point plan
-# (alg 0.3, exp_st, F = 0.15 u^2; 390k nodes, 6.6 MB held) builds in 10-13 ms
-# and applies in 9-10 ms (medians of 41, one BLAS thread, 2-vCPU host),
-# against 18 ms and 9.5 ms when it also held its nodes and a row index per
-# node (32 bytes per node, 12.2 MB).
+# plan holds 8 bytes per node (weights). A warm 257-point plan (alg 0.3,
+# exp_st, F = 0.15 u^2; 390k nodes, 3.5 MB held) builds in 7-10 ms and
+# applies in 6-9 ms (medians of 41 over 8 runs, one BLAS thread, 2-vCPU
+# host), against 9-11 ms and 7-10 ms with H times the Gauss weight and L held
+# apart (16 bytes per node, 6.6 MB).
 _PLAN_BLOCK = 8192
 
 
 class SubtractionPlan:
-    """Precomputed node/weight tables for singularity-subtraction evaluation.
+    """Precomputed node weights for singularity-subtraction evaluation.
 
     For each plan point s the integral of H*(g - g(s)) is done by composite
     Gauss-Legendre on panels graded toward t = s, and g(s)*moment0 is added
     back, with g = L F(t, x(t)). The panels of s lie between the sorted
     distinct edges a, s - (s - a) 2^-k, s + (b - s) 2^-k (k = 0.._GRADE_LEVELS)
-    and b, each clipped to [a, b]. Geometry-dependent factors are computed
-    once, so the plan can be reapplied cheaply to successive iterates.
+    and b, each clipped to [a, b]. The plan points `svals` are also where the
+    plan reads the iterate x: `apply` takes x at svals and reads it at the
+    Gauss nodes piecewise linearly, with np.interp(t, svals, values).
 
-    The plan points `svals` are also where the plan reads the iterate x:
-    `apply` takes x at svals and reads it at the Gauss nodes piecewise
-    linearly, with np.interp(t, svals, values).
-
-    The tables are node-major: panel x Gauss node x point, over the
-    _PANELS panels between the 2 _GRADE_LEVELS + 4 sorted edges of every
-    point. `mid` and `half` (panel x point) hold each panel's midpoint and
+    `weights` is node-major: panel x Gauss node x point, over the _PANELS
+    panels between the 2 _GRADE_LEVELS + 4 sorted edges of every point.
+    `mid` and `half` (panel x point) hold each panel's midpoint and
     half-width; a panel between repeated edges is held as half = 0 at
-    mid = s, so its nodes coincide with s. Per node the plan keeps only the
-    two factors apply multiplies by, `h_weights` (H times the panel's Gauss
-    weight, 0 where t == s) and `L_nodes`; apply rebuilds the nodes as
-    mid + half * x, as the build made them. Build and apply run over blocks
-    of whole panels of a run of points, at most _PLAN_BLOCK nodes each. Per
-    block, apply reads x at the nodes, forms L F, subtracts g(s), zeroes the
-    nodes that coincide with s, and adds the block's node rows into each
-    point's running sum with np.add.reduce, which adds the rows of a 2-D
-    array one after another in node order, as a per-point loop does (it
-    sums a single column pairwise, so a one-point plan accumulates instead).
-    Empty panels add zeros, which change no sum.
+    mid = s, so its nodes coincide with s. Per node the plan keeps one
+    number, h_w L, where h_w is H times the panel's Gauss weight (0 where
+    t == s), and per point `rest`, moment0 less the sum of its h_w: apply
+    returns sum h_w L F + g(s) rest, the sum above grouped so that g(s)
+    enters once per point. It rebuilds the nodes as mid + half * x, as the
+    build made them. Build and apply run over blocks of whole panels of a
+    run of points, at most _PLAN_BLOCK nodes each, and add each block's
+    terms into each point's running sum in node order (`_node_sum`), as a
+    per-point loop does. Empty panels add zeros, which change no sum.
     """
 
     def __init__(self, problem: HammersteinProblem, svals):
@@ -438,17 +433,17 @@ class SubtractionPlan:
             lo, hi = edges[:, :-1], edges[:, 1:]
             self.mid[:, c0 : c0 + step] = np.where(hi > lo, 0.5 * (lo + hi), s[:, None]).T
             self.half[:, c0 : c0 + step] = (0.5 * (hi - lo)).T
-        self.h_weights = np.empty((_PANELS, _GL_X.size, svals.size))
-        self.L_nodes = np.empty_like(self.h_weights)
+        self.weights = np.empty((_PANELS, _GL_X.size, svals.size))
+        h_sum = np.zeros(svals.size)  # each point's sum of h_w so far, in node order
         for panels, cols, t in self._blocks():
             s = svals[cols]
             with np.errstate(divide="ignore"):
-                hv = np.asarray(kernel.evaluate(s, t), dtype=float)
-            hv[t == s] = 0.0
-            hw = self.half[panels, None, cols] * _GL_W[:, None]
-            np.multiply(hv, hw, out=self.h_weights[panels, :, cols])
-            self.L_nodes[panels, :, cols] = np.asarray(problem.L(s, t), dtype=float)
-        self.m0 = _moment0(kernel, svals, a, b)
+                hw = np.asarray(kernel.evaluate(s, t), dtype=float)
+            hw[t == s] = 0.0
+            hw *= self.half[panels, None, cols] * _GL_W[:, None]
+            np.multiply(hw, problem.L(s, t), out=self.weights[panels, :, cols])
+            h_sum[cols] = _node_sum(hw, h_sum[cols])
+        self.rest = _moment0(kernel, svals, a, b) - h_sum
         self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 
     @staticmethod
@@ -501,15 +496,18 @@ class SubtractionPlan:
         gs = self.L_diag * np.asarray(nl.F(s, v), dtype=float)
         out = np.zeros(s.size)  # each point's sum so far, in node order
         for panels, cols, t in self._blocks():
-            xt = np.interp(t, s, v)
-            g = self.L_nodes[panels, :, cols] * np.asarray(nl.F(t, xt), dtype=float)
-            g -= gs[cols]
-            g[t == s[cols]] = 0.0
-            g *= self.h_weights[panels, :, cols]
-            g = g.reshape(-1, g.shape[-1])
-            g[0] += out[cols]
-            out[cols] = np.add.reduce(g, axis=0) if g.shape[1] > 1 else np.add.accumulate(g)[-1]
-        return out + gs * self.m0
+            ft = np.asarray(nl.F(t, np.interp(t, s, v)), dtype=float)
+            out[cols] = _node_sum(self.weights[panels, :, cols] * ft, out[cols])
+        return out + gs * self.rest
+
+
+def _node_sum(terms, carried):
+    """carried plus the rows of terms (panel x node x point) in node order:
+    np.add.reduce adds a 2-D array's rows one after another, but a single
+    column pairwise, so one point accumulates instead."""
+    terms = terms.reshape(-1, terms.shape[-1])
+    terms[0] += carried
+    return np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -229,18 +229,51 @@ def subtraction_reference(problem, points, values):
     For each s: panels between the distinct edges a, s - (s - a) 2^-k and
     s + (b - s) 2^-k for k = 0..46, and b, clipped to [a, b]; 16
     Gauss-Legendre nodes per panel; the iterate read at the nodes by
-    np.interp over (points, values); the integral of H (g - g(s)) over the
-    nodes other than s itself, plus g(s) times the exact integral of H over
-    [a, b], with g = L F. Returns the values and the list of each point's
-    nodes.
+    np.interp over (points, values); h_w = H times the Gauss weight, 0 at
+    the nodes that coincide with s. The value is the sum of h_w g over the
+    nodes, added in node order, plus g(s) times (the exact integral of H
+    over [a, b] minus the sum of h_w, in node order), with g = L F: the
+    integral of H (g - g(s)) plus g(s) times that of H. Returns the values
+    and the list of each point's nodes.
     """
+    out, node_rows = [], []
+    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values):
+        total = h_sum = 0.0
+        for term, weight in zip((h_w * L) * ft, h_w):  # in node order
+            total += term
+            h_sum += weight
+        out.append(total + gs * (m0 - h_sum))
+        node_rows.append(t)
+    return np.array(out), node_rows
+
+
+def subtraction_by_node(problem, points, values):
+    """The same integral as subtraction_reference, grouped per node: h_w
+    (g - g(s)) at every node other than s itself, added in node order, plus
+    g(s) times the exact integral of H. Returns the values and each point's
+    sum of the magnitudes of the terms either grouping adds."""
+    out, scale = [], []
+    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values):
+        g = L * ft
+        diff = g - gs
+        diff[t == s] = 0.0
+        total = 0.0
+        for term in diff * h_w:  # in node order
+            total += term
+        out.append(total + gs * m0)
+        scale.append(np.sum(np.abs(h_w * g)) + abs(gs) * (np.sum(np.abs(h_w)) + abs(m0)))
+    return np.array(out), np.array(scale)
+
+
+def _subtraction_terms(problem, points, values):
+    """Per plan point s: s, its nodes t, h_w, L(s, t), F(t, x(t)), g(s) and
+    the exact integral of H over [a, b]."""
     from hammerstein import moment0
 
     kernel, L, F = problem.kernel, problem.L, problem.nonlin.F
     a, b = problem.a, problem.b
     x, w = np.polynomial.legendre.leggauss(16)
     off = 2.0 ** (-np.arange(47.0))
-    out, node_rows = [], []
     for s in points:
         edges = np.concatenate([[a], s - (s - a) * off, s + (b - s) * off, [b]])
         edges = np.unique(np.clip(edges, a, b))
@@ -255,15 +288,9 @@ def subtraction_reference(problem, points, values):
         s1 = np.array([s])
         xs = np.interp(s1, points, values)
         gs = (np.asarray(L(s1, s1), dtype=float) * np.asarray(F(s1, xs), dtype=float))[0]
-        g = np.asarray(L(s, t), dtype=float) * np.asarray(F(t, np.interp(t, points, values)))
-        diff = g - gs
-        diff[~pos] = 0.0
-        total = 0.0
-        for term in diff * (hv * (half[:, None] * w).ravel()):  # in node order
-            total += term
-        out.append(total + gs * moment0(kernel, s, a, b))
-        node_rows.append(t)
-    return np.array(out), node_rows
+        ft = np.asarray(F(t, np.interp(t, points, values)), dtype=float)
+        h_w = hv * (half[:, None] * w).ravel()
+        yield s, t, h_w, np.asarray(L(s, t), dtype=float), ft, gs, moment0(kernel, s, a, b)
 
 
 def smooth_in_s(L, t, V):

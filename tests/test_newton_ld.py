@@ -250,7 +250,9 @@ class TestSolve:
     def test_partial_reports_keep_every_true_error(self):
         # the samples are read before a partial report is raised too: a
         # runaway iterate (residual 3e209 at k = 5, then a singular Newton
-        # matrix) and a singular first step, for both solvers
+        # matrix), in both LD modes (subtract mode zeroes the nodes at s in
+        # its weights, not in the sum), and a singular first step, for both
+        # solvers
         exact = FUNCTIONS["one"]
         runaway = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_one, get_nonlinearity("cubic"),
@@ -264,6 +266,7 @@ class TestSolve:
         )
         runs = [
             (ld_solve, runaway, 8, LDSettings(n_fine=64), "diverged", 6),
+            (ld_solve, runaway, 8, LDSettings(mode="subtract", sample_count=41), "diverged", 6),
             (ld_solve, singular, 6, FAST, "singular", 1),
             (dl_solve, singular, 6, DLSettings(sample_count=41), "singular", 1),
         ]
@@ -660,6 +663,28 @@ class TestPrecorrected:
         assert rule.ell is not None and rule.near is None
         # the 41 samples hold the 3 nodes 0, 1/2 and 1
         assert rule.WL_dense.shape == (41 - 3, 23)
+
+    @pytest.mark.parametrize(
+        "simpson, n, precorrects",
+        [(False, 64, False), (True, 22, False), (False, 512, True), (True, 64, True)],
+        ids=["trapezoid64", "simpson22", "trapezoid512", "simpson64"],
+    )
+    def test_differences_only_where_the_rule_can_precorrect(
+        self, simpson, n, precorrects, monkeypatch
+    ):
+        # the 12th differences of the pivot columns (~20 us each) decide only
+        # whether a rule reads its off-grid points by precorrection; a rule
+        # whose grid is too small to do so does not take them
+        grid = make_grid(0.0, 1.0, n)
+        prob = HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
+        )
+        points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
+        calls, diff = [], np.diff
+        monkeypatch.setattr(np, "diff", lambda *args, **kw: calls.append(1) or diff(*args, **kw))
+        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        assert (rule.near is not None) == precorrects
+        assert bool(calls) == precorrects
 
     @pytest.mark.parametrize("simpson, n", [(False, 600), (True, 320)], ids=["trapezoid", "simpson"])
     def test_rough_L_keeps_dense_rows(self, simpson, n, rng):

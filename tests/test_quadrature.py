@@ -29,6 +29,7 @@ from oracles import (
     oracle_weight_rows,
     profile_tables_by_task,
     solver_operator,
+    subtraction_by_node,
     subtraction_reference,
 )
 
@@ -396,6 +397,25 @@ class TestSubtractionPlan:
         assert np.array_equal(plan.t_nodes, np.concatenate(node_rows))
         assert np.array_equal(self._node_counts(plan), [t.size for t in node_rows])
 
+    @pytest.mark.parametrize("inside", [False, True], ids=["a_to_b", "inside"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["log", "alg0.3", "alg0.7"])
+    def test_matches_the_sum_grouped_by_node(self, kernel, a, b, inside, rng):
+        # the plan adds h_w L F per node and g(s) (moment0 - sum h_w) once;
+        # per node, h_w (L F - g(s)) is the same sum grouped otherwise. They
+        # differ by at most 27 eps of each point's sum of |terms| here.
+        # Without g(s) (moment0 - sum h_w) the alg plans are 9e-12 (alg 0.3)
+        # and 9e-6 (alg 0.7) of it off
+        points = np.unique(np.concatenate([np.linspace(a, b, 33), [a + (b - a) / 3.0]]))
+        if inside:
+            points = points[1:-1]
+        prob = self._problem(kernel, a, b)
+        plan = SubtractionPlan(prob, points)
+        for _ in range(10):
+            values = rng.standard_normal(points.size)
+            want, scale = subtraction_by_node(prob, points, values)
+            assert np.all(np.abs(plan.apply(values) - want) <= 64 * np.finfo(float).eps * scale)
+
     @staticmethod
     def _node_counts(plan):
         # an empty panel is held with half-width 0; the others have 16 nodes
@@ -454,10 +474,11 @@ class TestSubtractionPlan:
 
     def test_memory_of_build_and_apply(self):
         # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. It
-        # holds 6.6 MB (16 bytes per node) and peaks at 6.9 MB in its build.
-        # With its nodes and a row index held too, it held 12.2 MB and peaked
-        # at 13.0 MB; unblocked, at 24.5 MB in its build and 12.2 MB in each
-        # apply
+        # holds 3.52 MB (8 bytes per node), peaks at 3.69 MB in its build and
+        # at 0.20 MB more in an apply. With h_weights and L_nodes held apart
+        # it held 6.65 MB and peaked at 6.85 MB; with its nodes and a row
+        # index held too, 12.2 MB and 13.0 MB; unblocked, at 24.5 MB in its
+        # build and 12.2 MB in each apply
         points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
         prob = self._problem(algebraic_kernel(0.3), 0.0, 1.0)
         values = np.cos(points)
@@ -471,8 +492,8 @@ class TestSubtractionPlan:
             apply_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert build_peak < 9e6
-        assert held < 7e6
+        assert build_peak < 4.2e6
+        assert held < 3.8e6
         assert apply_peak <= 1e6
 
 
