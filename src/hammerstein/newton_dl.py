@@ -48,9 +48,9 @@ class _Workspace:
     The extension psi(s) = y(s) + sum_j w_j(s) L(s, t_j) F(t_j, X_j) gives
     off-grid values defined by the discrete equation itself. An iterate is
     the pair (X, operator values at the nodes), so one operator apply serves
-    the residual and the step. Each iterate's F(X) and operator values at
-    the nodes are kept, and its extension at the output samples off the
-    grid is read from them after the loop.
+    the residual and the step. Each iterate appends (F(X), its operator
+    values at the nodes) to ``iterates``, from which its extension at the
+    output samples off the grid is read after the loop.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
@@ -61,24 +61,18 @@ class _Workspace:
         self.rule = _ProductRule(problem, grid, nodes, np.arange(nodes.size))
         self.Y = self.samples.y_iteration
         self.two_grid = _TwoGrid(problem, grid, self.rule)
-        self.fx: list[np.ndarray] = []
-        self.nodal: list[np.ndarray] = []
+        self.iterates: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _iterate(self, X):
         fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
         K = self.rule.at_nodes(fx)
-        self.fx.append(fx)
-        self.nodal.append(K)
+        self.iterates.append((fx, K))
         self.samples.keep(self.Y + K)
         return X, K
 
-    def _residual(self, iterate) -> np.ndarray:
+    def residual(self, iterate) -> np.ndarray:
         X, K = iterate
         return X - K - self.Y
-
-    def residual_norm(self, iterate) -> float:
-        """Residual norm of the discrete system."""
-        return float(np.max(np.abs(self._residual(iterate))))
 
     def start(self, x0):
         return self._iterate(_sample_initial(self.problem, x0, self.nodes))
@@ -86,7 +80,7 @@ class _Workspace:
     def step(self, iterate):
         """One Newton step on X - A F(X) = Y and its step norm."""
         X = iterate[0]
-        res = self._residual(iterate)
+        res = self.residual(iterate)
         df = np.broadcast_to(
             np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float), X.shape
         )
@@ -95,8 +89,8 @@ class _Workspace:
 
     def sample_values(self, ks: range) -> np.ndarray:
         """The extensions of iterates ks at the output samples."""
-        taken = slice(ks[0], ks[-1] + 1)
-        off = self.rule.extend(self.samples.off_points, self.fx[taken], self.nodal[taken])
+        fx, nodal = zip(*self.iterates[ks[0] : ks[-1] + 1])
+        off = self.rule.extend(self.samples.off_points, fx, nodal)
         return self.samples.values(ks, self.samples.y_off + off)
 
     def result(self, iterate, sample_values) -> SampledFunction:

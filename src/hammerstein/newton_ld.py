@@ -339,34 +339,26 @@ def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
 _ROW_BLOCK = 8192
 
 
-def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False, times=None):
-    """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s, or
-    with ``times``, a matrix of grid.n + 1 rows, those rows times it.
+def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False):
+    """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
 
     Every such matrix of both solvers comes from here: the off-grid rows of
     the structured rules that do not precorrect (`_ProductRule` says which;
-    ``simpson`` for LD's fine rule), at the iteration's points and the
-    output samples, and the coarse and exact rows of the Newton step. Per
-    block of at most _ROW_BLOCK entries: one weight_matrix call and one L
-    evaluation at the grid's nodes, and with ``times`` one _product, so the
-    rows are never held whole.
+    ``simpson`` for LD's fine rule) at the iteration's points and, block by
+    block (`_ProductRule.extend`), the output samples, and the coarse and
+    exact rows of the Newton step. Per block of at most _ROW_BLOCK entries:
+    one weight_matrix call and one L evaluation at the grid's nodes.
     """
-    out = np.empty((s.size, grid.n + 1 if times is None else times.shape[1]))
+    out = np.empty((s.size, grid.n + 1))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
     for start in range(0, s.size, step):
         block = s[start : start + step]
         # no name holds a block's temporaries into the next block
-        if times is None:
-            np.multiply(
-                weight_matrix(grid, kernel, block, simpson),
-                _L_values(L, block, grid.nodes),
-                out=out[start : start + step],
-            )
-        else:
-            out[start : start + step] = _product(
-                weight_matrix(grid, kernel, block, simpson) * _L_values(L, block, grid.nodes),
-                times,
-            )
+        np.multiply(
+            weight_matrix(grid, kernel, block, simpson),
+            _L_values(L, block, grid.nodes),
+            out=out[start : start + step],
+        )
     return out
 
 
@@ -462,7 +454,7 @@ class _ProductRule:
         out = np.empty(self.size)
         nodal = None
         if self.ell is not None:
-            nodal = out[self.fine_idx] = self.convolve(self.v * ft, ft[0], ft[-1])
+            nodal = out[self.fine_idx] = self.at_nodes(ft)
         if self.near is None:
             out[self.off_idx] = _product(self.WL_dense, ft)
         else:
@@ -474,12 +466,17 @@ class _ProductRule:
         for each F at the fine nodes in ``fts``; ``nodals`` holds the rule's
         values at the fine nodes of each, which only a precorrected rule
         reads. Built and applied per block of points, so no row outlives its
-        block; a precorrected rule stacks no F either."""
+        block: `_dense_rows` of _ROW_BLOCK entries at most, multiplied into
+        the stacked F, or a precorrected rule's, which stacks no F."""
         if self.near is None:
-            rows = _dense_rows(
-                self.grid, self.kernel, self.L, s, self.simpson, times=np.stack(fts, axis=1)
-            )
-            return rows.T
+            F, step = np.stack(fts, axis=1), max(1, _ROW_BLOCK // (self.grid.n + 1))
+            out = np.empty((s.size, F.shape[1]))
+            for start in range(0, s.size, step):
+                part = slice(start, start + step)  # no name holds its rows past it
+                out[part] = _product(
+                    _dense_rows(self.grid, self.kernel, self.L, s[part], self.simpson), F
+                )
+            return out.T
         out = np.empty((len(fts), s.size))
         for start in range(0, s.size, _NEAR_BLOCK):
             part = slice(start, start + _NEAR_BLOCK)
@@ -775,10 +772,10 @@ class _Workspace:
     in fine mode, the fine nodes; in subtract mode the output samples too,
     whose values set the plan's interpolant), the integral-operator values
     there, and F at the fine nodes, so each operator application serves both
-    the residual of one iterate and the step that leaves it. The step k
-    keeps df * delta, A (df delta) at the grid nodes, that F and K_fine F at
-    the fine nodes, from which the output samples off the iteration points
-    are read after the loop:
+    the residual of one iterate and the step that leaves it. In fine mode
+    step k appends one record to ``steps``, (df * delta, that F, A (df
+    delta) at the grid nodes, K_fine F at the fine nodes), from which the
+    output samples off the iteration points are read after the loop:
 
         u_(k+1)(s) = A(s) (df delta)_k + K_fine(s) F_k + y(s),
 
@@ -815,8 +812,7 @@ class _Workspace:
         else:
             self.plan = SubtractionPlan(problem, points)
         self.y_points = self.samples.y_iteration
-        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
-        self.steps_nodal: list[tuple[np.ndarray, np.ndarray]] = []
+        self.steps: list[tuple[np.ndarray, ...]] = []
 
     def _iterate(self, values):
         self.samples.keep(values)
@@ -829,25 +825,20 @@ class _Workspace:
         self.phi0_off = _sample_initial(self.problem, phi0, self.samples.off_points)
         return self._iterate(_sample_initial(self.problem, phi0, self.points))
 
-    def _residual(self, iterate) -> np.ndarray:
+    def residual(self, iterate) -> np.ndarray:
         values, K_points, _ = iterate
         return values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
-
-    def residual_norm(self, iterate) -> float:
-        return float(np.max(np.abs(self._residual(iterate))))
 
     def step(self, iterate):
         """One Newton step: the next iterate and the nodal step norm."""
         values, K_points, ft = iterate
         nodal = values[self.node_idx]
         df = np.asarray(self.problem.nonlin.dF(self.grid.nodes, nodal), dtype=float)
-        delta = self.two_grid.solve(df, -self._residual(iterate), nodal)
+        delta = self.two_grid.solve(df, -self.residual(iterate), nodal)
         d_delta = df * delta
-        if ft is not None:
-            self.steps.append((d_delta, ft))
         A_points = self.rule(d_delta)
         if ft is not None:
-            self.steps_nodal.append((A_points[self.node_idx], K_points[self.fine_idx]))
+            self.steps.append((d_delta, ft, A_points[self.node_idx], K_points[self.fine_idx]))
         values_new = A_points + K_points + self.y_points
         return self._iterate(values_new), float(np.max(np.abs(delta)))
 
@@ -860,9 +851,7 @@ class _Workspace:
             later = ks[1:]
         if len(later) and off.shape[1]:
             s = self.samples.off_points
-            taken = slice(later[0] - 1, later[-1])
-            d_delta, ft = zip(*self.steps[taken])
-            nodal, fine_nodal = zip(*self.steps_nodal[taken])
+            d_delta, ft, nodal, fine_nodal = zip(*self.steps[later[0] - 1 : later[-1]])
             off[len(ks) - len(later) :] = (
                 self.rule.extend(s, d_delta, nodal)
                 + self.fine_rule.extend(s, ft, fine_nodal)
@@ -939,13 +928,11 @@ class _TwoGrid:
         kernel, L, grid = self.problem.kernel, self.problem.L, self.grid
         self.exact = n_c == grid.n
         self.R = None
-        if self.exact:
-            self.tau = grid.nodes
-            self.G = _dense_rows(grid, kernel, L, grid.nodes)
-            return
-        coarse = make_grid(self.problem.a, self.problem.b, n_c)
+        coarse = grid if self.exact else make_grid(self.problem.a, self.problem.b, n_c)
         self.tau = coarse.nodes
         self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
+        if self.exact:
+            return
         if self.rule.ell is None:
             self.R = _dense_rows(coarse, kernel, L, grid.nodes)
         else:
@@ -1041,7 +1028,7 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
     """The Newton loop of both solvers over one discretization ``disc``.
 
     ``disc`` provides start(phi0) -> iterate, step(iterate) -> (iterate,
-    step_norm), residual_norm(iterate), samples (its _Samples),
+    step_norm), residual(iterate) -> its residual vector, samples (its _Samples),
     sample_values(ks) -> the values of the recorded iterates ks at the
     output samples, and result(iterate, sample_values) -> SampledFunction.
     The loop stops when the step norm drops to settings.tol ("converged") or
@@ -1108,7 +1095,7 @@ def _read_samples(disc, report: SolveReport, last: bool):
 
 
 def _record(disc, report: SolveReport, k: int, step_norm, iterate, tic: float) -> None:
-    residual_norm = disc.residual_norm(iterate)
+    residual_norm = float(np.max(np.abs(disc.residual(iterate))))
     report.records.append(
         IterationRecord(
             k=k,

@@ -71,19 +71,39 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _antiderivs(kernel: SingularKernel, u: np.ndarray, orders: int = 3):
-    """Antiderivatives of H, u H and u^2 H at offsets u = t - s, each 0 at u = 0;
-    with ``orders`` = 2 the first two (the third takes a pow per entry)."""
-    au = np.abs(u)
+    """Antiderivatives of H, u H and u^2 H at offsets u = t - s, each 0 at u = 0:
+    u (log|u| - 1), u^2 (log|u| / 2 - 1/4) and u^3 (log|u| / 3 - 1/9) for log,
+    sign(u) |u|^(k - beta) / (k - beta) for alg, k = 1, 2, 3 (no sign at k = 2);
+    with ``orders`` = 2 the first two (the third takes a pow per entry). Each
+    is built in place from |u|; u is not modified. For log |u| is raised to
+    _TINY, one log per entry: u times the finite log(_TINY) is the exact 0 at
+    u = 0. For alg each power of |u| is its own: |u|^(2 - beta) as |u|^(1 -
+    beta) |u| carries one more rounding, which the panel differences of
+    `_analytic_weight_rows` magnify to 6e-11 of max|w| at 1563 panels.
+    """
+    f0 = np.abs(u)
     if kernel.kind == KERNEL_LOG:
-        lg = np.log(np.maximum(au, _TINY))
-        out = [u * (lg - 1.0), u**2 * (0.5 * lg - 0.25)]
+        lg = np.log(np.maximum(f0, _TINY, out=f0), out=f0)
+        out = [lg, lg * 0.5]
+        out[1] -= 0.25
+        out[1] *= np.square(u)
         if orders > 2:
-            out.append(u**3 * (lg / 3.0 - 1.0 / 9.0))
+            out.append(lg / 3.0)
+            out[2] -= 1.0 / 9.0
+            out[2] *= u**3
+        lg -= 1.0
+        lg *= u
         return out
     beta = kernel.beta
-    out = [np.sign(u) * au ** (1.0 - beta) / (1.0 - beta), au ** (2.0 - beta) / (2.0 - beta)]
+    out = [f0, f0 ** (2.0 - beta)]
+    out[1] /= 2.0 - beta
+    sign = np.sign(u)
     if orders > 2:
-        out.append(np.sign(u) * au ** (3.0 - beta) / (3.0 - beta))
+        out.append(f0 ** (3.0 - beta) * sign)
+        out[2] /= 3.0 - beta
+    np.power(f0, 1.0 - beta, out=f0)
+    f0 *= sign
+    f0 /= 1.0 - beta
     return out
 
 
@@ -108,7 +128,7 @@ def _moment0(kernel: SingularKernel, svals: np.ndarray, c: float, d: float) -> n
     if kernel.kind == KERNEL_SMOOTH:
         first = np.zeros(svals.size, dtype=int)
         return 2.0 * _panel_moments(make_grid(c, d, 8), kernel, svals, first, 8)[0].sum(axis=1)
-    f = _antiderivs(kernel, np.stack([c - svals, d - svals]))[0]
+    f = _antiderivs(kernel, np.stack([c - svals, d - svals]), orders=2)[0]
     return f[1] - f[0]
 
 
@@ -142,28 +162,11 @@ def weight_matrix(grid: Grid, kernel: SingularKernel, svals, simpson: bool = Fal
 
 
 def _analytic_weight_rows(grid, kernel, svals):
-    # the first two _antiderivs at every u = t_j - s, to the bit, with the
-    # temporaries reused in place and one log per entry for log. There |u| is
-    # raised to _TINY: u times the finite log(_TINY) is the exact 0 of both
-    # antiderivatives at u = 0. For alg, |u|^(2 - beta) is its own power:
-    # as |u|^(1 - beta) |u| it carries one more rounding, which the panel
-    # differences far from s magnify to 6e-11 of max|w| at 1563 panels.
+    """Trapezoid rows of the log and alg kernels at the points s: with d0, d1
+    the panel differences of the first two `_antiderivs` at u = t_j - s, w_j =
+    [(d1 - u_(j-1) d0)_(j-1) + (u_(j+1) d0 - d1)_j] / h (one term at an end)."""
     u = grid.nodes[None, :] - svals[:, None]
-    p0 = np.abs(u)
-    if kernel.kind == KERNEL_LOG:
-        np.log(np.maximum(p0, _TINY, out=p0), out=p0)  # log|u|
-        p1 = p0 * 0.5
-        p1 -= 0.25
-        p1 *= np.square(u)  # u^2 (log|u| / 2 - 1/4)
-        p0 -= 1.0
-        p0 *= u  # u (log|u| - 1)
-    else:
-        beta = kernel.beta
-        p1 = p0 ** (2.0 - beta)
-        p1 /= 2.0 - beta  # |u|^(2 - beta) / (2 - beta)
-        np.power(p0, 1.0 - beta, out=p0)
-        p0 *= np.sign(u)
-        p0 /= 1.0 - beta  # sign(u) |u|^(1 - beta) / (1 - beta)
+    p0, p1 = _antiderivs(kernel, u, orders=2)
     # Panel j of a row is column j of the differences, taken on the flat
     # rows; the last column holds a difference across two rows, which
     # nothing reads, and the last entry of all, which no difference reaches,

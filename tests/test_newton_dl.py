@@ -269,7 +269,7 @@ class TestStructured:
         settings = DLSettings(tol=1e-30, max_iter=4, sample_count=41)
         fn, report = dl_solve(prob, grid, settings, x0=0.5)
         s = np.linspace(0, 1, 41)
-        fx = np.stack(spaces[0].fx, axis=1)
+        fx = np.stack([f for f, _ in spaces[0].iterates], axis=1)
         ext = prob.y(s)[:, None] + operator_rows(prob, grid, s) @ fx
         errors = np.max(np.abs(ext - np.cos(s)[:, None]), axis=0)
         assert len(report.records) == fx.shape[1] == 5

@@ -239,7 +239,7 @@ class TestSolve:
         s = np.linspace(0, 1, 41)
         A = weight_matrix(grid, prob.kernel, s) * prob.L(s[:, None], grid.nodes)
         K = weight_matrix(fine, prob.kernel, s, simpson=True) * prob.L(s[:, None], fine.nodes)
-        u = [np.sin(s)] + [A @ dd + K @ ft + prob.y(s) for dd, ft in spaces[0].steps]
+        u = [np.sin(s)] + [A @ dd + K @ ft + prob.y(s) for dd, ft, _, _ in spaces[0].steps]
         errors = [np.max(np.abs(v - np.cos(s))) for v in u]
         assert len(report.records) == len(u) == 4
         np.testing.assert_allclose(

@@ -96,6 +96,69 @@ class TestMoments:
                 assert moment1(kernel, s, c, d) == pytest.approx(float(ref1[0]), abs=1e-10)
 
 
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+CLOSED_FORM_KERNELS = [log_kernel, lambda: algebraic_kernel(0.3), lambda: algebraic_kernel(0.7)]
+CLOSED_FORM_IDS = ["log", "alg0.3", "alg0.7"]
+
+
+class TestClosedForms:
+    """The one copy of the log and alg antiderivatives, and the trapezoid rows
+    differenced from it, against the textbook expressions, to the bit."""
+
+    @staticmethod
+    def textbook(kernel, u):
+        au = np.abs(u)
+        if kernel.kind == "log":
+            lg = np.log(np.maximum(au, quadrature._TINY))
+            return [u * (lg - 1.0), u**2 * (0.5 * lg - 0.25), u**3 * (lg / 3.0 - 1.0 / 9.0)]
+        beta = kernel.beta
+        return [
+            np.sign(u) * au ** (1.0 - beta) / (1.0 - beta),
+            au ** (2.0 - beta) / (2.0 - beta),
+            np.sign(u) * au ** (3.0 - beta) / (3.0 - beta),
+        ]
+
+    @pytest.mark.parametrize("orders", [2, 3])
+    @pytest.mark.parametrize("kernel_factory", CLOSED_FORM_KERNELS, ids=CLOSED_FORM_IDS)
+    def test_antiderivs_match_textbook_expressions_bitwise(self, kernel_factory, orders, rng):
+        kernel = kernel_factory()
+        # exact zeros, both signs, |u| from 1e-300 to 1e3
+        mags = np.concatenate([10.0 ** rng.uniform(-300, 3, 400), np.logspace(-300, 3, 304)])
+        u = np.concatenate([[0.0, -0.0, 0.0], mags, -mags, rng.uniform(-2, 2, 200)])
+        for shaped in (u, u[: 1008].reshape(8, 126)):
+            kept = shaped.copy()
+            got = quadrature._antiderivs(kernel, shaped, orders)
+            assert same_bits(shaped, kept)
+            want = self.textbook(kernel, shaped)[:orders]
+            assert len(got) == orders
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+
+    @pytest.mark.parametrize("n", [8, 64, 1454])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("kernel_factory", CLOSED_FORM_KERNELS, ids=CLOSED_FORM_IDS)
+    def test_trapezoid_rows_are_plain_differences_bitwise(self, kernel_factory, a, b, n, rng):
+        # w_j = [(d1 - u_(j-1) d0)_(j-1) + (u_(j+1) d0 - d1)_j] / h, with d0
+        # and d1 the panel differences of the first two antiderivatives
+        kernel, grid = kernel_factory(), make_grid(a, b, n)
+        nodes = grid.nodes[:: max(1, n // 16)]
+        s = np.concatenate([nodes, grid.nodes[-1:], rng.uniform(a, b, 16)])
+        u = grid.nodes[None, :] - s[:, None]
+        f0, f1 = quadrature._antiderivs(kernel, u, orders=2)
+        d0, d1 = np.diff(f0, axis=1), np.diff(f1, axis=1)
+        up = d1 - u[:, :-1] * d0
+        dn = u[:, 1:] * d0 - d1
+        want = np.empty_like(u)
+        want[:, 0], want[:, -1] = dn[:, 0], up[:, -1]
+        want[:, 1:-1] = up[:, :-1] + dn[:, 1:]
+        want /= grid.h
+        assert same_bits(quadrature._analytic_weight_rows(grid, kernel, s), want)
+        assert same_bits(weight_matrix(grid, kernel, s), want)
+
+
 class TestProductWeights:
     def test_trapezoidal_degeneration(self):
         grid = make_grid(0.0, 1.0, 4)
