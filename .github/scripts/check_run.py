@@ -1,13 +1,14 @@
 """Check one in-process run of a config: its outcome, terminal error and peak memory.
 
-    python3 .github/scripts/check_run.py CONFIG [--n LIST]
-        [--method M --error-ceiling X] --peak-mb Y
+    python3 .github/scripts/check_run.py CONFIG [--method M] [--error-ceiling X] --peak-mb Y
+    python3 .github/scripts/check_run.py CONFIG --n LIST [--error-ceiling X] --peak-mb Y
 
 Runs ``compare`` on the JSON config CONFIG, or ``nsweep`` over the
 comma-separated grid sizes LIST, into a temporary directory with tracemalloc
 on. Exits 1 if the run ends in a solver failure, if its traced peak is above
-Y MB, or, with --method, if the last true_error of method M in the run's CSV
-is above X.
+Y MB, or, with --error-ceiling, if a terminal true_error in the run's CSV is
+above X: the last one of method M in a compare, the last one of each grid
+size in an nsweep (which runs LD alone).
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ def main(argv=None) -> int:
     parser.add_argument("--error-ceiling", type=float)
     parser.add_argument("--peak-mb", type=float, required=True)
     args = parser.parse_args(argv)
-    if (args.method is None) != (args.error_ceiling is None):
+    if args.n and args.method:
+        parser.error("an nsweep runs LD alone: give --error-ceiling without --method")
+    if not args.n and (args.method is None) != (args.error_ceiling is None):
         parser.error("--method and --error-ceiling go together")
     with open(args.config) as f:
         raw = json.load(f)
@@ -46,15 +49,21 @@ def main(argv=None) -> int:
             print(f"solver failure: {outcome.fatal}")
         print(f"{args.config}: peak {peak:.2f} MB (ceiling {args.peak_mb:g} MB)")
         ok &= peak <= args.peak_mb
-        if args.method:
+        if args.error_ceiling is not None:
             with open(outcome.csv_path) as f:
-                rows = [r for r in csv.DictReader(f) if r["method"] == args.method]
-            error = float(rows[-1]["true_error"])
-            print(
-                f"{args.method.upper()} terminal true_error {error:.3e} "
-                f"(ceiling {args.error_ceiling:g})"
-            )
-            ok &= error <= args.error_ceiling
+                rows = list(csv.DictReader(f))
+            if args.n:
+                # rows run in k order within each n: the dict keeps the last
+                errors = {f"LD at n={n}": e for n, e in ((r["n"], r["true_error"]) for r in rows)}
+            else:
+                last = [r["true_error"] for r in rows if r["method"] == args.method][-1]
+                errors = {args.method.upper(): last}
+            for label, error in errors.items():
+                print(
+                    f"{label} terminal true_error {float(error):.3e} "
+                    f"(ceiling {args.error_ceiling:g})"
+                )
+                ok &= float(error) <= args.error_ceiling
     return 0 if ok else 1
 
 

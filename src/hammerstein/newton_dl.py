@@ -6,15 +6,15 @@ solved by finite-dimensional Newton. The iteration converges to the
 solution of the *discrete* system, so its accuracy plateaus at the
 discretization error of the grid no matter how many Newton steps run.
 
-A, the product rule of the grid at its own nodes, is never formed: it is
-applied by newton_ld._ProductRule (FFT Toeplitz weights times a low-rank L).
-The natural extension at the output samples off the grid is read after the
-loop by the same rule: on a grid of at least 512 panels from its values at
-the nodes, by precorrected interpolation (newton_ld._Precorrected), else
-from dense rows; both are built in blocks. Each Newton step solves
-(I - A D) delta = -res, D = diag F'(X), by the linear step the LD solver
-takes too (newton_ld._TwoGrid), whose coarse correction is prolonged to the
-grid through the same structured rule.
+A, the product rule of the grid at its own nodes, is applied by
+newton_ld._ProductRule: dense rows on at most 64 panels, else never formed
+(FFT Toeplitz weights times a low-rank L). The natural extension at the
+output samples off the grid is read after the loop by the same rule: from
+512 panels from its values at the nodes, by precorrected interpolation
+(newton_ld._Precorrected), else from dense rows, in blocks. Each Newton
+step solves (I - A D) delta = -res, D = diag F'(X), by LD's step too
+(newton_ld._TwoGrid): the LU of I - A D on at most 64 panels, else two-grid
+steps whose coarse correction reaches the grid through the structured rule.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import solve_dense  # noqa: F401 (perfbench/tracing.py hooks this name)
 from .newton_ld import (
     _NewtonSettings,
+    _broadcast,
     _newton,
     _ProductRule,
     _sample_initial,
@@ -64,7 +65,7 @@ class _Workspace:
         self.iterates: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _iterate(self, X):
-        fx = np.asarray(self.problem.nonlin.F(self.nodes, X), dtype=float)
+        fx = _broadcast(self.problem.nonlin.F(self.nodes, X), X)
         K = self.rule.at_nodes(fx)
         self.iterates.append((fx, K))
         self.samples.keep(self.Y + K)
@@ -81,9 +82,7 @@ class _Workspace:
         """One Newton step on X - A F(X) = Y and its step norm."""
         X = iterate[0]
         res = self.residual(iterate)
-        df = np.broadcast_to(
-            np.asarray(self.problem.nonlin.dF(self.nodes, X), dtype=float), X.shape
-        )
+        df = _broadcast(self.problem.nonlin.dF(self.nodes, X), X)
         X_new = X + self.two_grid.solve(df, -res, X)
         return self._iterate(X_new), float(np.max(np.abs(X_new - X)))
 

@@ -19,15 +19,15 @@ Math. Comp. 1973). It reads F at the fine nodes only, so the operator stays
 closed under the iteration. Its error is about O(h^4) for the log kernel
 and O(h^(4 - beta)) for the algebraic one (measured orders 3.8, 3.6 and 3.3
 per doubling at N = 80-640 for log, beta = 0.3 and beta = 0.7), against
-O(h^2) for the product trapezoid rule. It is applied without a dense matrix
-(`_ProductRule`): at the fine nodes the weights of the even and of the odd
-interior columns are each a Toeplitz matrix, plus two boundary columns,
-applied by FFT, and L enters through a cross approximation of rank q on the
-lattice of the fine nodes (Bebendorf, Numer. Math. 2000; Tyrtyshnikov,
-Computing 2000): q = 9 for exp_st on [0, 1], 1 for L = one. The even
-columns' spectrum is a fold of the whole one, so an apply is one rfft and
-one irfft of q rows, O(q n_fine log n_fine), and the operator holds
-O(q n_fine) numbers.
+O(h^2) for the product trapezoid rule. On more than 64 panels (_COARSE_N)
+it is applied without a dense matrix (`_ProductRule`): at the fine nodes
+the weights of the even and of the odd interior columns are each a
+Toeplitz matrix, plus two boundary columns, applied by FFT, and L enters
+through a cross approximation of rank q on the lattice of the fine nodes
+(Bebendorf, Numer. Math. 2000; Tyrtyshnikov, Computing 2000): q = 9 for
+exp_st on [0, 1], 1 for L = one. The even columns' spectrum is a fold of
+the whole one, so an apply is one rfft and one irfft of q rows,
+O(q n_fine log n_fine), and the operator holds O(q n_fine) numbers.
 
 Both rules read the points off their grids (the Newton nodes off the fine
 grid and the fine nodes off the Newton grid, and the output samples off
@@ -36,9 +36,9 @@ both) from their own nodal values, by precorrected interpolation
 Trans. CAD 1997): Lagrange interpolation on 12 nodes around the point, with
 the 64 nearest columns (for Simpson the 32 nearest panel pairs) taken out
 of the interpolant and added back with exact weights. It holds 76 or 77
-numbers a point, not N + 1. The Simpson rule reads its points so wherever
-that window fits in its grid, the trapezoid rule of a Newton grid of at
-least 512 panels, both only for an L smooth in s at the grid's spacing.
+numbers a point, not N + 1. The Simpson rule reads its points so on every
+such grid, the trapezoid rule of a Newton grid of at least 512 panels, both
+only for an L smooth in s at the grid's spacing.
 
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
@@ -55,7 +55,7 @@ forcing term eta = O(|res|) relative, which keeps the convergence quadratic
 Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the rounding of
 the iterate. After a miss (a residual that stops shrinking, or a singular
 coarse system), this step and the later ones are LU solves of the Newton
-matrix on the grid itself.
+matrix on the grid itself, as all steps are on at most 64 panels.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses,
 the output samples read after it), the settings it reads, `_ProductRule`
@@ -159,7 +159,7 @@ class _Samples:
         self.held_at = at[held]
         self.held, self.off = np.flatnonzero(held), np.flatnonzero(~held)
         self.off_points = samples[self.off]
-        y = np.broadcast_to(np.asarray(problem.y(self.points), dtype=float), self.points.shape)
+        y = _broadcast(problem.y(self.points), self.points)
         self.y_iteration, self.y_off = y[self.iteration_pos], y[self.sample_pos[self.off]]
         self.exact = None
         if problem.exact is not None:
@@ -186,12 +186,15 @@ class _Samples:
         return SampledFunction(self.points, values)
 
 
+def _broadcast(values, points: np.ndarray) -> np.ndarray:
+    """values as floats of the shape of ``points``; y, phi0, F or dF may be a scalar."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == points.shape else np.full(points.shape, values)
+
+
 def _sample_initial(problem, phi0, points) -> np.ndarray:
-    if phi0 is None:
-        phi0 = problem.y
-    if callable(phi0):
-        return np.broadcast_to(np.asarray(phi0(points), dtype=float), points.shape).copy()
-    return np.full(points.shape, float(phi0))
+    phi0 = problem.y if phi0 is None else phi0
+    return _broadcast(phi0(points) if callable(phi0) else phi0, points)
 
 
 # Cross factor of L on the lattice of a rule's nodes (`_cross_factor`). It
@@ -251,7 +254,7 @@ def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, (s.size, t.size))
 
 
-def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
+def _cross_factor(L, t: np.ndarray):
     """Low-rank factor (E, V, smooth) of L on the lattice t x t, E and V each
     of shape (q, t.size) with L(t_i, t_l) ~ sum_k E[k, i] V[k, l], or None
     when none of at most _MAX_RANK crosses meets _RANK_TOL.
@@ -270,8 +273,8 @@ def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
     nodes t, for the interpolant of _Precorrected: the remainder of
     interpolation on _STENCIL nodes, estimated from the _STENCIL-th
     differences of the pivot columns L(t, t_j) (every factor row is a
-    combination of them), is at most _SMOOTH_TOL times their max|L|; False,
-    with no differences taken, without ``check_smooth`` (no precorrection).
+    combination of them), is at most _SMOOTH_TOL times their max|L|.
+    `_ProductRule` decides whether its points are read so.
     """
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
@@ -292,7 +295,7 @@ def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
     E, V = np.empty((2, 1, n))
     used = np.zeros(n, dtype=bool)
     q = 0
-    rough, col_scale = (0.0 if check_smooth else np.inf), 0.0  # inf: never smooth
+    rough = col_scale = 0.0
     i = check[np.argmax(check_max)]
     while True:
         while True:
@@ -311,8 +314,7 @@ def _cross_factor(L, t: np.ndarray, check_smooth: bool = True):
             col = _L_values(L, t, t[j : j + 1])[:, 0]
             col_max = np.max(np.abs(col))
             scale, col_scale = max(scale, col_max), max(col_scale, col_max)
-            if check_smooth:  # (at most _STENCIL nodes have no such difference)
-                rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
+            rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
             col = col - _product(E[:q].T, V[:q, j])
             E[q], V[q] = col / row[j], row
             q += 1
@@ -342,12 +344,12 @@ _ROW_BLOCK = 8192
 def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False):
     """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
 
-    Every such matrix of both solvers comes from here: the off-grid rows of
-    the structured rules that do not precorrect (`_ProductRule` says which;
-    ``simpson`` for LD's fine rule) at the iteration's points and, block by
-    block (`_ProductRule.extend`), the output samples, and the coarse and
-    exact rows of the Newton step. Per block of at most _ROW_BLOCK entries:
-    one weight_matrix call and one L evaluation at the grid's nodes.
+    Every such matrix of both solvers comes from here: a rule's rows at the
+    points it does not read from a factor (`_ProductRule` says which;
+    ``simpson`` for LD's fine rule), block by block (`_ProductRule.extend`)
+    at the output samples, and the coarse and exact rows of the Newton step.
+    Per block of at most _ROW_BLOCK entries: one weight_matrix call and one
+    L evaluation at the grid's nodes.
     """
     out = np.empty((s.size, grid.n + 1))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
@@ -410,12 +412,12 @@ class _ProductRule:
     nodal values K by precorrected interpolation (`_Precorrected`), 76
     numbers a point for the trapezoid rule and 77 for Simpson; ``extend``
     reads further points so, per block, after the fact (the output samples).
-    That takes a Simpson rule whose window of _WINDOW + 1 nodes fits in its
-    grid, a trapezoid rule on at least _PRECORRECT_MIN_N panels, and an L
-    smooth in s at the grid's spacing (`_cross_factor`). The other rules keep
-    dense rows for the points off the fine grid, and for every point when H
-    is smooth (not a function of t - s) or L has no factor of at most
-    _MAX_RANK terms.
+    That takes a Simpson rule or a trapezoid rule on at least
+    _PRECORRECT_MIN_N panels, and an L smooth in s at the grid's spacing
+    (`_cross_factor`); the others keep dense rows there. A rule has no factor,
+    and dense rows at every point, on at most _COARSE_N panels (whose grid
+    steps by their LU, `_TwoGrid`), for a smooth H (not a function of t - s)
+    and for an L with no factor of at most _MAX_RANK terms.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
@@ -425,8 +427,8 @@ class _ProductRule:
         self.size = points.size
         self.fine_idx = fine_idx
         self.ell = self.near = self.WL_dense = None
-        precorrects = N >= (_WINDOW if simpson else _PRECORRECT_MIN_N)
-        factor = None if kernel.kind == KERNEL_SMOOTH else _cross_factor(L, t, precorrects)
+        structured = kernel.kind != KERNEL_SMOOTH and N > _COARSE_N
+        factor = _cross_factor(L, t) if structured else None
         if factor is None:
             self.off_idx = np.arange(points.size)
         else:
@@ -435,7 +437,7 @@ class _ProductRule:
             off_grid[fine_idx] = False
             self.off_idx = np.flatnonzero(off_grid)
             # the parity fold needs an even m; _fft_size(2 N) is odd for some
-            # even N (22, 62, 66, 110, ...)
+            # even N (66, 110, ...)
             self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
             # the precorrection reads c and the end columns as K applies them
             self.c, first, last = _nodal_weights(grid, kernel, simpson)
@@ -443,7 +445,7 @@ class _ProductRule:
             L_ends = _L_values(L, t, t[[0, N]])
             self.col_first = first * L_ends[:, 0]
             self.col_last = last * L_ends[:, 1]
-        if factor is not None and smooth:
+        if factor is not None and smooth and (simpson or N >= _PRECORRECT_MIN_N):
             self.near = _Precorrected(self, points[self.off_idx])
         else:
             self.c = None
@@ -542,9 +544,9 @@ _WINDOW = _STENCIL + 2 * _MARGIN
 # ms at 256, 1.6 at 512 and 3.2 at 768 (0.9, 2.3 and 3.0). From 512 panels
 # the evaluator costs at most about twice what dense rows do, and holds 76
 # numbers a point where they hold 4 kB or more.
-# A Simpson rule precorrects wherever its window fits (N >= _WINDOW): its
-# dense rows cost ~57 ns an entry against ~14 ns for trapezoid rows, and it
-# is LD's operator, whose off-grid points are most of its iteration points.
+# A Simpson rule with a factor (N > _COARSE_N >= _WINDOW) always precorrects:
+# its dense rows cost ~57 ns an entry against ~14 ns for trapezoid rows, and
+# it is LD's operator, whose off-grid points are most of its iteration points.
 # Measured on a 2-vCPU host (exp_st on [0, 1], one BLAS thread, best of 9),
 # for 50 off-grid points built and applied to 6 iterates: dense rows 0.27 ms
 # at N = 64, 0.36 at 128, 0.60 at 256, 0.74 at 320, 1.66 at 512 and 2.24 at
@@ -679,11 +681,9 @@ def _precorrect(rule, s, k0, j0, lam, rho):
     # toeplitz[p, b, a] = c_(j0 + a - k0 - b), for Simpson of the parity of
     # j0 + a, which is that of a: strided views of the size + _STENCIL - 1
     # entries of each point from c_(j0 - k0 - _STENCIL + 1), one per parity,
-    # each over the columns a of its parity. c has no entry for j - k = -N
-    # or N, end columns of a window and stencil that span the grid; those
-    # columns are set below, so "clip" lets them read any entry
+    # each over the columns a of its parity
     entries = rule.c.take(
-        (j0 - k0 + N - _STENCIL)[:, None] + _ENTRIES_AT[: size + _STENCIL - 1], axis=1, mode="clip"
+        (j0 - k0 + N - _STENCIL)[:, None] + _ENTRIES_AT[: size + _STENCIL - 1], axis=1
     )
     step = entries.strides[2]
     parities = rule.c.shape[0]
@@ -818,7 +818,8 @@ class _Workspace:
         self.samples.keep(values)
         if self.plan is not None:
             return values, self.plan.apply(values), None
-        ft = np.asarray(self.problem.nonlin.F(self.fine.nodes, values[self.fine_idx]), dtype=float)
+        F, fine = self.problem.nonlin.F, self.fine.nodes
+        ft = _broadcast(F(fine, values[self.fine_idx]), fine)
         return values, self.fine_rule(ft), ft
 
     def start(self, phi0):
@@ -833,7 +834,7 @@ class _Workspace:
         """One Newton step: the next iterate and the nodal step norm."""
         values, K_points, ft = iterate
         nodal = values[self.node_idx]
-        df = np.asarray(self.problem.nonlin.dF(self.grid.nodes, nodal), dtype=float)
+        df = _broadcast(self.problem.nonlin.dF(self.grid.nodes, nodal), nodal)
         delta = self.two_grid.solve(df, -self.residual(iterate), nodal)
         d_delta = df * delta
         A_points = self.rule(d_delta)
@@ -871,7 +872,7 @@ class _Workspace:
 # Newton count. The coarse rows G hold 65^2 numbers; dense coarse rows R at
 # the grid nodes, 65 (n + 1) numbers (0.8 MB at n = 1600), only a rule
 # without a cross factor keeps, next to its own (n + 1)^2. A grid of at most
-# this many panels is its own coarse grid: its steps are LU steps.
+# this many panels is its own coarse grid, its rules dense rows: LU steps.
 _COARSE_N = 64
 # Smallest forcing term: an accepted step's true linear residual is at most
 # max(eta |res|, eps |X|) in the max-norm, eta = max(_STEP_RTOL, min(1e-3,
@@ -917,7 +918,7 @@ class _TwoGrid:
     of M solves the coarse system I - G D_c afresh, with solve_dense. When
     n_c = n, G is the dense A and M the LU solve of I - A D; after a miss
     (the residual stops shrinking, or the coarse system is singular) the step
-    becomes that one.
+    becomes that one. A grid of at most _COARSE_N panels starts so.
     """
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, rule: _ProductRule):

@@ -26,8 +26,9 @@ from hammerstein import (
     smooth_kernel,
 )
 from hammerstein import newton_ld
+from hammerstein import newton_dl
 from hammerstein.newton_ld import (
-    _PRECORRECT_MIN_N,
+    _COARSE_N,
     _RANK_TOL,
     _ProductRule,
     _cross_factor,
@@ -36,8 +37,9 @@ from hammerstein.newton_ld import (
     _L_values,
     _nodal_weights,
     _product,
+    _WINDOW,
 )
-from hammerstein.problem import L_exp_st, L_one, L_zero
+from hammerstein.problem import L_exp_st, L_one, L_zero, Nonlinearity, _const
 from hammerstein.quadrature import _window_weight_rows, eval_operator_reference_parts, weight_matrix
 from oracles import dense_fine_operator, direct_nystrom_solution, smooth_in_s, solver_operator
 
@@ -279,6 +281,38 @@ class TestSolve:
             assert len(errors) == count
             assert all(isinstance(e, float) and np.isfinite(e) for e in errors), errors
 
+    SCALAR = {
+        # F and dF each a scalar; and an array F with a scalar dF
+        "constant": (
+            Nonlinearity("constant", lambda t, u: 1.0, lambda t, u: 0.0),
+            Nonlinearity("constant", _const(1.0), _const(0.0)),
+        ),
+        "affine": (
+            Nonlinearity("affine", lambda t, u: 0.5 * u + 1.0, lambda t, u: 0.5),
+            Nonlinearity("affine", lambda t, u: 0.5 * u + 1.0, _const(0.5)),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [32, 200])
+    @pytest.mark.parametrize("solve", [ld_solve, dl_solve], ids=["ld", "dl"])
+    @pytest.mark.parametrize("case", sorted(SCALAR))
+    def test_nonlinearity_may_return_a_scalar(self, case, solve, n):
+        # a scalar F raised IndexError in both solvers, and a scalar dF
+        # ValueError in LD's np.interp; read at the points' shape, each runs
+        # as its twin whose F and dF return arrays, to the bit
+        grid = make_grid(0.0, 1.0, n)
+        runs = []
+        for nonlin in self.SCALAR[case]:
+            prob = HammersteinProblem(0.0, 1.0, log_kernel(), L_exp_st, nonlin, np.cos)
+            fn, report = solve(prob, grid)
+            assert report.status == "converged"
+            records = [(r.k, r.step_norm, r.residual_norm) for r in report.records]
+            runs.append((records, fn.points, fn.values))
+        (records, points, values), twin = runs
+        assert records == twin[0]
+        np.testing.assert_array_equal(points, twin[1])
+        np.testing.assert_array_equal(values, twin[2])
+
     def test_report_environment_echo(self, benchmark_problem):
         grid = make_grid(0, 1, 10)
         _, report = ld_solve(benchmark_problem, grid, FAST)
@@ -390,14 +424,14 @@ class TestFineOperator:
         # fine-node differences t_j - t_i carry rounding away from a = 0
         self._check(log_kernel(), L_exp_st, 7, a=0.3, b=2.9)
 
-    @pytest.mark.parametrize("n_fine", [22, 110, 320, 1024])
+    @pytest.mark.parametrize("n_fine", [66, 110, 320, 1024])
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
     @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
     def test_half_grid_fold_matches_dense_product_rule(self, kernel, a, b, n_fine):
         # the Simpson weights of the even columns (the nodes of the half
         # grid of panel pairs) enter through the spectrum folded at m/2 on an
-        # even circulant; _fft_size(2 n_fine) is odd at 22 and 110
-        assert _fft_size(2 * n_fine) % 2 == (n_fine in (22, 110))
+        # even circulant; _fft_size(2 n_fine) is odd at 66 and 110
+        assert _fft_size(2 * n_fine) % 2 == (n_fine in (66, 110))
         self._check(kernel, L_exp_st, 7, a=a, b=b, n_fine=n_fine)
 
     @pytest.mark.parametrize("kernel", [log_kernel(), algebraic_kernel(0.3)], ids=["log", "alg0.3"])
@@ -580,8 +614,9 @@ class TestNodalWeights:
 class TestPrecorrected:
     """A rule with a cross factor reads its points off the grid by
     precorrected interpolation from its own nodal values, not from dense
-    rows: a trapezoid rule from _PRECORRECT_MIN_N panels, a Simpson rule
-    wherever its window fits, and neither when L is rough in s."""
+    rows: a trapezoid rule from _PRECORRECT_MIN_N panels, a Simpson rule on
+    every grid of more than _COARSE_N panels, and neither when L is rough
+    in s."""
 
     @staticmethod
     def _check(kernel, bound, L, a, b, n, rng, simpson=False):
@@ -625,7 +660,7 @@ class TestPrecorrected:
         monkeypatch.setattr(newton_ld, "_PRECORRECT_MIN_N", 256)
         self._check(kernel, bound, L, a, b, n, rng)
 
-    @pytest.mark.parametrize("n", [64, 320, 1454])
+    @pytest.mark.parametrize("n", [66, 320, 1454])
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
     @pytest.mark.parametrize("L", [L_one, L_exp_st], ids=["one", "exp_st"])
     @pytest.mark.parametrize(
@@ -637,44 +672,38 @@ class TestPrecorrected:
         # takes the Toeplitz entries of its parity. Over this draw and 23
         # others of 60 points the worst here was 163 eps max|ref| for log,
         # 173 for alg 0.3 and 105 for alg 0.7 (random F; 105 for smooth F).
-        # At n = 64 the window is the whole grid
+        # At n = 66, the smallest even grid with a factor, the window is all
+        # but two of the nodes
         self._check(kernel, 256, L, a, b, n, rng, simpson=True)
 
-    def test_small_grid_keeps_dense_rows(self):
-        assert 64 < _PRECORRECT_MIN_N
-        grid = make_grid(0.0, 1.0, 64)
-        prob = HammersteinProblem(
-            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
-        )
-        points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
-        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes))
-        assert rule.ell is not None and rule.near is None
-        # the 41 samples hold the 9 nodes at multiples of 1/8
-        assert rule.WL_dense.shape == (41 - 9, 65)
-
-    def test_simpson_below_the_window_keeps_dense_rows(self):
-        # 22 panels hold no window of 65 nodes
-        fine = make_grid(0.0, 1.0, 22)
-        prob = HammersteinProblem(
-            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
-        )
-        points = np.unique(np.concatenate([fine.nodes, np.linspace(0.0, 1.0, 41)]))
-        rule = _ProductRule(prob, fine, points, np.searchsorted(points, fine.nodes), simpson=True)
-        assert rule.ell is not None and rule.near is None
-        # the 41 samples hold the 3 nodes 0, 1/2 and 1
-        assert rule.WL_dense.shape == (41 - 3, 23)
+    def test_window_fits_in_every_grid_with_a_factor(self):
+        # a rule has a factor on more than _COARSE_N panels only, and the
+        # Simpson window of _WINDOW + 1 nodes fits in N + 1 >= _COARSE_N + 2:
+        # no window spans its grid, so every Toeplitz entry it reads exists
+        assert _COARSE_N >= _WINDOW
 
     @pytest.mark.parametrize(
-        "simpson, n, precorrects",
-        [(False, 64, False), (True, 22, False), (False, 512, True), (True, 64, True)],
-        ids=["trapezoid64", "simpson22", "trapezoid512", "simpson64"],
+        "simpson, n, differences, precorrects",
+        [
+            (False, 22, False, False),
+            (True, 22, False, False),
+            (False, 64, False, False),
+            (True, 64, False, False),
+            (False, 66, True, False),
+            (False, 512, True, True),
+            (True, 66, True, True),
+        ],
+        ids=[
+            "trapezoid22", "simpson22", "trapezoid64", "simpson64", "trapezoid66",
+            "trapezoid512", "simpson66",
+        ],
     )
-    def test_differences_only_where_the_rule_can_precorrect(
-        self, simpson, n, precorrects, monkeypatch
+    def test_differences_only_where_the_rule_has_a_factor(
+        self, simpson, n, differences, precorrects, monkeypatch
     ):
-        # the 12th differences of the pivot columns (~20 us each) decide only
-        # whether a rule reads its off-grid points by precorrection; a rule
-        # whose grid is too small to do so does not take them
+        # the 12th differences of the pivot columns (~20 us each) are taken
+        # by every cross factor, and a rule on at most _COARSE_N panels has
+        # none; whether they let a rule precorrect is the rule's to decide
         grid = make_grid(0.0, 1.0, n)
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), FUNCTIONS["one"]
@@ -683,8 +712,9 @@ class TestPrecorrected:
         calls, diff = [], np.diff
         monkeypatch.setattr(np, "diff", lambda *args, **kw: calls.append(1) or diff(*args, **kw))
         rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        assert (rule.ell is not None) == differences
         assert (rule.near is not None) == precorrects
-        assert bool(calls) == precorrects
+        assert bool(calls) == differences
 
     @pytest.mark.parametrize("simpson, n", [(False, 600), (True, 320)], ids=["trapezoid", "simpson"])
     def test_rough_L_keeps_dense_rows(self, simpson, n, rng):
@@ -708,6 +738,77 @@ class TestPrecorrected:
         want = rows @ f
         got = rule(f)[np.searchsorted(points, s)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def exact_steps(monkeypatch):
+    """Makes every _TwoGrid take the LU steps of its own grid, on the same
+    rule: it coarsens to the grid itself, and a two-grid solve fails."""
+    coarsen = newton_ld._TwoGrid._coarsen
+    monkeypatch.setattr(
+        newton_ld._TwoGrid, "_coarsen", lambda self, n_c: coarsen(self, self.grid.n)
+    )
+
+    def two_grid_solve(*args):
+        raise AssertionError("a two-grid step where exact steps were forced")
+
+    monkeypatch.setattr(newton_ld, "_two_grid_solve", two_grid_solve)
+
+
+class TestSmallGrid:
+    """A grid of at most _COARSE_N panels is one dense matrix: its product
+    rules hold dense rows at every point and no cross factor, and its Newton
+    steps are the LU of the same rows (`_TwoGrid`)."""
+
+    @staticmethod
+    def _problem():
+        return HammersteinProblem(
+            0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("square"), np.cos
+        )
+
+    @pytest.mark.parametrize("n", [22, 64])
+    @pytest.mark.parametrize("simpson", [False, True], ids=["trapezoid", "simpson"])
+    def test_rule_is_dense_rows_at_every_point(self, simpson, n):
+        prob = self._problem()
+        grid = make_grid(0.0, 1.0, n)
+        points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
+        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        assert rule.ell is None and rule.near is None and rule.c is None
+        assert not hasattr(rule, "symbol")
+        np.testing.assert_array_equal(rule.off_idx, np.arange(points.size))
+        np.testing.assert_array_equal(
+            rule.WL_dense, _dense_rows(grid, prob.kernel, prob.L, points, simpson)
+        )
+
+    @pytest.mark.parametrize("solver, n", [("dl", 40), ("ld", 64)])
+    def test_rows_at_the_nodes_are_the_step_matrix(self, solver, n):
+        grid = make_grid(0.0, 1.0, n)
+        if solver == "dl":
+            space = newton_dl._Workspace(self._problem(), grid, DLSettings(sample_count=41))
+        else:
+            space = newton_ld._Workspace(self._problem(), grid, LDSettings(sample_count=41))
+        rule, two_grid = space.rule, space.two_grid
+        assert two_grid.exact
+        np.testing.assert_array_equal(rule.WL_dense[rule.fine_idx], two_grid.G)
+
+    def test_only_larger_grids_build_a_cross_factor(self, monkeypatch):
+        sizes = []
+        factor = newton_ld._cross_factor
+        monkeypatch.setattr(
+            newton_ld, "_cross_factor", lambda L, t: sizes.append(t.size) or factor(L, t)
+        )
+        prob = self._problem()
+        # LD and DL at n = 48: the fine Simpson rule alone, on 320 panels;
+        # the trapezoid rules of both solvers' grids took one each before
+        ld_solve(prob, make_grid(0.0, 1.0, 48), LDSettings(sample_count=41))
+        dl_solve(prob, make_grid(0.0, 1.0, 48), DLSettings(sample_count=41))
+        assert sizes == [321]
+        sizes.clear()
+        subtract = LDSettings(mode="subtract", sample_count=41)
+        for n in (8, 16, 32, 64):
+            ld_solve(prob, make_grid(0.0, 1.0, n), subtract)
+        assert sizes == []
+        dl_solve(prob, make_grid(0.0, 1.0, 65), DLSettings(sample_count=41))
+        assert sizes == [66]
 
 
 class TestLargeGrid:
@@ -788,7 +889,7 @@ class TestLargeGrid:
         prob = self._problem()
         grid = make_grid(0, 1, 256)
         _, two_grid = ld_solve(prob, grid)
-        monkeypatch.setattr(newton_ld, "_COARSE_N", grid.n)
+        exact_steps(monkeypatch)
         _, exact = ld_solve(prob, grid)
         assert two_grid.status == exact.status == "converged"
         assert len(two_grid.records) == len(exact.records)
@@ -831,7 +932,7 @@ class TestDenseCoarseRows:
         monkeypatch.setattr(newton_ld._TwoGrid, "prolong", recorded)
         _, two_grid = solve(prob, grid, settings)
         assert dense and all(dense)
-        monkeypatch.setattr(newton_ld, "_COARSE_N", grid.n)
+        exact_steps(monkeypatch)
         _, exact = solve(prob, grid, settings)
         assert two_grid.status == exact.status == "converged"
         assert len(two_grid.records) == len(exact.records)
