@@ -3,8 +3,8 @@
 
 Runs both solvers on a fixed iteration budget so the discretize-first
 plateau and the linearize-first decay are visible in the same table, for
-two problems: the log-sine benchmark (exact solution is the constant 1)
-and a manufactured problem with exact solution cos and a square
+two problems: the log-sine benchmark (exact solution is the constant 1,
+started from 0.9) and a manufactured problem with exact solution cos and a square
 nonlinearity. Writes CSV + gnuplot artifacts per problem.
 """
 
@@ -50,7 +50,8 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=50, help="grid panels for both methods")
     args = parser.parse_args()
     out = Path(args.out)
-    run("log_sine_benchmark", {"F": "sin_pi", "y": 1, "exact": 1}, out, args.n)
+    # y = 1 is the exact solution, so start away from it, in its basin
+    run("log_sine_benchmark", {"F": "sin_pi", "y": 1, "exact": 1, "phi0": 0.9}, out, args.n)
     run("manufactured_cosine", {"F": "square", "y": {"manufactured": "cos"}}, out, args.n)
 
 

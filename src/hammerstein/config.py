@@ -238,21 +238,26 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
 
     exact = None
     y_raw = cfg["y"]
-    if isinstance(y_raw, dict):
-        name = y_raw.get("manufactured")
-        _expect(
-            name is not None,
-            "y",
-            "object form must be {'manufactured': <exact solution name>}",
-        )
-        exact_fn = _build_function(name, "y.manufactured")
-        problem = manufactured_problem(kernel, L, nonlin, exact_fn, quad_tol, a=a, b=b)
-    else:
-        _expect(y_raw is not None, "y", "required key is missing")
-        y_fn = _build_function(y_raw, "y")
-        if cfg["exact"] is not None:
-            exact = _build_function(cfg["exact"], "exact")
-        problem = HammersteinProblem(a, b, kernel, L, nonlin, y_fn, exact=exact)
+    try:
+        if isinstance(y_raw, dict):
+            name = y_raw.get("manufactured")
+            _expect(
+                name is not None,
+                "y",
+                "object form must be {'manufactured': <exact solution name>}",
+            )
+            exact_fn = _build_function(name, "y.manufactured")
+            problem = manufactured_problem(kernel, L, nonlin, exact_fn, quad_tol, a=a, b=b)
+        else:
+            _expect(y_raw is not None, "y", "required key is missing")
+            y_fn = _build_function(y_raw, "y")
+            if cfg["exact"] is not None:
+                exact = _build_function(cfg["exact"], "exact")
+            problem = HammersteinProblem(a, b, kernel, L, nonlin, y_fn, exact=exact)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the problem's own check: L finite on the domain
+        raise ConfigError(f"L: {exc} of the domain [{a}, {b}]") from None
 
     phi0 = cfg["phi0"]
     if phi0 == "y":

@@ -6,15 +6,15 @@ solved by finite-dimensional Newton. The iteration converges to the
 solution of the *discrete* system, so its accuracy plateaus at the
 discretization error of the grid no matter how many Newton steps run.
 
-A, the product rule of the grid at its own nodes, is applied by
-newton_ld._ProductRule: dense rows on at most 64 panels, else never formed
-(FFT Toeplitz weights times a low-rank L). The natural extension at the
-output samples off the grid is read after the loop by the same rule: from
-512 panels from its values at the nodes, by precorrected interpolation
-(newton_ld._Precorrected), else from dense rows, in blocks. Each Newton
-step solves (I - A D) delta = -res, D = diag F'(X), by LD's step too
-(newton_ld._TwoGrid): the LU of I - A D on at most 64 panels, else two-grid
-steps whose coarse correction reaches the grid through the structured rule.
+A is the nodal part of the grid's trapezoid rule (newton_ld._nodal_part):
+dense rows on at most 64 panels, else never formed (FFT Toeplitz weights
+times a low-rank L). The natural extension at the output samples off the
+grid is read after the loop by its readers, in blocks: precorrected
+interpolation from the values at the nodes on 512 panels or more
+(newton_ld._Precorrected), else dense rows. Each Newton step solves
+(I - A D) delta = -res, D = diag F'(X), by LD's step too (newton_ld._TwoGrid):
+the LU of I - A D on at most 64 panels, else two-grid steps whose coarse
+correction reaches the grid through the nodal part.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .newton_ld import (
     _NewtonSettings,
     _broadcast,
     _newton,
-    _ProductRule,
+    _nodal_part,
     _sample_initial,
     _Samples,
     _TwoGrid,
@@ -56,17 +56,16 @@ class _Workspace:
 
     def __init__(self, problem: HammersteinProblem, grid: Grid, settings: DLSettings):
         self.problem = problem
-        self.grid = grid
         self.nodes = nodes = grid.nodes
         self.samples = _Samples(problem, settings, nodes)
-        self.rule = _ProductRule(problem, grid, nodes, np.arange(nodes.size))
+        self.nodal = _nodal_part(problem, grid)
         self.Y = self.samples.y_iteration
-        self.two_grid = _TwoGrid(problem, grid, self.rule)
+        self.two_grid = _TwoGrid(problem, self.nodal)
         self.iterates: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _iterate(self, X):
         fx = _broadcast(self.problem.nonlin.F(self.nodes, X), X)
-        K = self.rule.at_nodes(fx)
+        K = self.nodal(fx)
         self.iterates.append((fx, K))
         self.samples.keep(self.Y + K)
         return X, K
@@ -89,7 +88,7 @@ class _Workspace:
     def sample_values(self, ks: range) -> np.ndarray:
         """The extensions of iterates ks at the output samples."""
         fx, nodal = zip(*self.iterates[ks[0] : ks[-1] + 1])
-        off = self.rule.extend(self.samples.off_points, fx, nodal)
+        off = self.nodal.read(self.samples.off_points, fx, nodal)
         return self.samples.values(ks, self.samples.y_off + off)
 
     def result(self, iterate, sample_values) -> SampledFunction:

@@ -19,26 +19,25 @@ Math. Comp. 1973). It reads F at the fine nodes only, so the operator stays
 closed under the iteration. Its error is about O(h^4) for the log kernel
 and O(h^(4 - beta)) for the algebraic one (measured orders 3.8, 3.6 and 3.3
 per doubling at N = 80-640 for log, beta = 0.3 and beta = 0.7), against
-O(h^2) for the product trapezoid rule. On more than 64 panels (_COARSE_N)
-it is applied without a dense matrix (`_ProductRule`): at the fine nodes
-the weights of the even and of the odd interior columns are each a
-Toeplitz matrix, plus two boundary columns, applied by FFT, and L enters
-through a cross approximation of rank q on the lattice of the fine nodes
-(Bebendorf, Numer. Math. 2000; Tyrtyshnikov, Computing 2000): q = 9 for
-exp_st on [0, 1], 1 for L = one. The even columns' spectrum is a fold of
-the whole one, so an apply is one rfft and one irfft of q rows,
-O(q n_fine log n_fine), and the operator holds O(q n_fine) numbers.
+O(h^2) for the product trapezoid rule.
 
-Both rules read the points off their grids (the Newton nodes off the fine
-grid and the fine nodes off the Newton grid, and the output samples off
-both) from their own nodal values, by precorrected interpolation
-(`_Precorrected`; the idea of the precorrected FFT, Phillips & White, IEEE
-Trans. CAD 1997): Lagrange interpolation on 12 nodes around the point, with
-the 64 nearest columns (for Simpson the 32 nearest panel pairs) taken out
-of the interpolant and added back with exact weights. It holds 76 or 77
-numbers a point, not N + 1. The Simpson rule reads its points so on every
-such grid, the trapezoid rule of a Newton grid of at least 512 panels, both
-only for an L smooth in s at the grid's spacing.
+Each rule is a nodal part, the rule at its own grid's nodes, and readers of
+it at points off that grid (`_nodal_part`). The nodal part is dense rows on
+at most 64 panels (_COARSE_N); on more it is never a dense matrix
+(`_Structured`): Toeplitz weights applied by FFT, times a cross
+approximation of L of rank q on the lattice of the nodes (Bebendorf, Numer.
+Math. 2000; Tyrtyshnikov, Computing 2000): q = 9 for exp_st on [0, 1], 1 for
+L = one, so an apply is O(q N log N) and it holds O(q N) numbers. LD's rules
+(`_ProductRule`) read the iteration points off their grids (the Newton nodes
+off the fine grid, the fine nodes off the Newton grid) by a reader built
+once, and both solvers read the output samples after the loop. A reader is
+dense rows, or, for a structured Simpson rule and a structured trapezoid
+rule of at least 512 panels, with L smooth in s at the grid's spacing,
+precorrected interpolation from the nodal values (`_Precorrected`; the idea
+of the precorrected FFT, Phillips & White, IEEE Trans. CAD 1997): Lagrange
+interpolation on 12 nodes around the point, with the 64 nearest columns
+(for Simpson the 32 nearest panel pairs) taken out of the interpolant and
+added back with exact weights, 76 or 77 numbers a point, not N + 1.
 
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
@@ -46,8 +45,8 @@ iterate X, it solves (I - A D) delta = -res by the stationary iteration
 delta <- delta + M (-res - (I - A D) delta), with M the Atkinson-Brakhage
 two-grid inverse on a uniform coarse grid (`_TwoGrid`; Atkinson 1997;
 Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995),
-whose coarse correction reaches the grid through the rule's Toeplitz part
-and cross factor, not through dense coarse rows at the grid nodes.
+whose coarse correction reaches the grid through the nodal part: through
+the Toeplitz part and cross factor of a structured one.
 M only sets the rate; each residual is the grid's true one, so a step is
 taken only once checked. It is solved only as far as Newton can use: to a
 forcing term eta = O(|res|) relative, which keeps the convergence quadratic
@@ -58,10 +57,9 @@ coarse system), this step and the later ones are LU solves of the Newton
 matrix on the grid itself, as all steps are on at most 64 panels.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses,
-the output samples read after it), the settings it reads, `_ProductRule`
-with its off-grid evaluation, and the step are shared with the DL solver in
-newton_dl, whose discrete operator is the product trapezoid rule of its own
-grid.
+the output samples read after it), the settings it reads, the nodal parts
+with their readers, and the step are shared with the DL solver in
+newton_dl, whose discrete operator is the trapezoid rule of its own grid.
 """
 
 from __future__ import annotations
@@ -232,16 +230,17 @@ _BLAS_BLOCK = 2**18
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b in BLAS calls of at most _BLAS_BLOCK multiply-adds: by rows of
-    a when b is a vector, else by columns of b."""
-    if a.size * (1 if b.ndim == 1 else b.shape[1]) <= _BLAS_BLOCK:
+    a when b is a vector or one column (numpy takes both as a matrix-vector
+    product), else by columns of b."""
+    columns = 1 if b.ndim == 1 else b.shape[1]
+    if a.size * columns <= _BLAS_BLOCK:
         return a @ b
-    if b.ndim == 1:
-        out = np.empty(a.shape[0])
-        step = max(1, _BLAS_BLOCK // b.size)
+    out = np.empty(a.shape[:1] + b.shape[1:])
+    if columns == 1:
+        step = max(1, _BLAS_BLOCK // a.shape[1])
         for i in range(0, a.shape[0], step):
             out[i : i + step] = a[i : i + step] @ b
     else:
-        out = np.empty((a.shape[0], b.shape[1]))
         step = max(1, _BLAS_BLOCK // a.size)
         for j in range(0, b.shape[1], step):
             out[:, j : j + step] = a @ b[:, j : j + step]
@@ -274,7 +273,7 @@ def _cross_factor(L, t: np.ndarray):
     interpolation on _STENCIL nodes, estimated from the _STENCIL-th
     differences of the pivot columns L(t, t_j) (every factor row is a
     combination of them), is at most _SMOOTH_TOL times their max|L|.
-    `_ProductRule` decides whether its points are read so.
+    `_Structured` decides whether its points are read so.
     """
     n = t.size
     golden = (np.sqrt(5.0) - 1.0) / 2.0
@@ -344,12 +343,11 @@ _ROW_BLOCK = 8192
 def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False):
     """Product-rule rows w_j(s) L(s, t_j) of ``grid`` at the points s.
 
-    Every such matrix of both solvers comes from here: a rule's rows at the
-    points it does not read from a factor (`_ProductRule` says which;
-    ``simpson`` for LD's fine rule), block by block (`_ProductRule.extend`)
-    at the output samples, and the coarse and exact rows of the Newton step.
-    Per block of at most _ROW_BLOCK entries: one weight_matrix call and one
-    L evaluation at the grid's nodes.
+    Every such matrix of both solvers comes from here: the rows of a dense
+    nodal part (`_Dense`), which are also its grid's LU step matrix, and of
+    a dense reader (`_DenseRows`; ``simpson`` for LD's fine rule). Per block
+    of at most _ROW_BLOCK entries: one weight_matrix call and one L
+    evaluation at the grid's nodes.
     """
     out = np.empty((s.size, grid.n + 1))
     step = max(1, _ROW_BLOCK // (grid.n + 1))
@@ -385,20 +383,74 @@ def _fft_size(n: int) -> int:
     return best
 
 
-class _ProductRule:
-    """A product rule of ``grid`` at every evaluation point.
+def _nodal_part(problem: HammersteinProblem, grid: Grid, simpson: bool = False):
+    """The product rule of ``grid`` at its nodes: the trapezoid rule, or the
+    Simpson rule with ``simpson`` (LD's fine rule; N even). Its form is
+    decided here, once: dense rows (`_Dense`) on at most _COARSE_N panels,
+    whose grid steps by their LU (`_TwoGrid`), for a smooth H (not a function
+    of t - s) and for an L with no cross factor within _MAX_RANK; else
+    Toeplitz weights and the factor (`_Structured`)."""
+    structured = problem.kernel.kind != KERNEL_SMOOTH and grid.n > _COARSE_N
+    factor = _cross_factor(problem.L, grid.nodes) if structured else None
+    if factor is None:
+        return _Dense(problem, grid, simpson)
+    return _Structured(problem, grid, simpson, factor)
 
-    The product trapezoid rule by default (DL's operator on its own grid),
-    the product Simpson rule with ``simpson`` (LD's fine rule; the panel
-    count N must be even).
 
-    The N + 1 grid nodes, the "fine nodes" below, are the points at fine_idx.
-    At a fine node t_i the log and alg weights of node t_l depend only on
-    l - i and, for Simpson, on the parity of l, except in the boundary columns
-    l = 0 and l = N. The interior columns are a Toeplitz matrix (one per
-    parity for Simpson), applied by FFT on one circulant embedding, and L
-    enters through its cross factor L(t_i, t_l) ~ sum_k ell_k(t_i) v_k(t_l)
-    of q terms (`_cross_factor`):
+class _Nodal:
+    """A nodal part (`_nodal_part`) and its readers. ``reader(s)`` reads the
+    rule at points s off the grid: called with F at the nodes and the rule's
+    values there, one of each per F, ``(fts, nodals)``, it returns one row of
+    values at s per F. It is dense rows (`_DenseRows`) unless a structured
+    part precorrects (`_Precorrected`)."""
+
+    def __init__(self, problem: HammersteinProblem, grid: Grid, simpson: bool):
+        self.grid, self.kernel, self.L, self.simpson = grid, problem.kernel, problem.L, simpson
+        self.reader_type, self.block = _DenseRows, max(1, _ROW_BLOCK // (grid.n + 1))
+
+    def reader(self, s: np.ndarray):
+        return self.reader_type(self, s)
+
+    def read(self, s: np.ndarray, fts, nodals) -> np.ndarray:
+        """The rule at s by a reader per ``block`` points, each built and
+        applied at once, so none outlives its block (the output samples)."""
+        out = np.empty((len(fts), s.size))
+        for start in range(0, s.size, self.block):
+            part = slice(start, start + self.block)  # no name holds its reader past it
+            out[:, part] = self.reader(s[part])(fts, nodals)
+        return out
+
+
+class _Dense(_Nodal):
+    """A nodal part held as its rows w_j(t_i) L(t_i, t_j)."""
+
+    def __init__(self, problem: HammersteinProblem, grid: Grid, simpson: bool):
+        super().__init__(problem, grid, simpson)
+        self.rows = _dense_rows(grid, self.kernel, self.L, grid.nodes, simpson)
+
+    def __call__(self, ft: np.ndarray) -> np.ndarray:
+        return _product(self.rows, ft)
+
+    def matrix(self) -> np.ndarray:
+        """The rows at the nodes: the matrix of the LU steps (`_TwoGrid`)."""
+        return self.rows
+
+    def prolongation(self, coarse: _Dense):
+        """x -> R x at the nodes, for x at the nodes of the ``coarse`` part
+        (`_TwoGrid`): R is that part's reader at the grid nodes."""
+        R = coarse.reader(self.grid.nodes)
+        return lambda x: R([x], None)[0]
+
+
+class _Structured(_Nodal):
+    """A nodal part applied without a dense matrix.
+
+    At a node t_i the log and alg weights of node t_l depend only on l - i
+    and, for Simpson, on the parity of l, except in the boundary columns l =
+    0 and l = N. The interior columns are a Toeplitz matrix (one per parity
+    for Simpson), applied by FFT on one circulant embedding, and L enters
+    through its cross factor L(t_i, t_l) ~ sum_k ell_k(t_i) v_k(t_l) of q
+    terms (``factor``, `_cross_factor`):
 
         K(t_i) = sum_k ell_k(t_i) [T (v_k F)]_i
                  + col_first(t_i) F_0 + col_last(t_i) F_N.
@@ -408,92 +460,64 @@ class _ProductRule:
     vector's even part is (X[k] + conj X[m/2 - k]) / 2, so an apply is one
     rfft and one irfft of q rows, O(q N log N), and O(q N) memory.
 
-    A rule with a factor reads the points off the fine grid from its own
-    nodal values K by precorrected interpolation (`_Precorrected`), 76
-    numbers a point for the trapezoid rule and 77 for Simpson; ``extend``
-    reads further points so, per block, after the fact (the output samples).
-    That takes a Simpson rule or a trapezoid rule on at least
-    _PRECORRECT_MIN_N panels, and an L smooth in s at the grid's spacing
-    (`_cross_factor`); the others keep dense rows there. A rule has no factor,
-    and dense rows at every point, on at most _COARSE_N panels (whose grid
-    steps by their LU, `_TwoGrid`), for a smooth H (not a function of t - s)
-    and for an L with no factor of at most _MAX_RANK terms.
+    It reads its points off the grid from its nodal values by precorrected
+    interpolation (`_Precorrected`) if it is a Simpson rule or a trapezoid
+    rule on at least _PRECORRECT_MIN_N panels, and L is smooth in s at the
+    grid's spacing (`_cross_factor`); by dense rows otherwise.
     """
 
-    def __init__(self, problem: HammersteinProblem, grid: Grid, points, fine_idx, simpson=False):
-        kernel, L = problem.kernel, problem.L
+    def __init__(self, problem: HammersteinProblem, grid: Grid, simpson: bool, factor):
+        super().__init__(problem, grid, simpson)
         N, t = grid.n, grid.nodes
-        self.grid, self.kernel, self.L, self.simpson = grid, kernel, L, simpson
-        self.size = points.size
-        self.fine_idx = fine_idx
-        self.ell = self.near = self.WL_dense = None
-        structured = kernel.kind != KERNEL_SMOOTH and N > _COARSE_N
-        factor = _cross_factor(L, t) if structured else None
-        if factor is None:
-            self.off_idx = np.arange(points.size)
-        else:
-            self.ell, self.v, smooth = factor
-            off_grid = np.ones(points.size, dtype=bool)
-            off_grid[fine_idx] = False
-            self.off_idx = np.flatnonzero(off_grid)
-            # the parity fold needs an even m; _fft_size(2 N) is odd for some
-            # even N (66, 110, ...)
-            self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
-            # the precorrection reads c and the end columns as K applies them
-            self.c, first, last = _nodal_weights(grid, kernel, simpson)
-            self.symbol, self.mirror = _symbol(self.c, self.m)
-            L_ends = _L_values(L, t, t[[0, N]])
-            self.col_first = first * L_ends[:, 0]
-            self.col_last = last * L_ends[:, 1]
-        if factor is not None and smooth and (simpson or N >= _PRECORRECT_MIN_N):
-            self.near = _Precorrected(self, points[self.off_idx])
-        else:
-            self.c = None
-            self.WL_dense = _dense_rows(grid, kernel, L, points[self.off_idx], simpson)
+        self.ell, self.v, smooth = factor
+        # the parity fold needs an even m; _fft_size(2 N) is odd for some
+        # even N (66, 110, ...)
+        self.m = 2 * _fft_size(N) if simpson else _fft_size(2 * N)
+        # the precorrection reads c and the end columns as K applies them
+        self.c, first, last = _nodal_weights(grid, self.kernel, simpson)
+        self.symbol, self.mirror = _symbol(self.c, self.m)
+        L_ends = _L_values(self.L, t, t[[0, N]])
+        self.col_first = first * L_ends[:, 0]
+        self.col_last = last * L_ends[:, 1]
+        if smooth and (simpson or N >= _PRECORRECT_MIN_N):
+            self.reader_type, self.block = _Precorrected, _NEAR_BLOCK
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
-        """Operator values at every evaluation point from F at the fine nodes."""
-        out = np.empty(self.size)
-        nodal = None
-        if self.ell is not None:
-            nodal = out[self.fine_idx] = self.at_nodes(ft)
-        if self.near is None:
-            out[self.off_idx] = _product(self.WL_dense, ft)
-        else:
-            out[self.off_idx] = self.near([ft], [nodal])[0]
-        return out
-
-    def extend(self, s: np.ndarray, fts, nodals) -> np.ndarray:
-        """Rule values at the points s off the grid, shape (len(fts), s.size),
-        for each F at the fine nodes in ``fts``; ``nodals`` holds the rule's
-        values at the fine nodes of each, which only a precorrected rule
-        reads. Built and applied per block of points, so no row outlives its
-        block: `_dense_rows` of _ROW_BLOCK entries at most, multiplied into
-        the stacked F, or a precorrected rule's, which stacks no F."""
-        if self.near is None:
-            F, step = np.stack(fts, axis=1), max(1, _ROW_BLOCK // (self.grid.n + 1))
-            out = np.empty((s.size, F.shape[1]))
-            for start in range(0, s.size, step):
-                part = slice(start, start + step)  # no name holds its rows past it
-                out[part] = _product(
-                    _dense_rows(self.grid, self.kernel, self.L, s[part], self.simpson), F
-                )
-            return out.T
-        out = np.empty((len(fts), s.size))
-        for start in range(0, s.size, _NEAR_BLOCK):
-            part = slice(start, start + _NEAR_BLOCK)
-            out[:, part] = _Precorrected(self, s[part])(fts, nodals)
-        return out
-
-    def at_nodes(self, ft: np.ndarray) -> np.ndarray:
-        """Operator values at the fine nodes alone."""
-        if self.ell is None:
-            return self(ft)[self.fine_idx]
         return self.convolve(self.v * ft, ft[0], ft[-1])
 
+    def matrix(self) -> np.ndarray:
+        """The dense rows at the nodes, built for LU steps (`_TwoGrid`)."""
+        return _dense_rows(self.grid, self.kernel, self.L, self.grid.nodes, self.simpson)
+
+    def prolongation(self, coarse: _Dense):
+        """x -> R x at the nodes for x = d_c z at the nodes tau of ``coarse``
+        (`_TwoGrid`), through the factor:
+
+            (R D_c z)_i = sum_k ell_k(t_i) [T P(v_k(tau) d_c z)]_i
+                          + col_first(t_i) (d_c z)_0 + col_last(t_i) (d_c z)_(n_c),
+
+        with v_k(tau) read from v_k by linear interpolation, P the linear
+        interpolation from tau to the interior nodes and T the Toeplitz part:
+        one FFT pair of q rows, not (n + 1) x (n_c + 1) dense rows. Where tau
+        are grid nodes (n a multiple of n_c) the coarse hats are piecewise
+        linear on grid panels and this is R D_c z to rounding and _RANK_TOL;
+        otherwise it is a prolongation of the same order."""
+        to_nodes = _linear_interpolation(coarse.grid.n, self.grid.n)
+        index, theta = _linear_interpolation(self.grid.n, coarse.grid.n)
+        v_tau = (1.0 - theta) * self.v[:, index] + theta * self.v[:, index + 1]
+
+        def prolong(x):
+            index, theta = to_nodes
+            rows = v_tau * x
+            return self.convolve(
+                (1.0 - theta) * rows[:, index] + theta * rows[:, index + 1], x[0], x[-1]
+            )
+
+        return prolong
+
     def convolve(self, rows: np.ndarray, f_first, f_last) -> np.ndarray:
-        """K at the fine nodes from rows = v_k F, shape (q, N + 1), and F at
-        t_0 and t_N (see the class docstring). The ends of rows are zeroed in
+        """K at the nodes from rows = v_k F, shape (q, N + 1), and F at t_0
+        and t_N (see the class docstring). The ends of rows are zeroed in
         place: the boundary columns are added exactly, outside the
         convolution."""
         rows[:, 0] = rows[:, -1] = 0.0
@@ -511,6 +535,17 @@ class _ProductRule:
             + self.col_first * f_first
             + self.col_last * f_last
         )
+
+
+class _DenseRows:
+    """A nodal part read at points s by its rows there, w_j(s) L(s, t_j); it
+    reads no ``nodals``."""
+
+    def __init__(self, nodal: _Nodal, s: np.ndarray):
+        self.rows = _dense_rows(nodal.grid, nodal.kernel, nodal.L, s, nodal.simpson)
+
+    def __call__(self, fts, nodals) -> np.ndarray:
+        return _product(self.rows, np.stack(fts, axis=1)).T
 
 
 # Off-grid points of a precorrected rule (`_Precorrected`). The far field of
@@ -586,7 +621,7 @@ _LAGRANGE_INVERSE = 1.0 / np.array(
 
 
 class _Precorrected:
-    """A _ProductRule with a cross factor at points s off its grid, by
+    """A structured nodal part read at points s off its grid by
     precorrected interpolation (the idea of the precorrected FFT: Phillips &
     White, IEEE Trans. CAD 1997):
 
@@ -609,7 +644,7 @@ class _Precorrected:
     built in blocks of _NEAR_BLOCK points.
     """
 
-    def __init__(self, rule: _ProductRule, s: np.ndarray):
+    def __init__(self, rule: _Structured, s: np.ndarray):
         grid = rule.grid
         N, t = grid.n, grid.nodes
         self.N = N
@@ -765,6 +800,27 @@ def _symbol(c: np.ndarray, m: int):
     return 0.5 * (even + odd), 0.5 * (even - odd)
 
 
+class _ProductRule:
+    """A rule at every one of the sorted ``points`` (LD's iteration points):
+    its nodal part at the grid's nodes, which sit at ``at`` among them, and a
+    reader of the nodal part at the others, built once."""
+
+    def __init__(self, nodal: _Nodal, points: np.ndarray):
+        self.nodal, self.size = nodal, points.size
+        self.at = np.searchsorted(points, nodal.grid.nodes)
+        off = np.ones(points.size, dtype=bool)
+        off[self.at] = False
+        self.off = np.flatnonzero(off)
+        self.reader = nodal.reader(points[self.off])
+
+    def __call__(self, ft: np.ndarray) -> np.ndarray:
+        """Rule values at every point from F at the grid's nodes."""
+        out = np.empty(self.size)
+        nodal = out[self.at] = self.nodal(ft)
+        out[self.off] = self.reader([ft], [nodal])[0]
+        return out
+
+
 class _Workspace:
     """LD discretization: geometry-dependent factors shared by every step.
 
@@ -795,19 +851,15 @@ class _Workspace:
             points = _sorted_unique(np.concatenate([grid.nodes, samples]))
         self.points = points
         self.samples = _Samples(problem, settings, points)
-        self.node_idx = np.searchsorted(points, grid.nodes)
 
         # the product trapezoid rule of the Newton grid at every iteration
         # point: its values at the nodes are the Newton matrix's, so nodal
         # values stay consistent with the recovered ones
-        self.rule = _ProductRule(problem, grid, points, self.node_idx)
-        self.two_grid = _TwoGrid(problem, grid, self.rule)
+        self.rule = _ProductRule(_nodal_part(problem, grid), points)
+        self.two_grid = _TwoGrid(problem, self.rule.nodal)
 
         if settings.mode == "fine":
-            self.fine_idx = np.searchsorted(points, self.fine.nodes)
-            self.fine_rule = _ProductRule(
-                problem, self.fine, points, self.fine_idx, simpson=True
-            )
+            self.fine_rule = _ProductRule(_nodal_part(problem, self.fine, simpson=True), points)
             self.plan = None
         else:
             self.plan = SubtractionPlan(problem, points)
@@ -819,7 +871,7 @@ class _Workspace:
         if self.plan is not None:
             return values, self.plan.apply(values), None
         F, fine = self.problem.nonlin.F, self.fine.nodes
-        ft = _broadcast(F(fine, values[self.fine_idx]), fine)
+        ft = _broadcast(F(fine, values[self.fine_rule.at]), fine)
         return values, self.fine_rule(ft), ft
 
     def start(self, phi0):
@@ -828,18 +880,19 @@ class _Workspace:
 
     def residual(self, iterate) -> np.ndarray:
         values, K_points, _ = iterate
-        return values[self.node_idx] - K_points[self.node_idx] - self.y_points[self.node_idx]
+        at = self.rule.at
+        return values[at] - K_points[at] - self.y_points[at]
 
     def step(self, iterate):
         """One Newton step: the next iterate and the nodal step norm."""
         values, K_points, ft = iterate
-        nodal = values[self.node_idx]
+        nodal = values[self.rule.at]
         df = _broadcast(self.problem.nonlin.dF(self.grid.nodes, nodal), nodal)
         delta = self.two_grid.solve(df, -self.residual(iterate), nodal)
         d_delta = df * delta
         A_points = self.rule(d_delta)
         if ft is not None:
-            self.steps.append((d_delta, ft, A_points[self.node_idx], K_points[self.fine_idx]))
+            self.steps.append((d_delta, ft, A_points[self.rule.at], K_points[self.fine_rule.at]))
         values_new = A_points + K_points + self.y_points
         return self._iterate(values_new), float(np.max(np.abs(delta)))
 
@@ -854,8 +907,8 @@ class _Workspace:
             s = self.samples.off_points
             d_delta, ft, nodal, fine_nodal = zip(*self.steps[later[0] - 1 : later[-1]])
             off[len(ks) - len(later) :] = (
-                self.rule.extend(s, d_delta, nodal)
-                + self.fine_rule.extend(s, ft, fine_nodal)
+                self.rule.nodal.read(s, d_delta, nodal)
+                + self.fine_rule.nodal.read(s, ft, fine_nodal)
                 + self.samples.y_off
             )
         return self.samples.values(ks, off)
@@ -893,64 +946,41 @@ _STEP_MAXITER = 20
 class _TwoGrid:
     """The Newton linear step of both solvers: delta with (I - A D) delta = rhs.
 
-    A is applied by ``rule``, the trapezoid rule of ``grid`` with its nodes as
-    fine nodes, and D = diag(df). With K = A D, a coarse grid of n_c =
-    min(n, _COARSE_N) panels with nodes tau, its product rule G at tau and
-    D_c = D interpolated to tau,
+    A is the trapezoid rule of a grid at its nodes, ``nodal`` (`_nodal_part`),
+    and D = diag(df). With K = A D, a coarse grid of n_c = min(n, _COARSE_N)
+    panels with nodes tau, the rows G of its dense nodal part and D_c = D
+    interpolated to tau,
 
         M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
 
     where (K r)(tau) is K r interpolated to tau and R, the coarse rule at the
     grid nodes, prolongs a coarse correction z (`prolong`): (R D_c z)(t_i) =
     int H(t_i, t) I_c[L(t_i, .) d_c z](t) dt, with I_c the piecewise-linear
-    interpolant on tau. Through the rule's factor L ~ sum_k ell_k v_k that is
-
-        (R D_c z)_i = sum_k ell_k(t_i) [T P(v_k(tau) d_c z)]_i
-                      + col_first(t_i) (d_c z)_0 + col_last(t_i) (d_c z)_(n_c),
-
-    with v_k(tau) read from v_k by linear interpolation, P the linear
-    interpolation from tau to the interior grid nodes and T the rule's
-    Toeplitz part (`_ProductRule.convolve`): one FFT pair of q rows, not
-    (n + 1) x (n_c + 1) dense rows. Where tau are grid nodes (n a multiple of
-    n_c) the coarse hats are piecewise linear on grid panels and this is
-    R D_c z to rounding and _RANK_TOL; otherwise it is a prolongation of the
-    same order. A rule without a factor holds dense rows R. Each application
-    of M solves the coarse system I - G D_c afresh, with solve_dense. When
-    n_c = n, G is the dense A and M the LU solve of I - A D; after a miss
+    interpolant on tau. The grid's nodal part gives R (``prolongation``): a
+    dense part as the coarse part's rows at the grid nodes, a structured one
+    through its factor. Each application of M solves the coarse system I - G
+    D_c afresh, with solve_dense. When n_c = n, G is the matrix of A itself
+    (a dense part's own rows) and M the LU solve of I - A D; after a miss
     (the residual stops shrinking, or the coarse system is singular) the step
     becomes that one. A grid of at most _COARSE_N panels starts so.
     """
 
-    def __init__(self, problem: HammersteinProblem, grid: Grid, rule: _ProductRule):
-        self.problem, self.grid, self.rule = problem, grid, rule
-        self._coarsen(min(grid.n, _COARSE_N))
+    def __init__(self, problem: HammersteinProblem, nodal: _Nodal):
+        self.problem, self.grid, self.nodal = problem, nodal.grid, nodal
+        self._coarsen(min(self.grid.n, _COARSE_N))
 
     def _coarsen(self, n_c: int) -> None:
-        kernel, L, grid = self.problem.kernel, self.problem.L, self.grid
-        self.exact = n_c == grid.n
-        self.R = None
-        coarse = grid if self.exact else make_grid(self.problem.a, self.problem.b, n_c)
-        self.tau = coarse.nodes
-        self.G = _dense_rows(coarse, kernel, L, coarse.nodes)
-        if self.exact:
-            return
-        if self.rule.ell is None:
-            self.R = _dense_rows(coarse, kernel, L, grid.nodes)
-        else:
-            self.to_nodes = _linear_interpolation(n_c, grid.n)
-            index, theta = _linear_interpolation(grid.n, n_c)
-            v = self.rule.v
-            self.v_tau = (1.0 - theta) * v[:, index] + theta * v[:, index + 1]
+        self.exact = n_c == self.grid.n
+        coarse = self.nodal
+        if not self.exact:
+            coarse = _nodal_part(self.problem, make_grid(self.problem.a, self.problem.b, n_c))
+            self.to_grid = self.nodal.prolongation(coarse)
+        self.tau = coarse.grid.nodes
+        self.G = coarse.matrix()
 
     def prolong(self, x: np.ndarray) -> np.ndarray:
         """R x at the grid nodes, for x = d_c z at tau."""
-        if self.R is not None:
-            return _product(self.R, x)
-        index, theta = self.to_nodes
-        rows = self.v_tau * x
-        return self.rule.convolve(
-            (1.0 - theta) * rows[:, index] + theta * rows[:, index + 1], x[0], x[-1]
-        )
+        return self.to_grid(x)
 
     def inverse(self, df, K):
         """M for D = diag(df) at the nodes and K(v) = A D v; one coarse LU
@@ -975,7 +1005,7 @@ class _TwoGrid:
         use (see _STEP_RTOL), else an LU step."""
 
         def K(v):
-            return self.rule.at_nodes(df * v)
+            return self.nodal(df * v)
 
         if not self.exact:
             size = np.max(np.abs(rhs))

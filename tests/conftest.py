@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hammerstein.problem import log_sin_benchmark, manufactured_cosine_square
+from oracles import log_sin_benchmark, manufactured_cosine_square
 
 
 @pytest.fixture(scope="session")

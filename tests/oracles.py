@@ -9,7 +9,43 @@ import functools
 
 import numpy as np
 
+from hammerstein.problem import (
+    FUNCTIONS,
+    HammersteinProblem,
+    L_one,
+    get_nonlinearity,
+    log_kernel,
+    manufactured_problem,
+)
 from hammerstein.quadrature import adaptive_kernel_batch
+
+
+def log_sin_benchmark():
+    """Log-kernel sine benchmark on [0, 1] whose exact solution is u == 1.
+
+    With F(t, u) = sin(pi*u) the integral term vanishes at u == 1, so the
+    constant right-hand side y == 1 makes the constant function the solution.
+    """
+    return HammersteinProblem(
+        a=0.0,
+        b=1.0,
+        kernel=log_kernel(),
+        L=L_one,
+        nonlin=get_nonlinearity("sin_pi"),
+        y=FUNCTIONS["one"],
+        exact=FUNCTIONS["one"],
+    )
+
+
+def manufactured_cosine_square(quad_tol=1e-10):
+    """Manufactured problem: log kernel, F(t,u) = u**2, exact solution cos."""
+    return manufactured_problem(
+        kernel=log_kernel(),
+        L=L_one,
+        nonlin=get_nonlinearity("square"),
+        exact=np.cos,
+        quad_tol=quad_tol,
+    )
 
 
 def oracle_weight_rows(kernel, grid, svals, tol=1e-12):

@@ -26,7 +26,7 @@ from hammerstein import (
 )
 from hammerstein import newton_dl, newton_ld
 from hammerstein.linalg import solve_dense
-from hammerstein.newton_ld import _COARSE_N, _dense_rows
+from hammerstein.newton_ld import _COARSE_N, _Structured, _dense_rows
 from hammerstein.problem import L_exp_st, L_one, L_zero
 from hammerstein.quadrature import weight_matrix
 from oracles import frozen_problem
@@ -302,7 +302,7 @@ class TestStructured:
         coarse = make_grid(0, 1, _COARSE_N)
         R = _dense_rows(coarse, prob.kernel, L, grid.nodes)
         for two_grid, x, out in calls[:2]:
-            assert two_grid.R is None
+            assert isinstance(two_grid.nodal, _Structured)
             want = R @ x
             bound = 32 * np.finfo(float).eps * np.max(np.abs(want))
             np.testing.assert_allclose(out, want, rtol=0, atol=bound)
@@ -479,9 +479,11 @@ def test_solves_do_not_import_numpy_ma():
     # manufactured problem (reference quadrature included) load no numpy.ma
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from hammerstein import LDSettings, dl_solve, ld_solve, make_grid\n"
-        "from hammerstein.problem import manufactured_cosine_square\n"
-        "prob = manufactured_cosine_square()\n"
+        "from hammerstein import get_nonlinearity, log_kernel, manufactured_problem\n"
+        "from hammerstein.problem import L_one\n"
+        "prob = manufactured_problem(log_kernel(), L_one, get_nonlinearity('square'), np.cos)\n"
         "dl_solve(prob, make_grid(0, 1, 7))\n"
         "ld_solve(prob, make_grid(0, 1, 7), LDSettings(n_fine=64))\n"
         "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n"

@@ -30,11 +30,16 @@ from hammerstein import newton_dl
 from hammerstein.newton_ld import (
     _COARSE_N,
     _RANK_TOL,
+    _Dense,
+    _DenseRows,
+    _Precorrected,
     _ProductRule,
+    _Structured,
     _cross_factor,
     _dense_rows,
     _fft_size,
     _L_values,
+    _nodal_part,
     _nodal_weights,
     _product,
     _WINDOW,
@@ -612,27 +617,26 @@ class TestNodalWeights:
 
 
 class TestPrecorrected:
-    """A rule with a cross factor reads its points off the grid by
-    precorrected interpolation from its own nodal values, not from dense
-    rows: a trapezoid rule from _PRECORRECT_MIN_N panels, a Simpson rule on
-    every grid of more than _COARSE_N panels, and neither when L is rough
-    in s."""
+    """A structured nodal part reads its points off the grid by precorrected
+    interpolation from its own nodal values, not from dense rows: a
+    trapezoid rule from _PRECORRECT_MIN_N panels, a Simpson rule on every
+    grid of more than _COARSE_N panels, and neither when L is rough in s."""
 
     @staticmethod
     def _check(kernel, bound, L, a, b, n, rng, simpson=False):
         grid = make_grid(a, b, n)
         prob = HammersteinProblem(a, b, kernel, L, get_nonlinearity("square"), FUNCTIONS["one"])
-        rule = _ProductRule(prob, grid, grid.nodes, np.arange(n + 1), simpson)
-        assert rule.near is not None and rule.WL_dense is None
+        nodal = _nodal_part(prob, grid, simpson)
         ends = grid.h * rng.uniform(0.0, 40.0, 25)
         s = np.concatenate([a + ends, b - ends[::-1], rng.uniform(a, b, 25)])
         rows = moment_rows(grid, kernel, s, simpson) * _L_values(L, s, grid.nodes)
         # the same points held by a rule, as LD's rules hold the points off
         # their grids
         points = np.unique(np.concatenate([grid.nodes, s]))
-        held = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
+        held = _ProductRule(nodal, points)
+        assert isinstance(held.reader, _Precorrected) and not hasattr(nodal, "rows")
         for f in (np.cos(3.0 * grid.nodes) + 1.2, rng.standard_normal(n + 1)):
-            got = rule.extend(s, [f], [rule.at_nodes(f)])[0]
+            got = nodal.read(s, [f], [nodal(f)])[0]
             want = rows @ f
             tol = bound * np.finfo(float).eps * np.max(np.abs(want))
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
@@ -711,9 +715,9 @@ class TestPrecorrected:
         points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
         calls, diff = [], np.diff
         monkeypatch.setattr(np, "diff", lambda *args, **kw: calls.append(1) or diff(*args, **kw))
-        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
-        assert (rule.ell is not None) == differences
-        assert (rule.near is not None) == precorrects
+        rule = _ProductRule(_nodal_part(prob, grid, simpson), points)
+        assert isinstance(rule.nodal, _Structured) == differences
+        assert isinstance(rule.reader, _Precorrected) == precorrects
         assert bool(calls) == differences
 
     @pytest.mark.parametrize("simpson, n", [(False, 600), (True, 320)], ids=["trapezoid", "simpson"])
@@ -729,8 +733,8 @@ class TestPrecorrected:
         )
         s = np.concatenate([0.3 + grid.h * rng.uniform(-8.0, 8.0, 20), rng.uniform(0.0, 1.0, 20)])
         points = np.unique(np.concatenate([grid.nodes, s]))
-        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
-        assert rule.ell is not None and rule.near is None
+        rule = _ProductRule(_nodal_part(prob, grid, simpson), points)
+        assert isinstance(rule.nodal, _Structured) and isinstance(rule.reader, _DenseRows)
         _, V, smooth = _cross_factor(L_kinked, grid.nodes)
         assert not smooth and not smooth_in_s(L_kinked, grid.nodes, V)
         f = np.cos(3.0 * grid.nodes) + 1.2
@@ -755,9 +759,9 @@ def exact_steps(monkeypatch):
 
 
 class TestSmallGrid:
-    """A grid of at most _COARSE_N panels is one dense matrix: its product
-    rules hold dense rows at every point and no cross factor, and its Newton
-    steps are the LU of the same rows (`_TwoGrid`)."""
+    """A grid of at most _COARSE_N panels is one dense matrix: its nodal
+    parts are dense rows and hold no cross factor, their readers are dense
+    rows, and its Newton steps are the LU of the same rows (`_TwoGrid`)."""
 
     @staticmethod
     def _problem():
@@ -771,24 +775,54 @@ class TestSmallGrid:
         prob = self._problem()
         grid = make_grid(0.0, 1.0, n)
         points = np.unique(np.concatenate([grid.nodes, np.linspace(0.0, 1.0, 41)]))
-        rule = _ProductRule(prob, grid, points, np.searchsorted(points, grid.nodes), simpson)
-        assert rule.ell is None and rule.near is None and rule.c is None
-        assert not hasattr(rule, "symbol")
-        np.testing.assert_array_equal(rule.off_idx, np.arange(points.size))
-        np.testing.assert_array_equal(
-            rule.WL_dense, _dense_rows(grid, prob.kernel, prob.L, points, simpson)
-        )
+        rule = _ProductRule(_nodal_part(prob, grid, simpson), points)
+        at = np.searchsorted(points, grid.nodes)
+        assert isinstance(rule.nodal, _Dense) and isinstance(rule.reader, _DenseRows)
+        for name in ("ell", "c", "symbol"):
+            assert not hasattr(rule.nodal, name)
+        # the node rows and the off-grid rows, built apart, are the rows of
+        # all the points to the bit
+        rows = _dense_rows(grid, prob.kernel, prob.L, points, simpson)
+        np.testing.assert_array_equal(rule.nodal.rows, rows[at])
+        np.testing.assert_array_equal(rule.reader.rows, np.delete(rows, at, axis=0))
 
     @pytest.mark.parametrize("solver, n", [("dl", 40), ("ld", 64)])
     def test_rows_at_the_nodes_are_the_step_matrix(self, solver, n):
+        # the step matrix is the nodal part's own array, not a rebuild
         grid = make_grid(0.0, 1.0, n)
         if solver == "dl":
             space = newton_dl._Workspace(self._problem(), grid, DLSettings(sample_count=41))
+            nodal = space.nodal
         else:
             space = newton_ld._Workspace(self._problem(), grid, LDSettings(sample_count=41))
-        rule, two_grid = space.rule, space.two_grid
-        assert two_grid.exact
-        np.testing.assert_array_equal(rule.WL_dense[rule.fine_idx], two_grid.G)
+            nodal = space.rule.nodal
+        two_grid = space.two_grid
+        assert two_grid.exact and two_grid.nodal is nodal
+        assert two_grid.G is nodal.rows
+
+    def test_step_matrix_costs_no_weight_rows(self, monkeypatch):
+        # weight_matrix calls and entries of a solve at n = 40 (default
+        # settings: 201 samples, n_fine 320). The step matrix G took one
+        # more call of (n + 1)^2 entries when it was rebuilt: DL made 3
+        # calls of 10250 entries, LD 4 of 21730. LD's trapezoid rows at its
+        # 280 fine nodes off the grid, in blocks of 199 rows, now take two
+        # calls of their own where the 321 rows of every iteration point
+        # took two in all, so its call count stays at 4
+        counts = []
+        weights = newton_ld.weight_matrix
+
+        def counted(*args):
+            out = weights(*args)
+            counts.append(out.size)
+            return out
+
+        monkeypatch.setattr(newton_ld, "weight_matrix", counted)
+        grid = make_grid(0.0, 1.0, 40)
+        dl_solve(self._problem(), grid)
+        assert (len(counts), sum(counts)) == (2, 10250 - 41**2)
+        counts.clear()
+        ld_solve(self._problem(), grid)
+        assert (len(counts), sum(counts)) == (4, 21730 - 41**2)
 
     def test_only_larger_grids_build_a_cross_factor(self, monkeypatch):
         sizes = []
@@ -902,9 +936,9 @@ def L_cos35(s, t):
 
 
 class TestDenseCoarseRows:
-    """Two-grid steps of a rule with no cross factor: a smooth H, or an L
-    above _MAX_RANK crosses. Its coarse correction keeps the dense rows of
-    the coarse rule at the grid nodes."""
+    """Two-grid steps of a dense nodal part on more than _COARSE_N panels: a
+    smooth H, or an L above _MAX_RANK crosses. Its coarse correction is the
+    dense reader of the coarse part at the grid nodes."""
 
     PROBLEMS = {
         "smooth_exp_st": lambda: HammersteinProblem(
@@ -922,16 +956,21 @@ class TestDenseCoarseRows:
         prob = self.PROBLEMS[case]()
         grid = make_grid(prob.a, prob.b, 128)
         settings = (DLSettings if solve is dl_solve else LDSettings)(sample_count=41)
-        dense = []
+        calls = []
         prolong = newton_ld._TwoGrid.prolong
 
         def recorded(self, x):
-            dense.append(self.rule.ell is None and self.R is not None)
-            return prolong(self, x)
+            out = prolong(self, x)
+            calls.append((isinstance(self.nodal, _Dense), x, out))
+            return out
 
         monkeypatch.setattr(newton_ld._TwoGrid, "prolong", recorded)
         _, two_grid = solve(prob, grid, settings)
-        assert dense and all(dense)
+        assert calls and all(dense for dense, _, _ in calls)
+        coarse = make_grid(prob.a, prob.b, _COARSE_N)
+        R = _dense_rows(coarse, prob.kernel, prob.L, grid.nodes)
+        for _, x, out in calls:
+            np.testing.assert_array_equal(out, R @ x)
         exact_steps(monkeypatch)
         _, exact = solve(prob, grid, settings)
         assert two_grid.status == exact.status == "converged"

@@ -359,6 +359,19 @@ class TestCli:
         assert code == 2
         assert f"{field}: too large for a node array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("y", [1, {"manufactured": "cos"}], ids=["y", "manufactured"])
+    def test_non_finite_L_on_the_domain_exit_code(self, tmp_path, capsys, y):
+        # exp(s t) overflows on [0, 30]: the problem's check of L, on both
+        # branches that build it, is a config error naming L, before any
+        # output, where it was a traceback and exit 1
+        payload = {"kernel": "log", "L": "exp_st", "F": "square", "y": y, "n": 40,
+                   "domain": [0, 30]}
+        out = tmp_path / "out"
+        code = cli_main(["compare", "--config", self._write(tmp_path, payload), "--out", str(out)])
+        assert code == 2
+        assert "L: smooth kernel factor L is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
