@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Replay record of the solves a solver change should not move.
 
-    python3 scripts/replay.py record [--file REPLAY.json]
-    python3 scripts/replay.py check [--file REPLAY.json]
+    python3 scripts/replay.py record
+    python3 scripts/replay.py check
 
-``record`` runs every solve below in-process and writes, per solve, its
-status, its Newton count, its terminal true error as a hex float and the
-SHA-256 of its rows of the run's CSV with the ``wall_ms`` column dropped.
+``record`` runs every solve below in-process and writes REPLAY.json at the
+root of the repository: per solve, its status, its Newton count, its
+terminal true error as a hex float and the SHA-256 of its rows of the run's
+CSV with the ``wall_ms`` column dropped.
 ``check`` runs them again and prints a table of what changed against the
 file: statuses and counts, error moves (absolute, and in eps of the exact
 solution's max on the output samples) and hashes. It exits 1 on a status or
-count change, or on an error move above ``--margin`` eps.
+count change, or on an error move above MARGIN eps.
 
 The solves are the benchmark's ops (built by perfbench/workloads.py, which
 this imports and does not change): compare_fine seeds 1, 2, 5, ops 0-7;
@@ -47,6 +48,8 @@ from workloads import make_op  # noqa: E402
 
 RECORD = ROOT / "REPLAY.json"
 EPS = np.finfo(float).eps
+# the largest error move check accepts, in eps of max|exact|
+MARGIN = 64
 
 # the configs of the CI workflow (.github/workflows/tests.yml), with the
 # grid sizes its steps sweep them over
@@ -159,16 +162,13 @@ def changes(recorded: dict, replayed: dict, margin: float) -> tuple[list[list[st
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=("record", "check"))
-    parser.add_argument("--file", type=Path, default=RECORD, help="the record (REPLAY.json)")
-    parser.add_argument("--margin", type=float, default=64.0,
-                        help="largest error move check accepts, in eps of max|exact|")
     args = parser.parse_args(argv)
     entries = replay_all(runs())
     if args.command == "record":
-        args.file.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(entries)} solves in {args.file}")
+        RECORD.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(entries)} solves in {RECORD}")
         return 0
-    rows, failed = changes(json.loads(args.file.read_text()), entries, args.margin)
+    rows, failed = changes(json.loads(RECORD.read_text()), entries, MARGIN)
     widths = [max(len(r[i]) for r in rows + [["solve", "field", "recorded", "replayed", "move"]])
               for i in range(5)]
     for row in [["solve", "field", "recorded", "replayed", "move"], *rows]:
