@@ -13,11 +13,12 @@ exactly.
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
 at the Gauss nodes piecewise linearly, with np.interp; it holds one weight
-per node, laid out panel x node x point, and build and apply run in blocks
-of whole panels of at most 8192 nodes, so no temporary leaves the heap for
-a fresh mmap. Each point's terms are added one after another in node order,
-carried from block to block, which keeps every value bitwise what a
-per-point loop gives.
+per node, laid out node row (panel x Gauss node) x point, and build and
+apply run in blocks of node rows of at most 8192 nodes, so no temporary
+leaves the heap for a fresh mmap. Its panels are graded only as deep as the
+kernel's singularity makes the innermost one matter at eps. Each point's
+terms are added one after another in node order, carried from block to
+block, which keeps every value bitwise what a per-point loop gives.
 On a uniform grid the log and alg weight rows at the grid nodes depend only
 on j - i within each parity of j, apart from the two boundary columns; the
 structured product rules of newton_ld (LD's fine-mode Simpson rule among
@@ -375,19 +376,49 @@ def product_weights(grid: Grid, kernel: SingularKernel, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator evaluation by singularity subtraction (the LD solver's subtract mode)
 
-_GRADE_LEVELS = 46  # dyadic panels per side; innermost width ~1e-14 of the side
-_PANELS = 2 * _GRADE_LEVELS + 3  # graded panels per point, empty ones included
+# A plan grades each side of a point s down to the first level K whose
+# innermost panel, of width w = d 2^-K (d = s - a or b - s), holds a share
+# of at most _GRADE_TOL eps: the integral of |H| |t - s| over [s, s + w]
+# relative to that over [s, s + d], (w / d)^(2 - beta) for H = |s - t|^-beta,
+# (w / d)^2 |log(w / d)| for log|s - t| and (w / d)^2 for a bounded H. The 16
+# Gauss nodes of that panel miss at most 1.2e-4 of its integral of
+# H (g - g(s)) (t^(1 - beta) and t log t on [0, 1], beta <= 0.9), so the
+# levels left out move no value by more than 1 eps max|value| on smooth
+# iterates: the move against 46 levels falls by 2^(2 - beta) a level at
+# shallower depths and, extrapolated, is 0.003-0.4 eps at K. K = 26 for log,
+# 26-29 for the alg beta of 0.2-0.4 of nsweep_subtract, 36 at beta 0.7 and
+# 42 at 0.9.
+_GRADE_TOL = 64
+# From level 53 on, d 2^-k is at most an ulp of s for a point with |s| >= d:
+# the edges of successive levels round together and the panels between
+# them are held empty, so no plan grades deeper than 52 levels
+_GRADE_CAP = 52
+
+
+def _grade_levels(kernel: SingularKernel) -> int:
+    """Dyadic levels per side of a SubtractionPlan for the kernel H."""
+    beta = kernel.beta if kernel.kind == KERNEL_ALG else 0.0
+    for levels in range(1, _GRADE_CAP):
+        w = 2.0**-levels
+        share = w ** (2.0 - beta) * (-math.log(w) if kernel.kind == KERNEL_LOG else 1.0)
+        if share <= _GRADE_TOL * _EPS:
+            return levels
+    return _GRADE_CAP
+
 
 # Nodes per block of a SubtractionPlan's build and apply, at most. Whole-plan
 # temporaries (1.3M nodes and about 10 MB each over the four plans of an
-# nsweep_subtract sweep) came from fresh mmaps on every apply and build:
-# 41-52k page faults per op. Blocks of 8192 nodes keep each temporary at
-# 64 kB, under glibc's initial 128 kB mmap threshold, as _REF_BLOCK does. The
-# plan holds 8 bytes per node (weights). A warm 257-point plan (alg 0.3,
-# exp_st, F = 0.15 u^2; 390k nodes, 3.5 MB held) builds in 7-10 ms and
-# applies in 6-9 ms (medians of 41 over 8 runs, one BLAS thread, 2-vCPU
-# host), against 9-11 ms and 7-10 ms with H times the Gauss weight and L held
-# apart (16 bytes per node, 6.6 MB).
+# nsweep_subtract sweep at 46 levels) came from fresh mmaps on every apply
+# and build: 41-52k page faults per op. Blocks of 8192 nodes keep each
+# temporary at 64 kB, under glibc's initial 128 kB mmap threshold, as
+# _REF_BLOCK does. A block is a run of node rows (panel x Gauss node) of a
+# run of points: 31 rows of 257 points, where blocks of one whole panel (16
+# rows) used half of the budget and took twice the blocks. The plan holds 8
+# bytes per node (weights). A warm 257-point plan (alg 0.3, exp_st,
+# F = 0.15 u^2; 28 levels, 59 panels, 243k nodes, 1.94 MB of weights)
+# builds in 3.4-3.9 ms and applies in 2.8-3.1 ms (medians of 41 over 8 runs,
+# one BLAS thread, 2-vCPU Xeon host), against 5.9-6.4 ms and 4.8-5.0 ms at 46
+# levels (95 panels, 391k nodes, 3.1 MB) with one panel per block.
 _PLAN_BLOCK = 8192
 
 
@@ -397,23 +428,24 @@ class SubtractionPlan:
     For each plan point s the integral of H*(g - g(s)) is done by composite
     Gauss-Legendre on panels graded toward t = s, and g(s)*moment0 is added
     back, with g = L F(t, x(t)). The panels of s lie between the sorted
-    distinct edges a, s - (s - a) 2^-k, s + (b - s) 2^-k (k = 0.._GRADE_LEVELS)
-    and b, each clipped to [a, b]. The plan points `svals` are also where the
-    plan reads the iterate x: `apply` takes x at svals and reads it at the
-    Gauss nodes piecewise linearly, with np.interp(t, svals, values).
+    distinct edges a, s - (s - a) 2^-k, s + (b - s) 2^-k (k = 0..levels)
+    and b, each clipped to [a, b]; `levels` is the depth the kernel needs
+    (`_grade_levels`). The plan points `svals` are also where the plan reads
+    the iterate x: `apply` takes x at svals and reads it at the Gauss nodes
+    piecewise linearly, with np.interp(t, svals, values).
 
-    `weights` is node-major: panel x Gauss node x point, over the _PANELS
-    panels between the 2 _GRADE_LEVELS + 4 sorted edges of every point.
-    `mid` and `half` (panel x point) hold each panel's midpoint and
+    `weights` is node-major: node row (panel x Gauss node) x point, over the
+    2 levels + 3 panels between the 2 levels + 4 sorted edges of every
+    point. `mid` and `half` (panel x point) hold each panel's midpoint and
     half-width; a panel between repeated edges is held as half = 0 at
     mid = s, so its nodes coincide with s. Per node the plan keeps one
     number, h_w L, where h_w is H times the panel's Gauss weight (0 where
     t == s), and per point `rest`, moment0 less the sum of its h_w: apply
     returns sum h_w L F + g(s) rest, the sum above grouped so that g(s)
     enters once per point. It rebuilds the nodes as mid + half * x, as the
-    build made them. Build and apply run over blocks of whole panels of a
-    run of points, at most _PLAN_BLOCK nodes each, and add each block's
-    terms into each point's running sum in node order (`_node_sum`), as a
+    build made them. Build and apply run over blocks of node rows of a run
+    of points, at most _PLAN_BLOCK nodes each, and add each block's terms
+    into each point's running sum in node order (`_node_sum`), as a
     per-point loop does. Empty panels add zeros, which change no sum.
     """
 
@@ -427,36 +459,40 @@ class SubtractionPlan:
         self.problem = problem
         self.svals = svals
         kernel = problem.kernel
-        self.mid = np.empty((_PANELS, svals.size))
-        self.half = np.empty((_PANELS, svals.size))
-        step = _PLAN_BLOCK // (_PANELS + 1)  # points per table of edges
+        self.levels = _grade_levels(kernel)
+        panels = 2 * self.levels + 3  # graded panels per point, empty ones included
+        self.mid = np.empty((panels, svals.size))
+        self.half = np.empty((panels, svals.size))
+        step = _PLAN_BLOCK // (panels + 1)  # points per table of edges
         for c0 in range(0, svals.size, step):
             s = svals[c0 : c0 + step]
-            edges = self._edges(a, b, s)
+            edges = self._edges(a, b, s, self.levels)
             lo, hi = edges[:, :-1], edges[:, 1:]
             self.mid[:, c0 : c0 + step] = np.where(hi > lo, 0.5 * (lo + hi), s[:, None]).T
             self.half[:, c0 : c0 + step] = (0.5 * (hi - lo)).T
-        self.weights = np.empty((_PANELS, _GL_X.size, svals.size))
+        # the panel and the Gauss node of each node row
+        self._panel, self._node = np.divmod(np.arange(panels * _GL_X.size), _GL_X.size)
+        self.weights = np.empty((self._panel.size, svals.size))
         h_sum = np.zeros(svals.size)  # each point's sum of h_w so far, in node order
-        for panels, cols, t in self._blocks():
+        for rows, cols, t in self._blocks():
             s = svals[cols]
             with np.errstate(divide="ignore"):
                 hw = np.asarray(kernel.evaluate(s, t), dtype=float)
             hw[t == s] = 0.0
-            hw *= self.half[panels, None, cols] * _GL_W[:, None]
-            np.multiply(hw, problem.L(s, t), out=self.weights[panels, :, cols])
+            hw *= self.half[self._panel[rows], cols] * _GL_W[self._node[rows], None]
+            np.multiply(hw, problem.L(s, t), out=self.weights[rows, cols])
             h_sum[cols] = _node_sum(hw, h_sum[cols])
         self.rest = _moment0(kernel, svals, a, b) - h_sum
         self.L_diag = np.asarray(problem.L(svals, svals), dtype=float)
 
     @staticmethod
-    def _edges(a, b, s):
+    def _edges(a, b, s, levels):
         """Graded panel edges of the points s, one sorted row per point;
         rows hold repeated edges where s is at or near a or b.
 
         s - (s - a) and s + (b - s) can round past a and b; clipped to
         [a, b], such an edge repeats a or b, so no panel lies outside."""
-        off = 2.0 ** (-np.arange(_GRADE_LEVELS + 1.0))
+        off = 2.0 ** (-np.arange(levels + 1.0))
         edges = np.empty((s.size, 2 * off.size + 2))
         edges[:, 0] = a
         edges[:, 1 : off.size + 1] = s[:, None] - (s - a)[:, None] * off
@@ -467,21 +503,23 @@ class SubtractionPlan:
         return edges
 
     def _blocks(self):
-        """(panels, points, nodes) per block: slices of the panels and the
-        points, and their Gauss nodes t = mid + half * x (panel x node x
-        point). Past 512 points one panel of all of them exceeds
-        _PLAN_BLOCK, so the points are split into near-equal runs."""
-        npts, nodes = self.svals.size, _GL_X.size
-        runs = -(-npts * nodes // _PLAN_BLOCK)
+        """(rows, points, nodes) per block: slices of the node rows and the
+        points, and their Gauss nodes t = mid + half * x (row x point). Past
+        512 points one panel (16 rows) of all of them exceeds _PLAN_BLOCK,
+        so the points are split into near-equal runs, each block at least a
+        panel deep."""
+        npts, nrows = self.svals.size, self._panel.size
+        runs = -(-npts * _GL_X.size // _PLAN_BLOCK)
         width = -(-npts // runs)
-        per = max(1, _PLAN_BLOCK // (nodes * width))
+        per = _PLAN_BLOCK // width
         for c0 in range(0, npts, width):
             cols = slice(c0, c0 + width)
-            for p0 in range(0, _PANELS, per):
-                panels = slice(p0, p0 + per)
-                t = self.half[panels, None, cols] * _GL_X[:, None]
-                t += self.mid[panels, None, cols]
-                yield panels, cols, t
+            for r0 in range(0, nrows, per):
+                rows = slice(r0, r0 + per)
+                panel = self._panel[rows]
+                t = self.half[panel, cols] * _GL_X[self._node[rows], None]
+                t += self.mid[panel, cols]
+                yield rows, cols, t
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -498,17 +536,16 @@ class SubtractionPlan:
         v = np.asarray(values, dtype=float)
         gs = self.L_diag * np.asarray(nl.F(s, v), dtype=float)
         out = np.zeros(s.size)  # each point's sum so far, in node order
-        for panels, cols, t in self._blocks():
+        for rows, cols, t in self._blocks():
             ft = np.asarray(nl.F(t, np.interp(t, s, v)), dtype=float)
-            out[cols] = _node_sum(self.weights[panels, :, cols] * ft, out[cols])
+            out[cols] = _node_sum(self.weights[rows, cols] * ft, out[cols])
         return out + gs * self.rest
 
 
 def _node_sum(terms, carried):
-    """carried plus the rows of terms (panel x node x point) in node order:
+    """carried plus the rows of terms (node row x point) in node order:
     np.add.reduce adds a 2-D array's rows one after another, but a single
     column pairwise, so one point accumulates instead."""
-    terms = terms.reshape(-1, terms.shape[-1])
     terms[0] += carried
     return np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else np.add.accumulate(terms)[-1]
 

@@ -259,11 +259,11 @@ def solver_operator(problem, x, settings, n=7):
     return fn
 
 
-def subtraction_reference(problem, points, values):
+def subtraction_reference(problem, points, values, levels):
     """Subtract-mode operator values at ``points``, one point at a time.
 
     For each s: panels between the distinct edges a, s - (s - a) 2^-k and
-    s + (b - s) 2^-k for k = 0..46, and b, clipped to [a, b]; 16
+    s + (b - s) 2^-k for k = 0..levels, and b, clipped to [a, b]; 16
     Gauss-Legendre nodes per panel; the iterate read at the nodes by
     np.interp over (points, values); h_w = H times the Gauss weight, 0 at
     the nodes that coincide with s. The value is the sum of h_w g over the
@@ -273,7 +273,7 @@ def subtraction_reference(problem, points, values):
     and the list of each point's nodes.
     """
     out, node_rows = [], []
-    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values):
+    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values, levels):
         total = h_sum = 0.0
         for term, weight in zip((h_w * L) * ft, h_w):  # in node order
             total += term
@@ -283,13 +283,13 @@ def subtraction_reference(problem, points, values):
     return np.array(out), node_rows
 
 
-def subtraction_by_node(problem, points, values):
+def subtraction_by_node(problem, points, values, levels):
     """The same integral as subtraction_reference, grouped per node: h_w
     (g - g(s)) at every node other than s itself, added in node order, plus
     g(s) times the exact integral of H. Returns the values and each point's
     sum of the magnitudes of the terms either grouping adds."""
     out, scale = [], []
-    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values):
+    for s, t, h_w, L, ft, gs, m0 in _subtraction_terms(problem, points, values, levels):
         g = L * ft
         diff = g - gs
         diff[t == s] = 0.0
@@ -301,7 +301,7 @@ def subtraction_by_node(problem, points, values):
     return np.array(out), np.array(scale)
 
 
-def _subtraction_terms(problem, points, values):
+def _subtraction_terms(problem, points, values, levels):
     """Per plan point s: s, its nodes t, h_w, L(s, t), F(t, x(t)), g(s) and
     the exact integral of H over [a, b]."""
     from hammerstein import moment0
@@ -309,7 +309,7 @@ def _subtraction_terms(problem, points, values):
     kernel, L, F = problem.kernel, problem.L, problem.nonlin.F
     a, b = problem.a, problem.b
     x, w = np.polynomial.legendre.leggauss(16)
-    off = 2.0 ** (-np.arange(47.0))
+    off = 2.0 ** (-np.arange(levels + 1.0))
     for s in points:
         edges = np.concatenate([[a], s - (s - a) * off, s + (b - s) * off, [b]])
         edges = np.unique(np.clip(edges, a, b))

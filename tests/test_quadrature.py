@@ -455,7 +455,7 @@ class TestSubtractionPlan:
         plan = SubtractionPlan(prob, points)
         for _ in range(10):
             values = rng.standard_normal(points.size)  # not smooth
-            want, node_rows = subtraction_reference(prob, points, values)
+            want, node_rows = subtraction_reference(prob, points, values, plan.levels)
             assert np.array_equal(plan.apply(values), want)
         assert np.array_equal(plan.t_nodes, np.concatenate(node_rows))
         assert np.array_equal(self._node_counts(plan), [t.size for t in node_rows])
@@ -476,7 +476,7 @@ class TestSubtractionPlan:
         plan = SubtractionPlan(prob, points)
         for _ in range(10):
             values = rng.standard_normal(points.size)
-            want, scale = subtraction_by_node(prob, points, values)
+            want, scale = subtraction_by_node(prob, points, values, plan.levels)
             assert np.all(np.abs(plan.apply(values) - want) <= 64 * np.finfo(float).eps * scale)
 
     @staticmethod
@@ -494,18 +494,62 @@ class TestSubtractionPlan:
         plan = SubtractionPlan(prob, points)
         for _ in range(3):
             values = rng.standard_normal(points.size)
-            assert np.array_equal(plan.apply(values), subtraction_reference(prob, points, values)[0])
+            want = subtraction_reference(prob, points, values, plan.levels)[0]
+            assert np.array_equal(plan.apply(values), want)
+
+    def test_depth_follows_the_singularity(self):
+        # the first level whose innermost panel holds at most 64 eps of a
+        # side: 46 / (2 - beta) levels rounded up for alg, deeper as the
+        # singularity gets stronger, and no deeper than the fixed 46 levels
+        # the plan had
+        def levels(betas):
+            return [quadrature._grade_levels(algebraic_kernel(beta)) for beta in betas]
+
+        assert np.all(np.diff(levels(np.arange(0.05, 1.0, 0.05))) >= 0)
+        assert levels([0.2, 0.3, 0.4, 0.7, 0.9, 0.99]) == [26, 28, 29, 36, 42, 46]
+        assert quadrature._grade_levels(log_kernel()) == 26
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize(
+        "kernel",
+        [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.7), algebraic_kernel(0.9)],
+        ids=["log", "alg0.3", "alg0.7", "alg0.9"],
+    )
+    def test_derived_depth_is_within_rounding_of_46_levels(self, kernel, a, b):
+        # The innermost panel at the derived depth holds at most 64 eps of a
+        # side, and its 16 Gauss nodes miss at most 1.2e-4 of its integral,
+        # so the levels left out move a value by under 1 eps of max|value|
+        # (0.003-0.4 eps, extrapolated from shallower depths). The rest of
+        # the move is the rounding of two node-order sums of 850-1500 terms
+        # over different nodes, at most 28 eps here (37 eps at alg 0.2 on
+        # [0.3, 2.9]), so the bound is 64 eps of max|value|.
+        # The points are an LD solve's in subtract mode, grid nodes and 201
+        # samples, and the iterates smooth: where two points lie an ulp or a
+        # few apart, a random iterate puts a steep interpolation interval
+        # under the deepest panels that the 46 levels resolve and fewer do not
+        prob = self._problem(kernel, a, b)
+        for n in (8, 64):
+            points = np.unique(np.concatenate([np.linspace(a, b, n + 1), np.linspace(a, b, 201)]))
+            plan = SubtractionPlan(prob, points)
+            for values in (np.cos(points), np.sin(3.0 * points) + 0.5):
+                want = subtraction_reference(prob, points, values, 46)[0]
+                bound = 64 * np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(plan.apply(values) - want)) <= bound
 
     def test_node_counts_depend_on_rounding(self):
+        # 26 levels for log: 2 * 26 + 3 panels, of which 53 are distinct
+        # inside (s - (s - a) and s + (b - s) round to a and b) and 27 at a
+        # and b (one graded side); on [0.3, 2.9] s - (s - a) or s + (b - s)
+        # rounds inside (a, b) for 154 points and adds a panel of an ulp
         points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
         counts = self._node_counts(SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points))
         assert points.size == 257
-        assert np.count_nonzero(counts == 1488) == 254
+        assert np.count_nonzero(counts == 848) == 255
         counts = self._node_counts(
             SubtractionPlan(self._problem(log_kernel(), 0.3, 2.9), 0.3 + 2.6 * points)
         )
-        assert counts.min() == 752  # at a and b: one graded side
-        assert counts[1:-1].min() == 1488 and counts.max() == 1520
+        assert counts.min() == 432  # at a and b: one graded side
+        assert counts[1:-1].min() == 848 and counts.max() == 880
 
     def test_nodes_stay_in_the_interval(self):
         # s - (s - a) and s + (b - s) round past a and b for some points: 600
@@ -536,12 +580,15 @@ class TestSubtractionPlan:
             SubtractionPlan(self._problem(log_kernel(), 0.0, 1.0), points)
 
     def test_memory_of_build_and_apply(self):
-        # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. It
-        # holds 3.52 MB (8 bytes per node), peaks at 3.69 MB in its build and
-        # at 0.20 MB more in an apply. With h_weights and L_nodes held apart
-        # it held 6.65 MB and peaked at 6.85 MB; with its nodes and a row
-        # index held too, 12.2 MB and 13.0 MB; unblocked, at 24.5 MB in its
-        # build and 12.2 MB in each apply
+        # 201 samples and the nodes of 64 panels: an nsweep_subtract plan. At
+        # the 28 levels of alg 0.3 (59 panels) it holds 2.21 MB (8 bytes per
+        # node), peaks at 2.58 MB in its build and at 0.39 MB more in an
+        # apply (blocks of 31 node rows). At a fixed 46 levels (95 panels) it
+        # held 3.52 MB and peaked at 3.69 MB, and 0.20 MB more in an apply of
+        # one panel (16 node rows) per block. With h_weights and L_nodes held
+        # apart it held 6.65 MB and peaked at 6.85 MB; with its nodes and a
+        # row index held too, 12.2 MB and 13.0 MB; unblocked, at 24.5 MB in
+        # its build and 12.2 MB in each apply
         points = np.unique(np.concatenate([np.linspace(0, 1, 201), np.linspace(0, 1, 65)]))
         prob = self._problem(algebraic_kernel(0.3), 0.0, 1.0)
         values = np.cos(points)
@@ -555,8 +602,8 @@ class TestSubtractionPlan:
             apply_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert build_peak < 4.2e6
-        assert held < 3.8e6
+        assert build_peak < 3.1e6
+        assert held < 2.5e6
         assert apply_peak <= 1e6
 
 

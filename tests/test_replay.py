@@ -9,8 +9,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # a slice of the record: LD and DL at n = 40-64 (dense rules, LU steps),
 # DL at n = 1400-1600 (structured rule, two-grid steps, precorrected
-# samples) and the CI fine-mode config, 8 solves in all
-SLICE = ("compare_fine/5/0", "compare_fine/5/1", "dl_large_n/1/0", "ci/dl", "ci/fine")
+# samples), the CI fine-mode config and an LD sweep in subtract mode
+# (SubtractionPlan), 12 solves in all
+SLICE = (
+    "compare_fine/5/0",
+    "compare_fine/5/1",
+    "dl_large_n/1/0",
+    "ci/dl",
+    "ci/fine",
+    "nsweep_subtract/5/0",
+)
 # the largest error move accepted, in eps of max|exact| on the samples: a
 # change that moves digits at rounding level re-records, one that moves
 # them further is a change of the method
@@ -34,7 +42,7 @@ def test_replayed_slice_matches_the_record():
     tic = time.perf_counter()
     replayed = replay.replay_all({name: runs[name] for name in SLICE})
     elapsed = time.perf_counter() - tic
-    assert len(replayed) == 8
+    assert len(replayed) == 12
     assert elapsed < 5.0
     for solve, new in replayed.items():
         old = recorded[solve]
