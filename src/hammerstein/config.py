@@ -142,6 +142,8 @@ def _build_nonlinearity(raw, path: str) -> Nonlinearity:
     if isinstance(raw, dict):
         coeffs = raw.get("poly")
         _expect(coeffs is not None, path, "object form must be {'poly': [coefficients]}")
+        if isinstance(coeffs, list):
+            coeffs = [_as_number(c, f"{path}.poly[{i}]") for i, c in enumerate(coeffs)]
         try:
             return polynomial_nonlinearity(coeffs)
         except ValueError as exc:
@@ -155,7 +157,7 @@ def _build_nonlinearity(raw, path: str) -> Nonlinearity:
 
 def _build_function(raw, path: str):
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = float(raw)
+        value = _as_number(raw, path)
         return lambda s: np.full(np.shape(s), value) if np.ndim(s) else value
     if isinstance(raw, str):
         if raw in FUNCTIONS:
@@ -263,7 +265,7 @@ def config_from_dict(raw: dict, out_dir_override=None) -> RunConfig:
     if phi0 == "y":
         phi0_resolved = None  # solver default: the right-hand side
     elif isinstance(phi0, (int, float)) and not isinstance(phi0, bool):
-        phi0_resolved = float(phi0)
+        phi0_resolved = _as_number(phi0, "phi0")
     else:
         phi0_resolved = _build_function(phi0, "phi0")
 

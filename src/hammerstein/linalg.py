@@ -43,7 +43,10 @@ def solve_dense(M, rhs) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
-    norm = np.abs(M).sum(axis=1).max()
+    # a row sum, and the estimate below, may overflow to inf, which the
+    # checks read as intended: out of range, not an error of their own
+    with np.errstate(over="ignore"):
+        norm = np.abs(M).sum(axis=1).max()
     if not np.isfinite(norm) and not np.isfinite(M).all():
         raise ValueError("matrix and rhs entries must be finite")
     B = _probe_block(M.shape[0]).copy()
@@ -53,7 +56,8 @@ def solve_dense(M, rhs) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
     # the probes have unit max-norm, so this is kappa * eps
-    kappa_eps = np.abs(X[:, 1:]).max() * norm * _EPS
+    with np.errstate(over="ignore"):
+        kappa_eps = np.abs(X[:, 1:]).max() * norm * _EPS
     if not kappa_eps <= 1.0:
         raise SingularSystemError(
             f"condition estimate {kappa_eps / _EPS:.1e} above 1/eps; "

@@ -39,6 +39,13 @@ interpolation on 12 nodes around the point, with the 64 nearest columns
 (for Simpson the 32 nearest panel pairs) taken out of the interpolant and
 added back with exact weights, 76 or 77 numbers a point, not N + 1.
 
+Every sum of a rule's apply is row-local: dense rows are contracted by
+np.einsum, which sums each row on its own in one fixed order (a BLAS product
+rounds a row by its place in the matrix), and the precorrection multiplies
+one point's matrices at a time. So a point's value does not depend on which
+other points or iterates are read with it, nor on the BLAS thread count;
+the only BLAS/LAPACK call of a solve is solve_dense's gesv.
+
 The Newton linear step is that of the DL solver too: with A the product
 trapezoid rule of the grid at its own nodes and D = diag F'(X) at the nodal
 iterate X, it solves (I - A D) delta = -res by the stationary iteration
@@ -216,37 +223,6 @@ _MAX_RANK = 64
 _CHECK_COUNT = 32
 
 
-# Largest product, in multiply-adds, that one BLAS call in _product gets.
-# OpenBLAS runs a product this small on the calling thread. A larger one
-# wakes its worker threads, and each worker then spins on its core for
-# about 0.1 s after the call returns. On a 2-vCPU host the whole-matrix
-# products of a former Chebyshev rank search of L and the dense-row apply
-# kept a worker spinning for 0.21 s of each 0.78 s compare_fine op, and made
-# the op 14% slower whenever another process wanted that core; split, they
-# wake no worker (measured: a 16 x 17 x 963 product and a 256 x 1024
-# matvec stayed on one thread, 16 x 17 x 4097 and 500 x 1024 did not).
-_BLAS_BLOCK = 2**18
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in BLAS calls of at most _BLAS_BLOCK multiply-adds: by rows of
-    a when b is a vector or one column (numpy takes both as a matrix-vector
-    product), else by columns of b."""
-    columns = 1 if b.ndim == 1 else b.shape[1]
-    if a.size * columns <= _BLAS_BLOCK:
-        return a @ b
-    out = np.empty(a.shape[:1] + b.shape[1:])
-    if columns == 1:
-        step = max(1, _BLAS_BLOCK // a.shape[1])
-        for i in range(0, a.shape[0], step):
-            out[i : i + step] = a[i : i + step] @ b
-    else:
-        step = max(1, _BLAS_BLOCK // a.size)
-        for j in range(0, b.shape[1], step):
-            out[:, j : j + step] = a @ b[:, j : j + step]
-    return out
-
-
 def _L_values(L, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """L on the lattice s x t, shape (s.size, t.size)."""
     vals = np.asarray(L(s[:, None], t[None, :]), dtype=float)
@@ -301,7 +277,7 @@ def _cross_factor(L, t: np.ndarray):
             used[i] = True
             row = _L_values(L, t[i : i + 1], t)[0]
             scale = max(scale, np.max(np.abs(row)))
-            row = row - _product(V[:q].T, E[:q, i])
+            row = row - np.einsum("kl,k->l", V[:q], E[:q, i])
             j = np.argmax(np.abs(row))
             if abs(row[j]) <= _RANK_TOL * scale:
                 break
@@ -314,13 +290,13 @@ def _cross_factor(L, t: np.ndarray):
             col_max = np.max(np.abs(col))
             scale, col_scale = max(scale, col_max), max(col_scale, col_max)
             rough = max(rough, np.max(np.abs(np.diff(col, _STENCIL)), initial=0.0))
-            col = col - _product(E[:q].T, V[:q, j])
+            col = col - np.einsum("ki,k->i", E[:q], V[:q, j])
             E[q], V[q] = col / row[j], row
             q += 1
             i = np.argmax(np.where(used, 0.0, np.abs(col)))
         rest = np.empty(check.size)
         for c, rows in blocks:
-            part = _L_values(L, t[rows], t) - _product(E[:q, rows].T, V[:q])
+            part = _L_values(L, t[rows], t) - np.einsum("ki,kl->il", E[:q, rows], V[:q])
             rest[c : c + step] = np.max(np.abs(part, out=part), axis=1)
         if rest.max() <= _RANK_TOL * scale:
             return E[:q].copy(), V[:q].copy(), _REMAINDER * rough <= _SMOOTH_TOL * col_scale
@@ -429,7 +405,7 @@ class _Dense(_Nodal):
         self.rows = _dense_rows(grid, self.kernel, self.L, grid.nodes, simpson)
 
     def __call__(self, ft: np.ndarray) -> np.ndarray:
-        return _product(self.rows, ft)
+        return np.einsum("ij,j->i", self.rows, ft)
 
     def matrix(self) -> np.ndarray:
         """The rows at the nodes: the matrix of the LU steps (`_TwoGrid`)."""
@@ -545,7 +521,7 @@ class _DenseRows:
         self.rows = _dense_rows(nodal.grid, nodal.kernel, nodal.L, s, nodal.simpson)
 
     def __call__(self, fts, nodals) -> np.ndarray:
-        return _product(self.rows, np.stack(fts, axis=1)).T
+        return np.einsum("ij,fj->fi", self.rows, np.stack(fts))
 
 
 # Off-grid points of a precorrected rule (`_Precorrected`). The far field of
@@ -741,6 +717,7 @@ def _precorrect(rule, s, k0, j0, lam, rho):
     for k in range(0, lam_ell.shape[1], terms):
         part = np.empty((s.size, min(terms, lam_ell.shape[1] - k), size))
         for columns, view in toeplitz:
+            # row-local too: matmul's batch axis is the points
             np.matmul(lam_ell[:, k : k + terms], view, out=part[..., columns])
         part *= rule.v[k : k + terms][:, window].transpose(1, 0, 2)
         rho -= part.sum(axis=1)
@@ -995,6 +972,8 @@ class _TwoGrid:
 
         def apply(r):
             Kr = K(r)
+            if not np.isfinite(Kr).all():
+                return Kr  # K overflowed: no coarse system to solve
             z = solve_dense(M, np.interp(self.tau, self.grid.nodes, Kr))
             return r + Kr + self.prolong(d_c * z)
 
@@ -1040,12 +1019,16 @@ def _two_grid_solve(op, precond, b, tol: float, maxiter: int):
     not zero, as an LU step is. Every residual measured is the true one, so a
     returned x is checked. None once the residual fails to shrink (a NaN one
     never shrinks) or after maxiter updates. The tolerance is tested first: a
-    zero b gives a zero residual, which is met and does not shrink.
+    zero b gives a zero residual, which is met and does not shrink. An x that
+    is not finite (precond overflowed) is returned at once: its step is not
+    finite, and the Newton driver ends the solve as diverged (`_record`).
     """
     x, r = np.zeros_like(b), b
     size = np.max(np.abs(r))
     for _ in range(maxiter):
         x = x + precond(r)
+        if not np.isfinite(x).all():
+            return x
         r = b - op(x)
         last, size = size, np.max(np.abs(r))
         if size <= tol:

@@ -91,6 +91,10 @@ def test_does_not_mutate_inputs(rng):
         np.zeros((2, 2)),
         # the threshold is eps times the max row sum, here 1.0
         np.diag([1.0, 0.5 * np.finfo(float).eps]),
+        # the condition estimate, and here the row sum too, overflow: no
+        # RuntimeWarning, which the tier-1 filter would raise in its place
+        np.diag([1e305, 1e-5]),
+        np.array([[1e308, 1e308], [0.0, 1.0]]),
     ],
 )
 def test_singular_below_the_threshold_raises(M):

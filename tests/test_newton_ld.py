@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hammerstein
 from hammerstein import (
@@ -41,7 +44,6 @@ from hammerstein.newton_ld import (
     _L_values,
     _nodal_part,
     _nodal_weights,
-    _product,
     _WINDOW,
 )
 from hammerstein.problem import L_exp_st, L_one, L_zero, Nonlinearity, _const
@@ -447,22 +449,6 @@ class TestFineOperator:
         assert _cross_factor(L_cos35, np.linspace(0.0, 1.0, 1025)) is not None
         self._check(kernel, L_cos35, 7, n_fine=1024)
 
-    @pytest.mark.parametrize("shape", [(0, 4097), (1, 4097), (200, 4097), (10, 70000)])
-    def test_split_matvec_matches_whole(self, shape, rng):
-        a = rng.standard_normal(shape)
-        b = rng.standard_normal(shape[1])
-        np.testing.assert_allclose(_product(a, b), a @ b, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("m, r, N", [(1, 2, 257), (16, 17, 4097), (32, 65, 4097)])
-    def test_split_matrix_product_matches_whole(self, m, r, N, rng):
-        # E[:, check].T @ V in the cross factor's check, with columns over
-        # several calls
-        basis = rng.standard_normal((r, m))
-        samples = rng.standard_normal((r, N))
-        np.testing.assert_allclose(
-            _product(basis.T, samples), basis.T @ samples, rtol=1e-12, atol=1e-12
-        )
-
     def test_memory_grows_linearly_in_n_fine(self):
         prob = HammersteinProblem(
             0.0, 1.0, log_kernel(), L_exp_st, get_nonlinearity("sin_pi"), FUNCTIONS["one"]
@@ -744,6 +730,64 @@ class TestPrecorrected:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 
+# (panels, simpson, the reader a part of it takes) for each case of
+# TestRowLocal; a trapezoid part on 200 panels is structured, but reads by
+# dense rows below _PRECORRECT_MIN_N
+_ROW_LOCAL_PARTS = {
+    "dense": (40, False, _DenseRows),
+    "structured_dense_rows": (200, False, _DenseRows),
+    "precorrected_trapezoid": (512, False, _Precorrected),
+    "precorrected_simpson": (128, True, _Precorrected),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_local_part(case, kernel, L):
+    n, simpson, reader = _ROW_LOCAL_PARTS[case]
+    prob = HammersteinProblem(
+        0.0, 1.0, log_kernel() if kernel == "log" else algebraic_kernel(0.3),
+        {"one": L_one, "exp_st": L_exp_st}[L], get_nonlinearity("square"), FUNCTIONS["one"],
+    )
+    nodal = _nodal_part(prob, make_grid(0.0, 1.0, n), simpson)
+    assert nodal.reader_type is reader
+    return nodal
+
+
+class TestRowLocal:
+    """Every sum of a rule's apply is row-local (the newton_ld module
+    docstring): a point's value is the same to the bit whichever other
+    points and iterates it is read with, and in whichever block."""
+
+    @given(
+        case=st.sampled_from(sorted(_ROW_LOCAL_PARTS)),
+        kernel=st.sampled_from(["log", "alg"]),
+        L=st.sampled_from(["one", "exp_st"]),
+        size=st.integers(1, 130),
+        count=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_point_reads_the_same_in_any_company(self, case, kernel, L, size, count, seed):
+        nodal = _row_local_part(case, kernel, L)
+        t = nodal.grid.nodes
+        rng = np.random.default_rng(seed)
+        fts = rng.standard_normal((count, t.size))
+        nodals = [nodal(f) for f in fts]
+        # points off the grid, then a few nodes
+        nodes = rng.choice(t.size, 5, replace=False)
+        s = np.concatenate([rng.uniform(0.0, 1.0, size), t[nodes]])
+        subset = np.flatnonzero(rng.random(s.size) < 0.5)
+        j = rng.integers(count)
+        # all points and iterates at once, and a subset with one iterate
+        # through the blocked read, whose blocks start elsewhere
+        whole = nodal.reader(s)(fts, nodals)
+        alone = nodal.read(s[subset], fts[j : j + 1], nodals[j : j + 1])[0]
+        np.testing.assert_array_equal(alone, whole[j, subset])
+        if isinstance(nodal, _Dense):
+            # the nodal apply, one F over the rows of every node
+            np.testing.assert_array_equal(nodals[j][nodes], whole[j, size:])
+
+
 def exact_steps(monkeypatch):
     """Makes every _TwoGrid take the LU steps of its own grid, on the same
     rule: it coarsens to the grid itself, and a two-grid solve fails."""
@@ -970,7 +1014,7 @@ class TestDenseCoarseRows:
         coarse = make_grid(prob.a, prob.b, _COARSE_N)
         R = _dense_rows(coarse, prob.kernel, prob.L, grid.nodes)
         for _, x, out in calls:
-            np.testing.assert_array_equal(out, R @ x)
+            np.testing.assert_array_equal(out, np.einsum("ij,j->i", R, x))
         exact_steps(monkeypatch)
         _, exact = solve(prob, grid, settings)
         assert two_grid.status == exact.status == "converged"

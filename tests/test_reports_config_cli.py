@@ -43,6 +43,11 @@ FAST_BENCH = {
 OVERFLOW = {**MINIMAL, "F": {"poly": [0] * 20 + [1]}, "y": 1e20, "n": 8, "n_fine": 64,
             "solver": "ld"}
 
+# exp(s t) reaches 1.3e307 on [-26.6, 0]: the first residual is finite
+# (9e290 for LD), and K r overflows inside the first Newton step
+STEP_OVERFLOW = {"kernel": "alg", "beta": 0.5, "L": "exp_st", "F": "sin_pi", "y": 1, "n": 80,
+                 "domain": [-26.6, 0]}
+
 # cubic F with y = 80 leaves Newton's basin: finite residuals that keep growing
 RUNAWAY = {"kernel": "log", "L": "one", "F": "cubic", "y": 80, "n": 8, "n_fine": 64}
 
@@ -154,6 +159,11 @@ class TestValidateConfig:
             ({"record_timings": "yes"}, "record_timings"),
             ({"kernel": {"kind": "log"}}, "kernel"),  # no object form
             ({"n_fine": 63}, "n_fine"),  # the Simpson rule pairs the fine panels
+            # literals that Python's json reads: a run went on with them
+            ({"y": float("nan")}, r"^y: "),
+            ({"exact": float("inf")}, r"^exact: "),
+            ({"phi0": float("nan")}, r"^phi0: "),
+            ({"F": {"poly": [0, float("nan")]}}, r"^F\.poly\[1\]: "),
         ],
     )
     def test_errors_name_the_field(self, patch, field):
@@ -404,6 +414,18 @@ class TestCli:
         assert "\nld,0," in (out / "solve.csv").read_text()
         assert (out / "nsweep.csv").read_text().startswith("n,k,true_error\n4,0,")
         assert [r.status for r in outcome.reports] == ["diverged"]
+
+    @pytest.mark.parametrize("solver", ["ld", "dl"])
+    def test_overflow_inside_a_step_diverges_with_partial_csv(self, tmp_path, capsys, solver):
+        # the two-grid step's coarse solve was handed the overflowed K r and
+        # raised on it: a traceback and exit 1, with no CSV
+        cfg = self._write(tmp_path, {**STEP_OVERFLOW, "solver": solver})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert f"{solver}: status=diverged" in capsys.readouterr().out
+        rows = (out / "compare.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [[solver, "0"], [solver, "1"]]
 
     def test_growing_residual_before_singular_system_diverges(self, tmp_path, capsys):
         # the residual norm grows at k = 2..5 (to 3.0e209), then the Newton
