@@ -305,15 +305,21 @@ def _cross_factor(L, t: np.ndarray):
             return None
 
 
-# Entries per block of _dense_rows, at most, as _REF_BLOCK and _PLAN_BLOCK:
-# each temporary of weight_matrix and of L stays at 64 kB, under glibc's
-# initial 128 kB mmap threshold, so it is served from reused heap memory.
-# Measured on a 2-vCPU host over warm compare_fine ops (seed 5, ops 0-7):
-# 8k-entry blocks took no minor page faults per op, 32k-entry blocks (the
-# former rule) 465-1,002. With the former two-grid row build, compare_fine
-# ops took 1,221-1,640 faults each and dl_large_n ops 532-1,344. In a warm
-# loop alone, 192 off-grid rows of 1025 entries fault in neither case.
+# Entries per block, at most, of a dense reader, the cross factor's check
+# rows and _precorrect's terms, as _REF_BLOCK and _PLAN_BLOCK: each
+# temporary stays at 64 kB, under glibc's initial 128 kB mmap threshold, so
+# it is served from reused heap memory. Measured on a 2-vCPU host over warm
+# compare_fine ops (seed 5, ops 0-7): 8k-entry blocks of _dense_rows took
+# no minor page faults per op, 32k-entry blocks (the former rule)
+# 465-1,002. With the former two-grid row build, compare_fine ops took
+# 1,221-1,640 faults each and dl_large_n ops 532-1,344. In a warm loop
+# alone, 192 off-grid rows of 1025 entries fault in neither case.
 _ROW_BLOCK = 8192
+# _dense_rows builds its weight rows and L in half blocks: the panel
+# moments hold five arrays of a block at once (tracemalloc, 65 nodes:
+# 417 kB at 8k entries, 210 kB at 4k), which in 8k blocks lifted
+# compare_fine's peak_mb 0.81 -> 0.96 MB; in 4k blocks it stays at 0.81
+_WEIGHT_BLOCK = _ROW_BLOCK // 2
 
 
 def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False):
@@ -322,11 +328,11 @@ def _dense_rows(grid: Grid, kernel, L, s: np.ndarray, simpson: bool = False):
     Every such matrix of both solvers comes from here: the rows of a dense
     nodal part (`_Dense`), which are also its grid's LU step matrix, and of
     a dense reader (`_DenseRows`; ``simpson`` for LD's fine rule). Per block
-    of at most _ROW_BLOCK entries: one weight_matrix call and one L
+    of at most _WEIGHT_BLOCK entries: one weight_matrix call and one L
     evaluation at the grid's nodes.
     """
     out = np.empty((s.size, grid.n + 1))
-    step = max(1, _ROW_BLOCK // (grid.n + 1))
+    step = max(1, _WEIGHT_BLOCK // (grid.n + 1))
     for start in range(0, s.size, step):
         block = s[start : start + step]
         # no name holds a block's temporaries into the next block
@@ -741,12 +747,12 @@ def _nodal_weights(grid: Grid, kernel, simpson: bool):
     bit: read across the domain from the rows of c, their node offsets
     would round at eps |b|, not eps |t_i|.
 
-    Every weight comes from the panel moments, for the trapezoid rule too:
-    the closed-form rows of weight_matrix lose up to (|t - s| / h)^2 eps of
-    a weight far from s, which cancels within one row but not in an
-    operator stitched from three of them: at N = 1558 (log, L = one, F =
-    sin 3t + 1.2, 22 nodes against mpmath at 40 digits) 4.1e-13 off,
-    against 2.1e-15 from the panel moments and 2.4e-15 for dense rows.
+    The rows are the panel moments' whole windows, as every dense row is:
+    at N = 1558 (log, L = one, F = sin 3t + 1.2, 22 nodes against mpmath at
+    40 digits) the stitched operator is 2.1e-15 off, the dense rows 2.4e-15.
+    Closed-form rows, which lose up to (|t - s| / h)^2 eps of a weight far
+    from s, put it 4.1e-13 off: that error cancels within one row but not
+    in an operator stitched from three of them.
     """
     N, t = grid.n, grid.nodes
     at = [2, 1, 0, N - 1, N] if simpson else [1, 0, N]
@@ -1056,13 +1062,19 @@ def _newton(disc, settings: _NewtonSettings, report: SolveReport, phi0):
     No step reads the output samples, so they are read once, after the loop
     and before a partial report is raised: the records' true errors, and the
     values of the returned function. Record wall times exclude that pass.
+
+    Overflow and invalid operations raise no warning here, also where
+    warnings are errors: an iterate that overflows is caught by the finite
+    checks above (a non-finite norm, or a two-grid step that misses), which
+    give it its status.
     """
-    try:
-        iterate = _iterations(disc, settings, report, phi0)
-    except SingularOperatorError:
-        _read_samples(disc, report, last=False)
-        raise
-    return disc.result(iterate, _read_samples(disc, report, last=True)), report
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            iterate = _iterations(disc, settings, report, phi0)
+        except SingularOperatorError:
+            _read_samples(disc, report, last=False)
+            raise
+        return disc.result(iterate, _read_samples(disc, report, last=True)), report
 
 
 def _iterations(disc, settings: _NewtonSettings, report: SolveReport, phi0):

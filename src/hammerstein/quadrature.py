@@ -3,12 +3,11 @@
 Weight vectors integrate the singular factor H exactly against the
 piecewise-linear hat basis on a grid (product trapezoid) or, with
 ``simpson``, against the piecewise-quadratic Lagrange basis on pairs of
-panels (product Simpson). The log and alg trapezoid rows are differences of
-closed-form antiderivatives at the nodes; every other row is built from the
-moments of H on each panel: midpoint expansions far from s, which keep each
-weight to a few eps, the closed forms near s, and folded Gauss-Legendre
-panels for a smooth H, scaled so that H == 1 gives the trapezoid weights
-exactly.
+panels (product Simpson). Every row, of either rule and any kernel, is
+built from the moments of H on each panel: midpoint expansions far from s,
+which keep each weight to a few eps, the closed-form antiderivatives near
+s, and folded Gauss-Legendre panels for a smooth H, scaled so that H == 1
+gives the trapezoid weights exactly.
 `SubtractionPlan` evaluates the integral operator by singularity
 subtraction with graded Gauss panels (the LD solver's subtract mode). Its
 `apply` takes the iterate's values at the plan's own points and reads them
@@ -79,8 +78,9 @@ def _antiderivs(kernel: SingularKernel, u: np.ndarray, orders: int = 3):
     is built in place from |u|; u is not modified. For log |u| is raised to
     _TINY, one log per entry: u times the finite log(_TINY) is the exact 0 at
     u = 0. For alg each power of |u| is its own: |u|^(2 - beta) as |u|^(1 -
-    beta) |u| carries one more rounding, which the panel differences of
-    `_analytic_weight_rows` magnify to 6e-11 of max|w| at 1563 panels.
+    beta) |u| carries one more rounding, which the near-field moments of
+    `_panel_moments` magnify: it moves alg 0.3 weights by up to 12 eps of
+    max|w| (trapezoid) and 49 eps (Simpson).
     """
     f0 = np.abs(u)
     if kernel.kind == KERNEL_LOG:
@@ -148,51 +148,8 @@ def weight_matrix(grid: Grid, kernel: SingularKernel, svals, simpson: bool = Fal
     svals = np.atleast_1d(np.asarray(svals, dtype=float))
     if simpson and grid.n % 2:
         raise ValueError(f"the Simpson rule needs an even panel count, got {grid.n}")
-    # Two row builders. The log and alg trapezoid rows keep their closed-form
-    # path: 13-24 ns per entry against 47-88 ns from the panel moments on a
-    # 2-vCPU host (log and alg 0.3; 1500 panels x 5 rows and 52-64 panels x
-    # 128-160 rows). Per op (seed 5, ops 0-7, one BLAS thread) dl_large_n
-    # builds only the 65^2 coarse rows of its Newton step, 4,225 entries and
-    # 0.10 ms of 14.5 ms, and compare_fine 40.5k entries, 0.86 ms of ~31 ms,
-    # which from the panel moments cost it ~2.1 ms more. Every other row is
-    # the whole window of the panel moments.
-    if simpson or kernel.kind == KERNEL_SMOOTH:
-        start = np.zeros(svals.size, dtype=int)
-        return _window_weight_rows(grid, kernel, svals, start, grid.n + 1, simpson)
-    return _analytic_weight_rows(grid, kernel, svals)
-
-
-def _analytic_weight_rows(grid, kernel, svals):
-    """Trapezoid rows of the log and alg kernels at the points s: with d0, d1
-    the panel differences of the first two `_antiderivs` at u = t_j - s, w_j =
-    [(d1 - u_(j-1) d0)_(j-1) + (u_(j+1) d0 - d1)_j] / h (one term at an end)."""
-    u = grid.nodes[None, :] - svals[:, None]
-    p0, p1 = _antiderivs(kernel, u, orders=2)
-    # Panel j of a row is column j of the differences, taken on the flat
-    # rows; the last column holds a difference across two rows, which
-    # nothing reads, and the last entry of all, which no difference reaches,
-    # is set to 0. Contiguous 1-D ufuncs need none of the three 64 kB
-    # buffers that numpy's iterator allocates for a strided 2-D operand.
-    fu, f0, f1 = u.ravel(), p0.ravel(), p1.ravel()
-    d0 = np.empty_like(u)
-    g0 = d0.ravel()
-    g0[-1:] = 0.0
-    np.subtract(f0[1:], f0[:-1], out=g0[:-1])
-    f0[-1:] = 0.0
-    d1 = np.subtract(f1[1:], f1[:-1], out=f0[:-1])
-    # per panel j (spanning [t_j, t_{j+1}]): integrals of H*(t - t_j) and H*(t_{j+1} - t)
-    up = np.multiply(fu, g0, out=f1)
-    np.subtract(f0, up, out=up)
-    dn = np.multiply(fu[1:], g0[:-1], out=g0[:-1])
-    dn -= d1
-    # w_j = up_(j-1) + dn_j inside, dn_0 and up_(N-1) at the ends; u is not
-    # read again, so w takes its memory
-    np.add(f1[:-1], g0[1:], out=fu[1:])
-    w = u
-    w[:, 0] = d0[:, 0]
-    w[:, -1] = p1[:, -2]
-    w /= grid.h
-    return w
+    start = np.zeros(svals.size, dtype=int)
+    return _window_weight_rows(grid, kernel, svals, start, grid.n + 1, simpson)
 
 
 # Panels whose midpoint m lies within _NEAR_PANELS panel widths of s get
@@ -201,7 +158,8 @@ def _analytic_weight_rows(grid, kernel, svals):
 # midpoint expansions in z = h / (2m), |z| <= 1/8, cut after z^(2 _TERMS),
 # whose omitted terms are below 1e-16 of the leading one. Far from s the
 # expansions keep every moment to a few eps, where differences of the
-# antiderivatives lose (|m| / h)^2 eps or more (`_analytic_weight_rows`).
+# antiderivatives lose (|m| / h)^2 eps or more: trapezoid rows so built were
+# 2.2e5 eps of max|w| off at 1024 panels (log, s = 0.0007).
 _NEAR_PANELS = 4.0
 _TERMS = 8
 

@@ -848,10 +848,10 @@ class TestSmallGrid:
         # weight_matrix calls and entries of a solve at n = 40 (default
         # settings: 201 samples, n_fine 320). The step matrix G took one
         # more call of (n + 1)^2 entries when it was rebuilt: DL made 3
-        # calls of 10250 entries, LD 4 of 21730. LD's trapezoid rows at its
-        # 280 fine nodes off the grid, in blocks of 199 rows, now take two
-        # calls of their own where the 321 rows of every iteration point
-        # took two in all, so its call count stays at 4
+        # calls of 10250 entries, LD 4 of 21730. Blocks of 99 rows (4096
+        # entries), not 199, take DL's 168 samples off the grid in two calls
+        # where they took one, and LD's 280 fine nodes off the grid in three
+        # where they took two, as its samples; the entries stay
         counts = []
         weights = newton_ld.weight_matrix
 
@@ -863,10 +863,10 @@ class TestSmallGrid:
         monkeypatch.setattr(newton_ld, "weight_matrix", counted)
         grid = make_grid(0.0, 1.0, 40)
         dl_solve(self._problem(), grid)
-        assert (len(counts), sum(counts)) == (2, 10250 - 41**2)
+        assert (len(counts), sum(counts)) == (3, 10250 - 41**2)
         counts.clear()
         ld_solve(self._problem(), grid)
-        assert (len(counts), sum(counts)) == (4, 21730 - 41**2)
+        assert (len(counts), sum(counts)) == (6, 21730 - 41**2)
 
     def test_only_larger_grids_build_a_cross_factor(self, monkeypatch):
         sizes = []

@@ -406,10 +406,9 @@ class TestCli:
     def test_non_finite_iterate_diverges_with_partial_csv(self, tmp_path, capsys):
         cfg = self._write(tmp_path, OVERFLOW)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
-            assert cli_main(["nsweep", "--config", cfg, "--out", str(out), "--n", "4,8"]) == 3
-            outcome = run_nsweep(config_from_dict(OVERFLOW, out_dir_override=tmp_path), [4, 8])
+        assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        assert cli_main(["nsweep", "--config", cfg, "--out", str(out), "--n", "4,8"]) == 3
+        outcome = run_nsweep(config_from_dict(OVERFLOW, out_dir_override=tmp_path), [4, 8])
         assert "ld: status=diverged" in capsys.readouterr().out
         assert "\nld,0," in (out / "solve.csv").read_text()
         assert (out / "nsweep.csv").read_text().startswith("n,k,true_error\n4,0,")
@@ -421,8 +420,7 @@ class TestCli:
         # raised on it: a traceback and exit 1, with no CSV
         cfg = self._write(tmp_path, {**STEP_OVERFLOW, "solver": solver})
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 3
         assert f"{solver}: status=diverged" in capsys.readouterr().out
         rows = (out / "compare.csv").read_text().splitlines()
         assert [row.split(",")[:2] for row in rows[1:]] == [[solver, "0"], [solver, "1"]]
