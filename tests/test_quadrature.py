@@ -137,6 +137,49 @@ class TestClosedForms:
             for g, w in zip(got, want):
                 assert same_bits(g, w)
 
+    @pytest.mark.parametrize("n", [8, 64, 1454])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.3, 2.9)])
+    @pytest.mark.parametrize("kernel_factory", CLOSED_FORM_KERNELS, ids=CLOSED_FORM_IDS)
+    def test_trapezoid_rows_against_closed_forms(self, kernel_factory, a, b, n, rng):
+        # The moment-built rows against the closed forms where those are well
+        # conditioned. Within two panels of s the row is the antiderivative
+        # differences w_j = [(d1 - u_(j-1) d0)_(j-1) + (u_(j+1) d0 - d1)_j] / h,
+        # up to the rounding of u = t - s, an eps (|t| + |s|) shift of each hat
+        # function, i.e. eps (|t| + |s|) / h of max|w|. Over the whole row the
+        # rule integrates 1 and t exactly, so w . 1 and w . t are the moments
+        # over [a, b], which two closed-form terms give; the dot products
+        # round to well within eps sqrt(n + 1) of their absolute sums.
+        kernel, grid = kernel_factory(), make_grid(a, b, n)
+        eps = np.finfo(float).eps
+        nodes = grid.nodes[:: max(1, n // 16)]
+        s = np.concatenate([nodes, grid.nodes[-1:], rng.uniform(a, b, 16)])
+        got = weight_matrix(grid, kernel, s)
+        scale = np.max(np.abs(got), axis=1, keepdims=True)
+
+        u = grid.nodes[None, :] - s[:, None]
+        f0, f1 = quadrature._antiderivs(kernel, u, orders=2)
+        d0, d1 = np.diff(f0, axis=1), np.diff(f1, axis=1)
+        up = d1 - u[:, :-1] * d0
+        dn = u[:, 1:] * d0 - d1
+        want = np.empty_like(u)
+        want[:, 0], want[:, -1] = dn[:, 0], up[:, -1]
+        want[:, 1:-1] = up[:, :-1] + dn[:, 1:]
+        want /= grid.h
+        near = np.abs(u) <= 2 * grid.h
+        tol = eps * scale * (8 + 2 * max(abs(a), abs(b)) / grid.h)
+        assert np.all(np.abs(got - want)[near] <= np.broadcast_to(tol, got.shape)[near])
+
+        g0, g1 = quadrature._antiderivs(kernel, np.stack([a - s, b - s], axis=1), orders=2)
+        m0 = g0[:, 1] - g0[:, 0]
+        m1 = g1[:, 1] - g1[:, 0] + s * m0
+        slack = 4 * eps * np.sqrt(n + 1)
+        tol0 = slack * np.abs(got).sum(axis=1) + 4 * eps * np.abs(g0).sum(axis=1)
+        tol1 = slack * (np.abs(got) @ np.abs(grid.nodes)) + 4 * eps * (
+            np.abs(g1).sum(axis=1) + np.abs(s) * np.abs(g0).sum(axis=1)
+        )
+        assert np.all(np.abs(got.sum(axis=1) - m0) <= tol0)
+        assert np.all(np.abs(got @ grid.nodes - m1) <= tol1)
+
 
 class TestProductWeights:
     def test_trapezoidal_degeneration(self):
