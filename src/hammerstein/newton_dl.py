@@ -7,14 +7,15 @@ solution of the *discrete* system, so its accuracy plateaus at the
 discretization error of the grid no matter how many Newton steps run.
 
 A is the nodal part of the grid's trapezoid rule (newton_ld._nodal_part):
-dense rows on at most 64 panels, else never formed (FFT Toeplitz weights
-times a low-rank L). The natural extension at the output samples off the
-grid is read after the loop by its readers, in blocks: precorrected
-interpolation from the values at the nodes on 512 panels or more
-(newton_ld._Precorrected), else dense rows. Each Newton step solves
-(I - A D) delta = -res, D = diag F'(X), by LD's step too (newton_ld._TwoGrid):
-the LU of I - A D on at most 64 panels, else two-grid steps whose coarse
-correction reaches the grid through the nodal part.
+dense rows on at most 64 panels, for a smooth H and for an L with no cross
+factor, else never formed (FFT Toeplitz weights times a low-rank L). The
+natural extension at the output samples off the grid is read after the loop
+by its readers, in blocks: precorrected interpolation from the values at
+the nodes on 512 panels or more (newton_ld._Precorrected), else dense rows.
+Each Newton step solves (I - A D) delta = -res, D = diag F'(X), by LD's step
+too (newton_ld._TwoGrid): the LU of I - A D when A is dense rows, of any
+size, else two-grid steps whose coarse correction reaches the grid through
+A's Toeplitz weights and cross factor.
 """
 
 from __future__ import annotations

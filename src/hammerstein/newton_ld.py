@@ -23,11 +23,12 @@ O(h^2) for the product trapezoid rule.
 
 Each rule is a nodal part, the rule at its own grid's nodes, and readers of
 it at points off that grid (`_nodal_part`). The nodal part is dense rows on
-at most 64 panels (_COARSE_N); on more it is never a dense matrix
-(`_Structured`): Toeplitz weights applied by FFT, times a cross
-approximation of L of rank q on the lattice of the nodes (Bebendorf, Numer.
-Math. 2000; Tyrtyshnikov, Computing 2000): q = 9 for exp_st on [0, 1], 1 for
-L = one, so an apply is O(q N log N) and it holds O(q N) numbers. LD's rules
+at most 64 panels (_COARSE_N), for a smooth H and for an L with no cross
+factor; else it is never a dense matrix (`_Structured`): Toeplitz weights
+applied by FFT, times a cross approximation of L of rank q on the lattice
+of the nodes (Bebendorf, Numer. Math. 2000; Tyrtyshnikov, Computing 2000):
+q = 9 for exp_st on [0, 1], 1 for L = one, so an apply is O(q N log N) and
+it holds O(q N) numbers. LD's rules
 (`_ProductRule`) read the iteration points off their grids (the Newton nodes
 off the fine grid, the fine nodes off the Newton grid) by a reader built
 once, and both solvers read the output samples after the loop. A reader is
@@ -52,8 +53,8 @@ iterate X, it solves (I - A D) delta = -res by the stationary iteration
 delta <- delta + M (-res - (I - A D) delta), with M the Atkinson-Brakhage
 two-grid inverse on a uniform coarse grid (`_TwoGrid`; Atkinson 1997;
 Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995),
-whose coarse correction reaches the grid through the nodal part: through
-the Toeplitz part and cross factor of a structured one.
+whose coarse correction reaches the grid through the Toeplitz part and
+cross factor of its structured nodal part.
 M only sets the rate; each residual is the grid's true one, so a step is
 taken only once checked. It is solved only as far as Newton can use: to a
 forcing term eta = O(|res|) relative, which keeps the convergence quadratic
@@ -61,7 +62,7 @@ forcing term eta = O(|res|) relative, which keeps the convergence quadratic
 Walker, SISC 1996; Kelley 1995, ch. 6), and no finer than the rounding of
 the iterate. After a miss (a residual that stops shrinking, or a singular
 coarse system), this step and the later ones are LU solves of the Newton
-matrix on the grid itself, as all steps are on at most 64 panels.
+matrix on the grid itself, as all steps of a dense nodal part are.
 
 The Newton loop itself (`_newton`: records, stopping and failure statuses,
 the output samples read after it), the settings it reads, the nodal parts
@@ -368,10 +369,11 @@ def _fft_size(n: int) -> int:
 def _nodal_part(problem: HammersteinProblem, grid: Grid, simpson: bool = False):
     """The product rule of ``grid`` at its nodes: the trapezoid rule, or the
     Simpson rule with ``simpson`` (LD's fine rule; N even). Its form is
-    decided here, once: dense rows (`_Dense`) on at most _COARSE_N panels,
-    whose grid steps by their LU (`_TwoGrid`), for a smooth H (not a function
-    of t - s) and for an L with no cross factor within _MAX_RANK; else
-    Toeplitz weights and the factor (`_Structured`)."""
+    decided here, once: dense rows (`_Dense`), whose grid steps by their LU
+    (`_TwoGrid`), on at most _COARSE_N panels, for a smooth H (not a
+    function of t - s) and for an L with no cross factor within _MAX_RANK;
+    else Toeplitz weights and the factor (`_Structured`), whose grid takes
+    two-grid steps."""
     structured = problem.kernel.kind != KERNEL_SMOOTH and grid.n > _COARSE_N
     factor = _cross_factor(problem.L, grid.nodes) if structured else None
     if factor is None:
@@ -416,12 +418,6 @@ class _Dense(_Nodal):
     def matrix(self) -> np.ndarray:
         """The rows at the nodes: the matrix of the LU steps (`_TwoGrid`)."""
         return self.rows
-
-    def prolongation(self, coarse: _Dense):
-        """x -> R x at the nodes, for x at the nodes of the ``coarse`` part
-        (`_TwoGrid`): R is that part's reader at the grid nodes."""
-        R = coarse.reader(self.grid.nodes)
-        return lambda x: R([x], None)[0]
 
 
 class _Structured(_Nodal):
@@ -552,26 +548,26 @@ _MARGIN = 26
 _WINDOW = _STENCIL + 2 * _MARGIN
 # A trapezoid rule on fewer panels keeps dense off-grid rows: the evaluator
 # costs about the same per point on any grid, dense rows N + 1 entries.
-# Measured on a 2-vCPU host (one BLAS thread, best of 30), for 192 output
-# samples of 6 iterates: the evaluator 1.7-2.8 ms at every N from 128 to
-# 1454 with L = one (2.5-4.6 ms with exp_st), dense rows 0.7 ms at N = 256,
-# 1.4 at 512, 2.2 at 768 and 5.8 at 1454 (0.8, 2.1, 2.4 and 4.8 with
-# exp_st). For LD's rule of the Newton grid at the 256 fine nodes off it,
-# built and applied once: the evaluator 1.8-3.1 ms (3.0-4.3), dense rows 0.8
-# ms at 256, 1.6 at 512 and 3.2 at 768 (0.9, 2.3 and 3.0). From 512 panels
-# the evaluator costs at most about twice what dense rows do, and holds 76
-# numbers a point where they hold 4 kB or more.
+# Whole warm solves on a 2-vCPU host (one BLAS thread, log kernel, 201
+# samples, median of 7 alternating runs), time precorrected over time with
+# dense rows at N = 65, 128, 256 and 511: log-sine (L = one) DL 1.22, 1.01,
+# 0.81 and 0.70, LD 1.29, 1.08, 0.90 and 0.72; exp_st (manufactured cos, F
+# square) DL 1.34, 1.15, 1.01 and 0.86, LD 1.33, 1.20, 1.05 and 0.82. DL
+# with exp_st peaks 8-18% higher precorrected at every N from 65 to 511; LD
+# peaks up to 46% lower from 128 panels. So the evaluator matches dense
+# rows from about 128 panels with L = one and 256-384 with exp_st, and near
+# 512 it is faster in both solvers on both.
 # A Simpson rule with a factor (N > _COARSE_N >= _WINDOW) always precorrects:
-# its dense rows cost ~57 ns an entry against ~14 ns for trapezoid rows, and
-# it is LD's operator, whose off-grid points are most of its iteration points.
-# Measured on a 2-vCPU host (exp_st on [0, 1], one BLAS thread, best of 9),
-# for 50 off-grid points built and applied to 6 iterates: dense rows 0.27 ms
-# at N = 64, 0.36 at 128, 0.60 at 256, 0.74 at 320, 1.66 at 512 and 2.24 at
-# 1024, the evaluator 1.0-1.4 ms at each; for 160 output samples of 6
-# iterates, dense rows 0.73, 1.09, 1.93, 2.74, 5.69 and 6.87 ms, the
-# evaluator 3.1-3.4 ms. So below ~400 panels it costs up to ~2.5 ms more per
-# solve (~1 ms at the default 320, ~5% of a compare_fine op), and holds 77
-# numbers a point where dense rows hold N + 1.
+# it is LD's operator, whose off-grid points are most of its iteration
+# points, and its dense rows cost about 70 ns an entry against 50 ns for
+# trapezoid rows (400 points, N = 320 and 1024). Measured on a 2-vCPU host
+# (exp_st on [0, 1], one BLAS thread, best of 9), for 50 off-grid points
+# built and applied to 6 iterates: dense rows 0.33 ms at N = 66, 0.95 at
+# 256, 1.21 at 320, 1.84 at 512 and 3.67 at 1024, the evaluator 1.0-1.8 ms
+# at each; for 160 output samples of 6 iterates, dense rows 0.97, 2.78,
+# 3.60, 5.60 and 12.2 ms, the evaluator 3.4-3.7 ms. So below ~300 panels it
+# costs up to ~2.5 ms more per solve, and holds 77 numbers a point where
+# dense rows hold N + 1.
 _PRECORRECT_MIN_N = 512
 # Points per block of _Precorrected: the window weights of a block hold
 # about five temporaries of _NEAR_BLOCK x 65 doubles, and each block costs
@@ -905,10 +901,9 @@ class _Workspace:
 # all with 16 panels, 989 with 32, 866 with 64 and 698 with 128, at about the
 # same CPU time on a 2-vCPU host. Against exact steps, 16 and 128 panels
 # added a Newton step to 1 and 2 solves, 32 saved one on 1 and 64 kept every
-# Newton count. The coarse rows G hold 65^2 numbers; dense coarse rows R at
-# the grid nodes, 65 (n + 1) numbers (0.8 MB at n = 1600), only a rule
-# without a cross factor keeps, next to its own (n + 1)^2. A grid of at most
-# this many panels is its own coarse grid, its rules dense rows: LU steps.
+# Newton count. The coarse rows G hold 65^2 numbers. A grid of at most this
+# many panels has dense rules (`_nodal_part`), and a dense nodal part of any
+# size is its own coarse grid: LU steps on its own (n + 1)^2 rows.
 _COARSE_N = 64
 # Smallest forcing term: an accepted step's true linear residual is at most
 # max(eta |res|, eps |X|) in the max-norm, eta = max(_STEP_RTOL, min(1e-3,
@@ -930,27 +925,26 @@ class _TwoGrid:
     """The Newton linear step of both solvers: delta with (I - A D) delta = rhs.
 
     A is the trapezoid rule of a grid at its nodes, ``nodal`` (`_nodal_part`),
-    and D = diag(df). With K = A D, a coarse grid of n_c = min(n, _COARSE_N)
-    panels with nodes tau, the rows G of its dense nodal part and D_c = D
-    interpolated to tau,
+    and D = diag(df). With K = A D, a coarse grid of n_c panels with nodes
+    tau, the rows G of its dense nodal part and D_c = D interpolated to tau,
 
         M r = r + K r + R D_c (I - G D_c)^-1 (K r)(tau),
 
     where (K r)(tau) is K r interpolated to tau and R, the coarse rule at the
     grid nodes, prolongs a coarse correction z (`prolong`): (R D_c z)(t_i) =
     int H(t_i, t) I_c[L(t_i, .) d_c z](t) dt, with I_c the piecewise-linear
-    interpolant on tau. The grid's nodal part gives R (``prolongation``): a
-    dense part as the coarse part's rows at the grid nodes, a structured one
-    through its factor. Each application of M solves the coarse system I - G
-    D_c afresh, with solve_dense. When n_c = n, G is the matrix of A itself
-    (a dense part's own rows) and M the LU solve of I - A D; after a miss
-    (the residual stops shrinking, or the coarse system is singular) the step
-    becomes that one. A grid of at most _COARSE_N panels starts so.
+    interpolant on tau. A structured nodal part coarsens to n_c = _COARSE_N
+    and gives R through its factor (``prolongation``). Each application of M
+    solves the coarse system I - G D_c afresh, with solve_dense. When n_c =
+    n, G is the matrix of A itself and M the LU solve of I - A D; after a
+    miss (the residual stops shrinking, or the coarse system is singular)
+    the step becomes that one. A dense nodal part, of any size, starts so,
+    with G its own rows.
     """
 
     def __init__(self, problem: HammersteinProblem, nodal: _Nodal):
         self.problem, self.grid, self.nodal = problem, nodal.grid, nodal
-        self._coarsen(min(self.grid.n, _COARSE_N))
+        self._coarsen(self.grid.n if isinstance(nodal, _Dense) else _COARSE_N)
 
     def _coarsen(self, n_c: int) -> None:
         self.exact = n_c == self.grid.n

@@ -141,37 +141,36 @@ def nsweep_summary_text(
     return "\n".join(lines) + "\n"
 
 
-def compare_plot_script(csv_name: str, methods: list[str]) -> str:
+def _plot_script(plots: list[str]) -> str:
     """gnuplot script plotting log10 of the true error against iteration."""
-    lines = [
+    lines = (
         "set datafile separator ','",
         "set xlabel 'Newton iteration k'",
         "set ylabel 'log10 sup-norm error'",
         "set key top right",
         "set grid",
-    ]
-    labels = {"ld": "linearize-then-discretize", "dl": "discretize-then-linearize"}
-    plots = [
-        f"'{csv_name}' using 2:(strcol(1) eq '{m}' ? log10(column(5)) : NaN) "
-        f"with linespoints title '{labels.get(m, m)}'"
-        for m in methods
-    ]
-    lines.append("plot " + ", \\\n     ".join(plots))
+        "plot " + ", \\\n     ".join(plots),
+    )
     return "\n".join(lines) + "\n"
+
+
+def compare_plot_script(csv_name: str, methods: list[str]) -> str:
+    """The plot script of a compare run: one curve per method."""
+    labels = {"ld": "linearize-then-discretize", "dl": "discretize-then-linearize"}
+    return _plot_script(
+        [
+            f"'{csv_name}' using 2:(strcol(1) eq '{m}' ? log10(column(5)) : NaN) "
+            f"with linespoints title '{labels.get(m, m)}'"
+            for m in methods
+        ]
+    )
 
 
 def nsweep_plot_script(csv_name: str, n_list: list[int]) -> str:
-    lines = [
-        "set datafile separator ','",
-        "set xlabel 'Newton iteration k'",
-        "set ylabel 'log10 sup-norm error'",
-        "set key top right",
-        "set grid",
-    ]
-    plots = [
-        f"'{csv_name}' using 2:(column(1) == {n} ? log10(column(3)) : NaN) "
-        f"with linespoints title 'n = {n}'"
-        for n in n_list
-    ]
-    lines.append("plot " + ", \\\n     ".join(plots))
-    return "\n".join(lines) + "\n"
+    return _plot_script(
+        [
+            f"'{csv_name}' using 2:(column(1) == {n} ? log10(column(3)) : NaN) "
+            f"with linespoints title 'n = {n}'"
+            for n in n_list
+        ]
+    )

@@ -18,6 +18,7 @@ from hammerstein import (
     DLSettings,
     HammersteinProblem,
     LDSettings,
+    SMOOTH_FACTORS,
     SingularOperatorError,
     algebraic_kernel,
     dl_solve,
@@ -805,7 +806,9 @@ def exact_steps(monkeypatch):
 class TestSmallGrid:
     """A grid of at most _COARSE_N panels is one dense matrix: its nodal
     parts are dense rows and hold no cross factor, their readers are dense
-    rows, and its Newton steps are the LU of the same rows (`_TwoGrid`)."""
+    rows, and its Newton steps are the LU of the same rows (`_TwoGrid`), as
+    a dense nodal part of any size is its own coarse grid
+    (`TestDenseLargeGrid`)."""
 
     @staticmethod
     def _problem():
@@ -979,10 +982,10 @@ def L_cos35(s, t):
     return np.cos(35.0 * s * t)
 
 
-class TestDenseCoarseRows:
-    """Two-grid steps of a dense nodal part on more than _COARSE_N panels: a
-    smooth H, or an L above _MAX_RANK crosses. Its coarse correction is the
-    dense reader of the coarse part at the grid nodes."""
+class TestDenseLargeGrid:
+    """A dense nodal part on more than _COARSE_N panels (a smooth H, or an L
+    above _MAX_RANK crosses) is its own coarse grid: its Newton steps are the
+    LU of its own rows, never two-grid steps through dense coarse rows."""
 
     PROBLEMS = {
         "smooth_exp_st": lambda: HammersteinProblem(
@@ -993,32 +996,47 @@ class TestDenseCoarseRows:
             0.3, 2.9, log_kernel(), L_cos35, get_nonlinearity("square"), np.cos
         ),
     }
+    # Newton steps at n = 128; LD's trapezoid step matrix does not resolve
+    # cos35, so its steps contract slowly
+    STEPS = {("smooth_exp_st", "dl"): 5, ("smooth_exp_st", "ld"): 5,
+             ("cos35", "dl"): 5, ("cos35", "ld"): 16}
 
-    @pytest.mark.parametrize("solve", [dl_solve, ld_solve], ids=["dl", "ld"])
+    @pytest.mark.parametrize("solver", ["dl", "ld"])
     @pytest.mark.parametrize("case", sorted(PROBLEMS))
-    def test_two_grid_steps_match_exact_steps(self, solve, case, monkeypatch):
+    def test_steps_are_the_lu_of_its_own_rows(self, solver, case, monkeypatch):
         prob = self.PROBLEMS[case]()
         grid = make_grid(prob.a, prob.b, 128)
-        settings = (DLSettings if solve is dl_solve else LDSettings)(sample_count=41)
-        calls = []
-        prolong = newton_ld._TwoGrid.prolong
+        part = _nodal_part(prob, grid)
+        assert isinstance(part, _Dense)
+        two_grid = newton_ld._TwoGrid(prob, part)
+        assert two_grid.exact and two_grid.G is part.rows
 
-        def recorded(self, x):
-            out = prolong(self, x)
-            calls.append((isinstance(self.nodal, _Dense), x, out))
-            return out
+        def never(*args):
+            raise AssertionError("a two-grid step of a dense nodal part")
 
-        monkeypatch.setattr(newton_ld._TwoGrid, "prolong", recorded)
-        _, two_grid = solve(prob, grid, settings)
-        assert calls and all(dense for dense, _, _ in calls)
-        coarse = make_grid(prob.a, prob.b, _COARSE_N)
-        R = _dense_rows(coarse, prob.kernel, prob.L, grid.nodes)
-        for _, x, out in calls:
-            np.testing.assert_array_equal(out, np.einsum("ij,j->i", R, x))
-        exact_steps(monkeypatch)
-        _, exact = solve(prob, grid, settings)
-        assert two_grid.status == exact.status == "converged"
-        assert len(two_grid.records) == len(exact.records)
+        # a _TwoGrid that is not exact takes its first step by _two_grid_solve
+        monkeypatch.setattr(newton_ld, "_two_grid_solve", never)
+        monkeypatch.setattr(newton_ld._TwoGrid, "prolong", never)
+        solve, settings = (dl_solve, DLSettings) if solver == "dl" else (ld_solve, LDSettings)
+        _, report = solve(prob, grid, settings(sample_count=41))
+        assert report.status == "converged"
+        assert report.records[-1].k == self.STEPS[case, solver]
+
+    @pytest.mark.parametrize("name", sorted(SMOOTH_FACTORS))
+    def test_every_named_L_gets_a_cross_factor(self, name):
+        # the config and CLI take H as log or alg and L by name only, so no
+        # run of theirs makes a dense part above _COARSE_N panels, whose LU
+        # steps cost O(n^3): an L added to the registry without a cross
+        # factor fails here
+        kernels = [log_kernel(), algebraic_kernel(0.3), algebraic_kernel(0.9)]
+        for kernel in kernels:
+            for a, b in [(0.0, 1.0), (0.3, 2.9), (-26.6, 0.0)]:
+                prob = HammersteinProblem(
+                    a, b, kernel, SMOOTH_FACTORS[name], get_nonlinearity("square"), np.cos
+                )
+                for n in (65, 1500):
+                    part = _nodal_part(prob, make_grid(a, b, n))
+                    assert isinstance(part, _Structured), (kernel.kind, a, b, n)
 
 
 class TestSettings:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -68,3 +69,26 @@ def test_record_covers_every_run():
             methods = {"both": ("ld", "dl")}.get(raw["solver"], (raw["solver"],))
             expected |= {f"{name}/{m}" for m in methods}
     assert set(recorded) == expected
+
+
+def test_ci_runs_are_the_workflow_configs():
+    # CI_RUNS copies the configs the CI workflow writes and the grid sizes
+    # its check_run.py steps sweep them over; the two copies must agree
+    replay = _replay_module()
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    configs = dict(
+        re.findall(r'cat > "\$RUNNER_TEMP/([\w-]+)\.json" <<\'EOF\'\n(.*?)\n\s*EOF', workflow, re.S)
+    )
+    sweeps = {
+        name: tuple(int(n) for n in sizes.split(","))
+        for name, sizes in re.findall(
+            r'check_run\.py "\$RUNNER_TEMP/([\w-]+)\.json"[\s\\]*--n ([\d,]+)', workflow
+        )
+    }
+    copied = {}
+    for run, (_, raw, n_list) in replay.CI_RUNS.items():
+        name = run.removeprefix("ci/").removesuffix("-sweep")
+        assert raw == json.loads(configs[name]), run
+        if n_list is not None:
+            copied[name] = n_list
+    assert set(sweeps) == {"fine", "subtract"} and copied == sweeps
